@@ -1,12 +1,18 @@
-// Ablation: what do UDFs and XN's guarded operations cost? (google-benchmark)
+// Ablation: what do UDFs and XN's guarded operations cost?
 //
 // DESIGN.md calls out the template/UDF design as XN's central trade-off (Sec. 4.2
 // rejected per-block capabilities and declarative templates). This bench measures:
 //   - host-side interpreter throughput of the C-FFS directory owns-udf,
 //   - simulated-cycle cost of guarded Alloc/Modify vs the trusted kernel backend,
 //   - wakeup-predicate evaluation cost.
-#include <benchmark/benchmark.h>
+// Simulated cycles are deterministic; host times are wall-clock (steady_clock)
+// averages over a fixed iteration count and vary with the machine.
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "bench/common.h"
 #include "fs/cffs.h"
 #include "fs/kernel_backend.h"
 #include "fs/xn_backend.h"
@@ -18,10 +24,11 @@
 namespace {
 
 using namespace exo;
+using bench::WallNow;
 
 // Host throughput of the UDF interpreter on a realistic program: a directory-block
 // scan (the hot owns-udf in C-FFS).
-void BM_UdfInterpreterDirScan(benchmark::State& state) {
+void UdfInterpreterDirScan(int iters) {
   auto prog = udf::Assemble(R"(
       ldi r1, 0
       ldi r2, 32
@@ -59,25 +66,29 @@ void BM_UdfInterpreterDirScan(benchmark::State& state) {
     block[static_cast<size_t>(slot) * 128 + 12] = 4;  // nblocks = 4
   }
   uint64_t insns = 0;
-  for (auto _ : state) {
+  uint64_t sink = 0;
+  const double t0 = WallNow();
+  for (int i = 0; i < iters; ++i) {
     udf::RunInput in;
     in.buffers[udf::kBufMeta] = block;
     auto out = udf::Run(prog.program, in);
-    benchmark::DoNotOptimize(out.ret);
+    sink += out.ret;
     insns += out.insns;
   }
-  state.counters["udf_insns_per_run"] =
-      static_cast<double>(insns) / static_cast<double>(state.iterations());
+  const double t1 = WallNow();
+  EXO_CHECK_EQ(sink, 0u);
+  std::printf("%-26s %9.0f ns/run   %7.0f udf insns/run\n", "udf dir-scan interpreter",
+              (t1 - t0) * 1e9 / iters, static_cast<double>(insns) / iters);
 }
-BENCHMARK(BM_UdfInterpreterDirScan);
 
 // Simulated cycles per guarded metadata allocation (XN running owns-udf twice +
 // acl-uf) vs the trusted kernel backend (no verification) — the price of letting
-// untrusted code define metadata formats.
-void BM_GuardedAllocCycles(benchmark::State& state) {
-  const bool guarded = state.range(0) == 1;
-  for (auto _ : state) {
-    state.PauseTiming();
+// untrusted code define metadata formats. Setup (format, mkfs) is untimed.
+void GuardedAllocCycles(bool guarded, int reps) {
+  constexpr int kCreates = 64;
+  double sim_cycles = 0;
+  double wall = 0;
+  for (int rep = 0; rep < reps; ++rep) {
     sim::Engine engine;
     hw::Machine machine(&engine, hw::MachineConfig{
                                      .mem_frames = 4096,
@@ -107,27 +118,27 @@ void BM_GuardedAllocCycles(benchmark::State& state) {
     }
     fs::Cffs cffs(backend.get(), fs::CffsOptions{.fsid = 1});
     EXO_CHECK_EQ(cffs.Mkfs(), Status::kOk);
-    sim::Cycles t0 = engine.now();
-    state.ResumeTiming();
+    const sim::Cycles c0 = engine.now();
+    const double t0 = WallNow();
 
-    // 64 file creates + one-block writes: each is a guarded Alloc on a dir block.
-    for (int i = 0; i < 64; ++i) {
+    // File creates + one-block writes: each is a guarded Alloc on a dir block.
+    for (int i = 0; i < kCreates; ++i) {
       auto h = cffs.Create("/f" + std::to_string(i), 7, false);
       EXO_CHECK(h.ok());
       std::vector<uint8_t> data(512, 1);
       EXO_CHECK(cffs.Write(*h, 0, data, 7).ok());
     }
-    state.PauseTiming();
-    state.counters["sim_cycles_per_create"] =
-        static_cast<double>(engine.now() - t0) / 64.0;
-    state.ResumeTiming();
+    wall += WallNow() - t0;
+    sim_cycles = static_cast<double>(engine.now() - c0) / kCreates;
   }
+  std::printf("%-26s %9.0f ns/create %7.0f sim cycles/create\n",
+              guarded ? "create+write, xn guarded" : "create+write, kernel fs",
+              wall * 1e9 / (static_cast<double>(reps) * kCreates), sim_cycles);
 }
-BENCHMARK(BM_GuardedAllocCycles)->Arg(1)->ArgName("xn_guarded")->Arg(0);
 
-// Wakeup-predicate evaluation: simulated cycles per kernel evaluation of the
-// protected-pipe predicate vs a host lambda standing in for the same check.
-void BM_WakeupPredicateEval(benchmark::State& state) {
+// Wakeup-predicate evaluation: host cost of one interpreter run of the
+// protected-pipe predicate the kernel evaluates per scheduling decision.
+void WakeupPredicateEval(int iters) {
   auto prog = udf::Assemble(R"(
       ldi r1, 0
       ld4 r2, r1, 0, meta
@@ -138,15 +149,29 @@ void BM_WakeupPredicateEval(benchmark::State& state) {
   EXO_CHECK(prog.ok);
   std::vector<uint8_t> window(8, 0);
   window[0] = 1;
-  for (auto _ : state) {
+  uint64_t insns = 0;
+  uint64_t sink = 0;
+  const double t0 = WallNow();
+  for (int i = 0; i < iters; ++i) {
     udf::RunInput in;
     in.buffers[udf::kBufMeta] = window;
     auto out = udf::Run(prog.program, in);
-    benchmark::DoNotOptimize(out.ret);
+    sink += out.ret;
+    insns += out.insns;
   }
+  const double t1 = WallNow();
+  EXO_CHECK_EQ(sink, static_cast<uint64_t>(iters));
+  std::printf("%-26s %9.0f ns/eval  %7.0f udf insns/eval\n", "wakeup predicate",
+              (t1 - t0) * 1e9 / iters, static_cast<double>(insns) / iters);
 }
-BENCHMARK(BM_WakeupPredicateEval);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main() {
+  exo::bench::PrintHeader("ablation: UDF interpretation and XN guard costs");
+  UdfInterpreterDirScan(20'000);
+  GuardedAllocCycles(/*guarded=*/true, /*reps=*/5);
+  GuardedAllocCycles(/*guarded=*/false, /*reps=*/5);
+  WakeupPredicateEval(200'000);
+  return 0;
+}

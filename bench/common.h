@@ -3,6 +3,7 @@
 #ifndef EXO_BENCH_COMMON_H_
 #define EXO_BENCH_COMMON_H_
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -189,6 +190,87 @@ inline WorkloadResult RunIoWorkload(os::Flavor flavor, os::SystemOptions opts = 
 
 inline void PrintHeader(const char* title) {
   std::printf("\n==== %s ====\n", title);
+}
+
+// Host wall-clock seconds (the second clock; docs/PERFORMANCE.md).
+inline double WallNow() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// ---- --check support, shared by the gated benches ----
+//
+// A gated bench writes its own JSON report, then `--check BASELINE` holds a few
+// measured values to the bounds committed in a flat JSON baseline file
+// (bench/*_baseline.json). `fail` and `pass` are printf formats given
+// (measured, bound): the FAIL line's text and this bound's part of the
+// "baseline check passed (...)" summary.
+struct Bound {
+  enum Kind { kFloor, kCeiling };  // measured >= bound / measured <= bound
+  Kind kind;
+  const char* key;  // baseline key holding the bound
+  double measured;
+  const char* fail;
+  const char* pass;
+};
+
+// Pulls `"key": <number>` out of a flat JSON text without a JSON dependency.
+inline bool JsonNumber(const std::string& text, const char* key, double* out) {
+  const std::string needle = std::string("\"") + key + "\"";
+  const size_t at = text.find(needle);
+  if (at == std::string::npos) {
+    return false;
+  }
+  const size_t colon = text.find(':', at + needle.size());
+  if (colon == std::string::npos) {
+    return false;
+  }
+  *out = std::strtod(text.c_str() + colon + 1, nullptr);
+  return true;
+}
+
+// Returns the bench's exit code: 1 when the baseline cannot be read, lacks a
+// key, or any bound fails (each failing bound prints its FAIL line to stderr);
+// otherwise 0, after one summary line.
+inline int CheckBaseline(const std::string& path, const std::vector<Bound>& bounds) {
+  FILE* b = std::fopen(path.c_str(), "r");
+  if (b == nullptr) {
+    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
+    return 1;
+  }
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
+    text.append(buf, n);
+  }
+  std::fclose(b);
+  std::vector<double> limits(bounds.size());
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    if (!JsonNumber(text, bounds[i].key, &limits[i])) {
+      std::fprintf(stderr, "baseline %s missing required keys\n", path.c_str());
+      return 1;
+    }
+  }
+  bool ok = true;
+  std::string summary;
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    const Bound& bd = bounds[i];
+    if (bd.kind == Bound::kFloor ? bd.measured < limits[i] : bd.measured > limits[i]) {
+      std::fprintf(stderr, ("FAIL: " + std::string(bd.fail) + "\n").c_str(), bd.measured,
+                   limits[i]);
+      ok = false;
+    }
+    char part[256];
+    std::snprintf(part, sizeof(part), bd.pass, bd.measured, limits[i]);
+    summary += (i == 0 ? "" : ", ") + std::string(part);
+  }
+  if (!ok) {
+    return 1;
+  }
+  std::fprintf(stderr, "baseline check passed (%s)\n", summary.c_str());
+  return 0;
 }
 
 }  // namespace exo::bench

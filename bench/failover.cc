@@ -303,21 +303,6 @@ BlackholeResult RunBlackhole(uint32_t threads) {
   return r;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -386,73 +371,24 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
 
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_steady = 0, min_outage = 0, min_recovered = 0;
-    double max_tte = 0, max_ttr = 0, max_blackhole = 0;
-    if (!JsonNumber(text, "min_steady_rps", &min_steady) ||
-        !JsonNumber(text, "min_outage_goodput_frac", &min_outage) ||
-        !JsonNumber(text, "min_recovered_goodput_frac", &min_recovered) ||
-        !JsonNumber(text, "max_time_to_ejection_ms", &max_tte) ||
-        !JsonNumber(text, "max_time_to_readmission_ms", &max_ttr) ||
-        !JsonNumber(text, "max_blackhole_goodput_frac", &max_blackhole)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    if (armed.steady_rps < min_steady) {
-      std::fprintf(stderr, "FAIL: steady goodput %.0f below floor %.0f\n",
-                   armed.steady_rps, min_steady);
-      ok = false;
-    }
-    if (armed.worst_outage_frac < min_outage) {
-      std::fprintf(stderr, "FAIL: outage goodput frac %.2f below floor %.2f\n",
-                   armed.worst_outage_frac, min_outage);
-      ok = false;
-    }
-    if (armed.worst_recovered_frac < min_recovered) {
-      std::fprintf(stderr, "FAIL: recovered goodput frac %.2f below floor %.2f\n",
-                   armed.worst_recovered_frac, min_recovered);
-      ok = false;
-    }
-    if (armed.tte_p99_ms > max_tte) {
-      std::fprintf(stderr, "FAIL: time-to-ejection p99 %.2f ms above ceiling %.2f\n",
-                   armed.tte_p99_ms, max_tte);
-      ok = false;
-    }
-    if (armed.ttr_p99_ms > max_ttr) {
-      std::fprintf(stderr, "FAIL: time-to-readmission p99 %.2f ms above ceiling %.2f\n",
-                   armed.ttr_p99_ms, max_ttr);
-      ok = false;
-    }
-    if (bh.blackhole_frac > max_blackhole) {
-      std::fprintf(stderr,
-                   "FAIL: blackhole lane kept %.2f of steady goodput (ceiling %.2f) — "
-                   "the unhealthy lane no longer demonstrates the hazard\n",
-                   bh.blackhole_frac, max_blackhole);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "baseline check passed (steady %.0f >= %.0f, outage %.2f >= %.2f, "
-                 "recovered %.2f >= %.2f, tte %.2f <= %.2f ms, ttr %.2f <= %.2f ms, "
-                 "blackhole %.2f <= %.2f)\n",
-                 armed.steady_rps, min_steady, armed.worst_outage_frac, min_outage,
-                 armed.worst_recovered_frac, min_recovered, armed.tte_p99_ms, max_tte,
-                 armed.ttr_p99_ms, max_ttr, bh.blackhole_frac, max_blackhole);
+  if (check_path.empty()) {
+    return 0;
   }
-  return 0;
+  using bench::Bound;
+  return bench::CheckBaseline(
+      check_path,
+      {{Bound::kFloor, "min_steady_rps", armed.steady_rps,
+        "steady goodput %.0f below floor %.0f", "steady %.0f >= %.0f"},
+       {Bound::kFloor, "min_outage_goodput_frac", armed.worst_outage_frac,
+        "outage goodput frac %.2f below floor %.2f", "outage %.2f >= %.2f"},
+       {Bound::kFloor, "min_recovered_goodput_frac", armed.worst_recovered_frac,
+        "recovered goodput frac %.2f below floor %.2f", "recovered %.2f >= %.2f"},
+       {Bound::kCeiling, "max_time_to_ejection_ms", armed.tte_p99_ms,
+        "time-to-ejection p99 %.2f ms above ceiling %.2f", "tte %.2f <= %.2f ms"},
+       {Bound::kCeiling, "max_time_to_readmission_ms", armed.ttr_p99_ms,
+        "time-to-readmission p99 %.2f ms above ceiling %.2f", "ttr %.2f <= %.2f ms"},
+       {Bound::kCeiling, "max_blackhole_goodput_frac", bh.blackhole_frac,
+        "blackhole lane kept %.2f of steady goodput (ceiling %.2f) — the unhealthy "
+        "lane no longer demonstrates the hazard",
+        "blackhole %.2f <= %.2f"}});
 }

@@ -372,21 +372,6 @@ FleetRunResult RunFleet(double offered_per_sec, bool armed) {
   return CollectFleetResult(clients, server);
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -531,56 +516,18 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
 
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_speedup = 0, min_peak = 0, min_goodput = 0, min_ratio = 0;
-    if (!JsonNumber(text, "min_demux_speedup", &min_speedup) ||
-        !JsonNumber(text, "min_peak_concurrent_conns", &min_peak) ||
-        !JsonNumber(text, "min_fleet_goodput_at_gate_rate", &min_goodput) ||
-        !JsonNumber(text, "min_fleet_vs_legacy_goodput_ratio", &min_ratio)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    bool ok = true;
-    if (big.speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: demux speedup %.1f below floor %.1f\n", big.speedup,
-                   min_speedup);
-      ok = false;
-    }
-    if (static_cast<double>(peak_conns) < min_peak) {
-      std::fprintf(stderr, "FAIL: peak concurrent conns %zu below floor %.0f\n",
-                   peak_conns, min_peak);
-      ok = false;
-    }
-    if (fleet_gate.goodput < min_goodput) {
-      std::fprintf(stderr, "FAIL: fleet goodput %.0f/s below floor %.0f/s\n",
-                   fleet_gate.goodput, min_goodput);
-      ok = false;
-    }
-    if (gate_ratio < min_ratio) {
-      std::fprintf(stderr, "FAIL: fleet/legacy goodput ratio %.2f below floor %.2f\n",
-                   gate_ratio, min_ratio);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::fprintf(stderr,
-                 "baseline check passed (speedup %.1f >= %.1f, peak %zu >= %.0f, "
-                 "goodput %.0f >= %.0f, ratio %.2f >= %.2f)\n",
-                 big.speedup, min_speedup, peak_conns, min_peak, fleet_gate.goodput,
-                 min_goodput, gate_ratio, min_ratio);
+  if (check_path.empty()) {
+    return 0;
   }
-  return 0;
+  using bench::Bound;
+  return bench::CheckBaseline(
+      check_path,
+      {{Bound::kFloor, "min_demux_speedup", big.speedup,
+        "demux speedup %.1f below floor %.1f", "speedup %.1f >= %.1f"},
+       {Bound::kFloor, "min_peak_concurrent_conns", static_cast<double>(peak_conns),
+        "peak concurrent conns %.0f below floor %.0f", "peak %.0f >= %.0f"},
+       {Bound::kFloor, "min_fleet_goodput_at_gate_rate", fleet_gate.goodput,
+        "fleet goodput %.0f/s below floor %.0f/s", "goodput %.0f >= %.0f"},
+       {Bound::kFloor, "min_fleet_vs_legacy_goodput_ratio", gate_ratio,
+        "fleet/legacy goodput ratio %.2f below floor %.2f", "ratio %.2f >= %.2f"}});
 }

@@ -1,25 +1,27 @@
-// Noisy-neighbor isolation: per-tenant goodput and tail latency with stride
-// scheduling + pressure revocation on, vs the paper-faithful round-robin.
+// Noisy-neighbor isolation: per-tenant goodput and tail latency under stride
+// scheduling with per-tenant tickets + pressure revocation, vs the same
+// scheduler with every env at equal tickets (per-env fairness).
 //
 // Method. One XokKernel hosts two tenants: three latency-sensitive "victim"
 // envs (open-loop request every 0.5 ms: CPU burn + region write + NIC
 // transmit) and one "flooder" tenant of eight workers draining a seeded
 // multi-resource op script (CPU burn, frame hoarding, NIC spray, disk DMA)
-// and then spinning CPU-bound to the deadline. The victim tenant holds 1200
-// tickets, the flooder 96, and the pressure monitor revokes frames from
-// whoever is most over its proportional share. The same scenario runs twice —
-// stride scheduling on, then the round-robin compatibility mode — and the
-// table reports each tenant's goodput, p50/p99, and CPU share. CPU shares
-// come from the per-tenant trace tracks: every env's `run` spans are summed
-// from the trace ring, the same attribution a Perfetto view of the run shows.
+// and then spinning CPU-bound to the deadline. In the stride lane the victim
+// tenant holds 1200 tickets and the flooder 96; in the equal-ticket control
+// lane every env holds 100, so the 8-worker flooder gets 8 of every 11
+// slices. The pressure monitor revokes frames from whoever is most over its
+// proportional share. The table reports each tenant's goodput, p50/p99, and
+// CPU share. CPU shares come from the per-tenant trace tracks: every env's
+// `run` spans are summed from the trace ring, the same attribution a
+// Perfetto view of the run shows.
 //
 // Stdout is the human-readable table (deterministic, golden-diffable). A JSON
 // dump goes to BENCH_noisy_neighbor.json (--out FILE overrides). With
 // `--check bench/noisy_neighbor_baseline.json` the binary exits nonzero
-// unless, under stride, victim goodput and p99 hold their committed bounds
-// while round-robin still demonstrates the starvation this PR exists to fix.
+// unless, under tenant tickets, victim goodput and p99 hold their committed
+// bounds while the equal-ticket lane still demonstrates the starvation that
+// per-tenant tickets exist to fix.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <algorithm>
 #include <string>
@@ -47,6 +49,7 @@ constexpr int kVictims = 3;
 constexpr int kFloodWorkers = 8;
 constexpr uint32_t kVictimTickets = 400;  // tenant total 1200
 constexpr uint32_t kFloodTickets = 12;    // tenant total 96
+constexpr uint32_t kEqualTickets = 100;   // control lane: every env alike
 constexpr sim::Cycles kVictimInterval = 100'000;
 constexpr sim::Cycles kVictimService = 20'000;
 constexpr sim::Cycles kLatencySlo = 400'000;  // 2 ms: the goodput cutoff
@@ -63,8 +66,8 @@ struct TenantStats {
 };
 
 // One full scenario run. The flood script is regenerated from the same seed
-// each lane, so stride and round-robin face an identical offered load.
-TenantStats RunLane(bool stride) {
+// each lane, so both ticket assignments face an identical offered load.
+TenantStats RunLane(bool equal_tickets) {
   sim::Engine engine;
   hw::MachineConfig mc;
   mc.mem_frames = 256;
@@ -75,9 +78,6 @@ TenantStats RunLane(bool stride) {
   hw::Link link(&engine, 100.0, 10.0, kMhz);
   link.Connect(&peer, &machine.nic(0));
   xok::XokKernel kernel(&machine);
-  if (!stride) {
-    kernel.SetStrideScheduling(false);
-  }
   xok::MemoryPressurePolicy pp;
   pp.low_frames = 64;
   pp.high_frames = 96;
@@ -142,7 +142,7 @@ TenantStats RunLane(bool stride) {
           }
         });
     xok::ResourceQuota q;
-    q.cpu_tickets = kVictimTickets;
+    q.cpu_tickets = equal_tickets ? kEqualTickets : kVictimTickets;
     EXO_CHECK_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
     victim_tracks.push_back(kernel.env(id).trace_track);
   }
@@ -208,7 +208,7 @@ TenantStats RunLane(bool stride) {
           }
         });
     xok::ResourceQuota q;
-    q.cpu_tickets = kFloodTickets;
+    q.cpu_tickets = equal_tickets ? kEqualTickets : kFloodTickets;
     EXO_CHECK_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
     flood_tracks.push_back(kernel.env(id).trace_track);
     kernel.env(id).on_revoke = [&kernel, &held, id, w](const xok::RevocationRequest& req) {
@@ -270,21 +270,6 @@ TenantStats RunLane(bool stride) {
   return s;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -298,14 +283,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("noisy neighbor: per-tenant goodput/latency, stride vs round-robin");
-  std::printf("victims %d x %u tickets, flooder %d x %u tickets, %llu epochs of %.1f ms\n\n",
-              kVictims, kVictimTickets, kFloodWorkers, kFloodTickets,
+  bench::PrintHeader("noisy neighbor: per-tenant goodput/latency, tenant vs equal tickets");
+  std::printf("victims %d x %u tickets, flooder %d x %u tickets (control: all %u), "
+              "%llu epochs of %.1f ms\n\n",
+              kVictims, kVictimTickets, kFloodWorkers, kFloodTickets, kEqualTickets,
               static_cast<unsigned long long>(kEpochs),
               static_cast<double>(kEpoch) / (kMhz * 1000.0));
 
-  const TenantStats st = RunLane(/*stride=*/true);
-  const TenantStats rr = RunLane(/*stride=*/false);
+  const TenantStats st = RunLane(/*equal_tickets=*/false);
+  const TenantStats eq = RunLane(/*equal_tickets=*/true);
 
   std::printf("%-12s %-9s %-8s %-8s %-11s %-10s %-8s\n", "scheduler", "goodput",
               "p50ms", "p99ms", "victim-cpu", "flood-cpu", "revokes");
@@ -315,9 +301,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.pressure_revokes));
   };
   row("stride", st);
-  row("round-robin", rr);
-  std::printf("\nvictim p99: %.2f ms under stride vs %.2f ms under round-robin (%.0fx)\n",
-              st.p99_ms, rr.p99_ms, rr.p99_ms / st.p99_ms);
+  row("equal-ticket", eq);
+  std::printf("\nvictim p99: %.2f ms under tenant tickets vs %.2f ms under equal tickets "
+              "(%.0fx)\n",
+              st.p99_ms, eq.p99_ms, eq.p99_ms / st.p99_ms);
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -332,54 +319,27 @@ int main(int argc, char** argv) {
                st.goodput_frac, st.p50_ms, st.p99_ms, st.victim_cpu_frac,
                st.flood_cpu_frac, static_cast<unsigned long long>(st.pressure_revokes));
   std::fprintf(f,
-               "  \"round_robin\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, "
+               "  \"equal_tickets\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, "
                "\"p99_ms\": %.3f, \"victim_cpu_frac\": %.3f, \"flood_cpu_frac\": %.3f, "
                "\"pressure_revokes\": %llu}\n",
-               rr.goodput_frac, rr.p50_ms, rr.p99_ms, rr.victim_cpu_frac,
-               rr.flood_cpu_frac, static_cast<unsigned long long>(rr.pressure_revokes));
+               eq.goodput_frac, eq.p50_ms, eq.p99_ms, eq.victim_cpu_frac,
+               eq.flood_cpu_frac, static_cast<unsigned long long>(eq.pressure_revokes));
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
 
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_goodput = 0, max_p99 = 0, min_rr_p99 = 0;
-    if (!JsonNumber(text, "min_stride_goodput_frac", &min_goodput) ||
-        !JsonNumber(text, "max_stride_p99_ms", &max_p99) ||
-        !JsonNumber(text, "min_round_robin_p99_ms", &min_rr_p99)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    if (st.goodput_frac < min_goodput) {
-      std::fprintf(stderr, "FAIL: stride goodput %.3f below baseline floor %.3f\n",
-                   st.goodput_frac, min_goodput);
-      return 1;
-    }
-    if (st.p99_ms > max_p99) {
-      std::fprintf(stderr, "FAIL: stride victim p99 %.2f ms above baseline cap %.2f ms\n",
-                   st.p99_ms, max_p99);
-      return 1;
-    }
-    if (rr.p99_ms < min_rr_p99) {
-      std::fprintf(stderr,
-                   "FAIL: round-robin victim p99 %.2f ms below %.2f ms: the control "
-                   "lane stopped demonstrating the starvation stride exists to fix\n",
-                   rr.p99_ms, min_rr_p99);
-      return 1;
-    }
-    std::fprintf(stderr, "baseline check passed (%.3f >= %.3f, %.2f <= %.2f, %.2f >= %.2f)\n",
-                 st.goodput_frac, min_goodput, st.p99_ms, max_p99, rr.p99_ms, min_rr_p99);
+  if (check_path.empty()) {
+    return 0;
   }
-  return 0;
+  using bench::Bound;
+  return bench::CheckBaseline(
+      check_path,
+      {{Bound::kFloor, "min_stride_goodput_frac", st.goodput_frac,
+        "stride goodput %.3f below baseline floor %.3f", "%.3f >= %.3f"},
+       {Bound::kCeiling, "max_stride_p99_ms", st.p99_ms,
+        "stride victim p99 %.2f ms above baseline cap %.2f ms", "%.2f <= %.2f"},
+       {Bound::kFloor, "min_equal_tickets_p99_ms", eq.p99_ms,
+        "equal-ticket victim p99 %.2f ms below %.2f ms: the control lane stopped "
+        "demonstrating the starvation per-tenant tickets exist to fix",
+        "%.2f >= %.2f"}});
 }

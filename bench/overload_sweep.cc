@@ -22,7 +22,6 @@
 // with-shedding goodput at 2x capacity stays above the committed floor and the
 // unprotected server demonstrably collapses — the CI acceptance gate.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -126,21 +125,6 @@ RunResult RunOffered(double offered_per_sec, double sim_seconds, bool shedding) 
   return r;
 }
 
-// Pulls `"key": <number>` out of a flat JSON file without a JSON dependency.
-bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -219,41 +203,16 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", out_path.c_str());
 
-  if (!check_path.empty()) {
-    FILE* b = std::fopen(check_path.c_str(), "r");
-    if (b == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", check_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(b);
-    double min_on = 0;
-    double max_off = 0;
-    if (!JsonNumber(text, "min_goodput_frac_at_2x_with_shedding", &min_on) ||
-        !JsonNumber(text, "max_goodput_frac_at_2x_without_shedding", &max_off)) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", check_path.c_str());
-      return 1;
-    }
-    if (frac_on_2x < min_on) {
-      std::fprintf(stderr,
-                   "FAIL: goodput at 2x with shedding %.2f below baseline floor %.2f\n",
-                   frac_on_2x, min_on);
-      return 1;
-    }
-    if (frac_off_2x > max_off) {
-      std::fprintf(stderr,
-                   "FAIL: unprotected server no longer collapses (%.2f > %.2f): "
-                   "the without-shedding lane stopped demonstrating the failure mode\n",
-                   frac_off_2x, max_off);
-      return 1;
-    }
-    std::fprintf(stderr, "baseline check passed (%.2f >= %.2f, %.2f <= %.2f)\n",
-                 frac_on_2x, min_on, frac_off_2x, max_off);
+  if (check_path.empty()) {
+    return 0;
   }
-  return 0;
+  using bench::Bound;
+  return bench::CheckBaseline(
+      check_path,
+      {{Bound::kFloor, "min_goodput_frac_at_2x_with_shedding", frac_on_2x,
+        "goodput at 2x with shedding %.2f below baseline floor %.2f", "%.2f >= %.2f"},
+       {Bound::kCeiling, "max_goodput_frac_at_2x_without_shedding", frac_off_2x,
+        "unprotected server no longer collapses (%.2f > %.2f): the without-shedding "
+        "lane stopped demonstrating the failure mode",
+        "%.2f <= %.2f"}});
 }

@@ -16,7 +16,6 @@
 //
 // Results go to BENCH_simperf.json (override with --out FILE). SIMPERF_SCALE=<f>
 // scales workload sizes. See docs/PERFORMANCE.md for how to read the numbers.
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -36,12 +35,7 @@
 namespace {
 
 using namespace exo;
-
-double WallNow() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+using bench::WallNow;
 
 struct WorkloadResult {
   std::string name;
@@ -164,9 +158,7 @@ WorkloadResult PredicateStorm(uint32_t n_envs, uint32_t rounds) {
         xok::WakeupPredicate p;
         p.program = EqProgram(r);
         p.live_window = kernel.RegionBytes(rids[i]);
-#ifdef EXO_XOK_PREDICATE_WATCHES
         p.watches.push_back(xok::WatchSpec{xok::WatchKind::kRegion, rids[i]});
-#endif
         kernel.SysSleep(std::move(p));
       }
     });
@@ -463,14 +455,8 @@ int main(int argc, char** argv) {
     }
   }
 
-#ifdef EXO_XOK_PREDICATE_WATCHES
-  const bool indexed = true;
-#else
-  const bool indexed = false;
-#endif
-
   exo::bench::PrintHeader("simperf: simulator hot-path wall-clock throughput");
-  std::printf("scale=%.2f indexed_predicates=%s\n\n", scale, indexed ? "yes" : "no");
+  std::printf("scale=%.2f\n\n", scale);
 
   std::vector<WorkloadResult> results;
   results.push_back(EventChurn(static_cast<uint64_t>(150000 * scale)));
@@ -499,7 +485,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"simperf\",\n  \"scale\": %.3f,\n", scale);
-  std::fprintf(f, "  \"indexed_predicates\": %s,\n", indexed ? "true" : "false");
   std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"cluster\": {\"threads\": %u, \"speedup\": %.3f, "
                "\"equivalent\": %s, \"rounds\": %llu, \"cross_messages\": %llu},\n",

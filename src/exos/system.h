@@ -6,7 +6,7 @@
 //   kOpenBsd     — monolithic kernel, FFS (sync metadata), small fixed buffer cache.
 //   kFreeBsd     — monolithic kernel, FFS, unified buffer cache.
 //
-// All flavors share the scheduling substrate (environments on fibers, round-robin
+// All flavors share the scheduling substrate (environments on fibers, stride-scheduled
 // slices — both kernels schedule the same way); what differs is everything the paper
 // varies: where the file system runs and how it is protected, per-syscall overhead,
 // pipe implementations, fork cost, and buffer-cache policy.

@@ -6,7 +6,6 @@
 #define EXO_HW_MACHINE_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -41,13 +40,6 @@ class Machine {
       disks_.back()->SetTracer(
           &tracer_, tracer_.NewTrack("disk" + std::to_string(disks_.size() - 1)));
       disks_.back()->AttachCounters(&counters_);
-      // EXO_DISK_INTEGRITY=1 arms the per-block checksum sidecar fleet-wide
-      // without touching bench code; unset (or "0") keeps the exact seed-era
-      // byte-for-byte behavior.
-      const char* integ = std::getenv("EXO_DISK_INTEGRITY");
-      if (integ != nullptr && integ[0] != '\0' && !(integ[0] == '0' && integ[1] == '\0')) {
-        disks_.back()->EnableIntegrity();
-      }
     }
     nics_.reserve(config.num_nics);
     for (uint32_t i = 0; i < config.num_nics; ++i) {

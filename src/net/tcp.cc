@@ -262,9 +262,6 @@ void TcpConn::Close() {
 
 sim::Cycles TcpStack::RtoCycles(TcpConn* c) {
   const sim::Cycles mhz = hooks_.cost->cpu_mhz;
-  if (!profile_.adaptive_rto) {
-    return profile_.rto_us * mhz;  // legacy fixed timer
-  }
   // rto_us is the initial RTO; the estimator takes over at the first sample.
   sim::Cycles rto = c->rtt_valid_
                         ? c->srtt_ + std::max<sim::Cycles>(4 * c->rttvar_, mhz)
@@ -342,13 +339,6 @@ void TcpStack::ArmFinWaitReaper(TcpConn* c) {
   AddReapDeadline(c, hooks_.engine->now() + profile_.fin_wait_timeout_us * hooks_.cost->cpu_mhz);
 }
 
-void TcpStack::ArmHalfOpenReaper(TcpConn* c) {
-  if (profile_.half_open_timeout_us == 0 || c->reap_deadline_ != 0) {
-    return;
-  }
-  AddReapDeadline(c, hooks_.engine->now() + profile_.half_open_timeout_us * hooks_.cost->cpu_mhz);
-}
-
 void TcpStack::AddReapDeadline(TcpConn* c, sim::Cycles deadline) {
   c->reap_deadline_ = deadline;
   reap_deadlines_.insert({deadline, Key(c->peer_ip_, c->peer_port_, c->local_port_)});
@@ -398,9 +388,6 @@ void TcpStack::OnReapTimer() {
       // reap the half-closed PCB instead of holding it forever.
       ++stats_.fin_wait_reaped;
       AbortConn(conn, /*send_rst=*/true, "tcp.finwait_reap");
-    } else if (conn->state_ == TcpConn::State::kSynRcvd) {
-      ++stats_.half_open_reaped;
-      AbortConn(conn, /*send_rst=*/true, "tcp.halfopen_reap");
     }
   }
   ArmReapTimer();
@@ -556,7 +543,6 @@ void TcpStack::ProcessSegment(TcpSegment seg) {
     c->snd_una_ = kInitialSeq;
     conns_[key] = std::move(tmp_);
     peak_conns_ = std::max(peak_conns_, conns_.size());
-    ArmHalfOpenReaper(c);
     const sim::Cycles sent = Emit(c, kFlagSyn | kFlagAck, c->snd_next_, {}, 0, false, false);
     TcpConn::PendingSegment syn;
     syn.syn = true;
@@ -617,9 +603,7 @@ void TcpStack::ProcessSegment(TcpSegment seg) {
       if (SeqGe(seg.ack, head_end)) {
         if (head.sent_at != 0 && !head.retransmitted) {
           const sim::Cycles sample = hooks_.engine->now() - head.sent_at;
-          if (profile_.adaptive_rto) {
-            UpdateRtt(c, sample);  // Karn's rule: retransmitted heads never sample
-          }
+          UpdateRtt(c, sample);  // Karn's rule: retransmitted heads never sample
           if (rtt_hist_ != nullptr && tracer_->enabled(trace::Category::kNet)) {
             rtt_hist_->Record(sample);
           }
@@ -634,19 +618,17 @@ void TcpStack::ProcessSegment(TcpSegment seg) {
     if (progressed) {
       c->backoff_ = 0;  // forward progress resets the backoff ladder
     }
-    // Restart the retransmission timer: always when nothing is outstanding; on
-    // progress too under the adaptive timer, so the timeout measures silence
-    // since the *latest* advance rather than since the oldest arm (the classic
-    // premature-RTO-on-long-transfers bug the fixed timer hid by being huge).
-    if (c->rto_timer_ != 0 &&
-        (c->unacked_.empty() || (progressed && profile_.adaptive_rto))) {
+    // Restart the retransmission timer when nothing is outstanding or on
+    // progress, so the timeout measures silence since the *latest* advance
+    // rather than since the oldest arm (the classic premature-RTO-on-long-
+    // transfers bug).
+    if (c->rto_timer_ != 0 && (c->unacked_.empty() || progressed)) {
       hooks_.engine->Cancel(c->rto_timer_);
       c->rto_timer_ = 0;
     }
     if (c->state_ == TcpConn::State::kSynRcvd) {
       c->state_ = TcpConn::State::kEstablished;
       DropHalfOpen(c);
-      CancelReapDeadline(c);  // handshake done; the half-open deadline is moot
       auto lit = listeners_.find(c->local_port_);
       if (lit != listeners_.end()) {
         lit->second.on_accept(c);

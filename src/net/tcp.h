@@ -56,35 +56,27 @@ struct TcpProfile {
   sim::Cycles delayed_ack_timeout_us = 2000;
 
   // ---- Retransmission timer ----
-  // `rto_us` is the *initial* retransmission timeout. With `adaptive_rto` (the
-  // default) it is used only until the first RTT sample lands; from then on the
-  // timer follows Jacobson's estimator, RTO = SRTT + max(4*RTTVAR, 1us), clamped
-  // to [rto_min_us, rto_max_us]. Consecutive timeouts on the same connection
-  // double the timer (exponential backoff, capped at rto_max_us) and add a
-  // deterministic jitter in [0, RTO/8] drawn from a per-stack Rng seeded with
-  // `rto_jitter_seed` — two runs with the same seed retransmit at identical
-  // times. With `adaptive_rto = false` the timer is the fixed `rto_us` with no
-  // estimator, no backoff, and no jitter draws: exactly the pre-adaptive
-  // behavior, so historical goldens (fig3) reproduce bit-identically.
+  // `rto_us` is the *initial* retransmission timeout, used only until the first
+  // RTT sample lands; from then on the timer follows Jacobson's estimator,
+  // RTO = SRTT + max(4*RTTVAR, 1us), clamped to [rto_min_us, rto_max_us].
+  // Consecutive timeouts on the same connection double the timer (exponential
+  // backoff, capped at rto_max_us) and add a deterministic jitter in [0, RTO/8]
+  // drawn from a per-stack Rng seeded with `rto_jitter_seed` — two runs with
+  // the same seed retransmit at identical times.
   sim::Cycles rto_us = 50'000;
-  bool adaptive_rto = true;
   sim::Cycles rto_min_us = 5'000;
   sim::Cycles rto_max_us = 4'000'000;
   uint64_t rto_jitter_seed = 0x5eed;
   // Consecutive timeouts on one connection before it is aborted: an RST is
   // emitted (except from kSynSent, where the peer never spoke), the close
-  // callback fires with aborted() set, and the PCB is reaped. 0 = retry forever
-  // (the pre-abort behavior).
+  // callback fires with aborted() set, and the PCB is reaped. This budget is
+  // also what reaps a kSynRcvd connection whose handshake never completes.
+  // 0 = retry forever (the pre-abort behavior).
   uint32_t max_retransmits = 8;
   // A connection that sent its FIN (kFinWait) but whose peer goes silent is
   // force-closed after this long — the TIME_WAIT-style reaper that keeps
   // half-closed PCBs from leaking when the peer dies. 0 disables.
   sim::Cycles fin_wait_timeout_us = 1'000'000;
-  // A kSynRcvd connection whose handshake never completes is aborted after this
-  // long, independent of the retransmission budget (which can take seconds to
-  // exhaust under backoff). 0 disables — the default, preserving the historical
-  // RTO-only half-open reaping.
-  sim::Cycles half_open_timeout_us = 0;
 
   uint32_t window_bytes = 48 * 1024;
 };
@@ -209,8 +201,8 @@ class TcpConn {
   sim::Engine::EventId ack_timer_ = 0;
   sim::Engine::EventId rto_timer_ = 0;
   // Nonzero while this connection sits in the stack's reap-deadline index
-  // (kFinWait silent-peer / kSynRcvd handshake timeout); the value is the
-  // absolute deadline, which is also the entry's key in the index.
+  // (kFinWait silent-peer timeout); the value is the absolute deadline, which
+  // is also the entry's key in the index.
   sim::Cycles reap_deadline_ = 0;
 
   std::function<void(TcpConn*, std::span<const uint8_t>)> on_data_;
@@ -322,13 +314,12 @@ class TcpStack {
   void SendPureAck(TcpConn* c);
   void ScheduleDelayedAck(TcpConn* c);
   void PumpSendQueue(TcpConn* c);
-  // Current retransmission timeout for this connection, in cycles. Fixed rto_us
-  // when adaptive_rto is off; otherwise Jacobson + clamp + backoff + jitter.
+  // Current retransmission timeout for this connection, in cycles: Jacobson +
+  // clamp + backoff + jitter.
   sim::Cycles RtoCycles(TcpConn* c);
   void ArmRto(TcpConn* c);
   void OnRto(TcpConn* c);
   void ArmFinWaitReaper(TcpConn* c);
-  void ArmHalfOpenReaper(TcpConn* c);
   // Deadline-ordered reap index (mirrors the kernel's revocation deadline set):
   // one engine timer armed for the earliest deadline replaces a timer per
   // connection — O(log n) arm/cancel and no timer storm at fleet scale.

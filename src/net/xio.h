@@ -11,7 +11,6 @@
 #define EXO_NET_XIO_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <list>
 #include <map>
@@ -23,18 +22,6 @@
 #include "net/tcp.h"
 
 namespace exo::net {
-
-// Figure-3 profiles honor EXO_TCP_ADAPTIVE_RTO=0, which reverts every stack
-// built from them to the fixed pre-adaptive retransmission timer. That is the
-// knob that reproduces the pre-adaptive fig2–fig5 stdout bit-for-bit
-// (docs/OVERLOAD.md); anything else (unset, "1", ...) leaves the default on.
-inline bool AdaptiveRtoDefault() {
-  static const bool on = [] {
-    const char* v = std::getenv("EXO_TCP_ADAPTIVE_RTO");
-    return v == nullptr || v[0] != '0';
-  }();
-  return on;
-}
 
 // Admission control and lifecycle limits for a serving stack. The shape is
 // SEDA's: detect overload from queue depth (here, CPU backlog — the one queue
@@ -254,7 +241,6 @@ class HttpResponseCache {
 // work; copy counts are the number of times the CPU moves the payload.
 inline TcpProfile BsdSocketProfile() {
   TcpProfile p;
-  p.adaptive_rto = AdaptiveRtoDefault();
   p.tx_fixed = 3200;  // syscall + socket layer + in-kernel TCP + mbufs + driver
   p.rx_fixed = 3200;
   p.tx_copies = 2.0;  // user->kernel, kernel->driver
@@ -272,7 +258,6 @@ inline TcpProfile BsdSocketProfile() {
 // (the "default socket implementation built on top of XIO", Sec. 7.3).
 inline TcpProfile XokSocketProfile() {
   TcpProfile p;
-  p.adaptive_rto = AdaptiveRtoDefault();
   p.tx_fixed = 1500;  // transmit syscall + user-level protocol work
   p.rx_fixed = 1200;  // packet-ring consume + user-level protocol work
   p.tx_copies = 1.0;
@@ -298,7 +283,6 @@ inline TcpProfile CheetahProfile() {
 // A load-generating client: cost-free CPU (the experiment isolates the server).
 inline TcpProfile ClientProfile() {
   TcpProfile p;
-  p.adaptive_rto = AdaptiveRtoDefault();
   p.tx_fixed = 0;
   p.rx_fixed = 0;
   p.tx_copies = 0;

@@ -60,8 +60,7 @@ struct CostModel {
   // Scheduler quantum (one slice), ~10 ms at 200 MHz.
   Cycles quantum = 2'000'000;
   // Per-pick bookkeeping of the stride scheduler (pass update + ordered-queue
-  // reinsert). Round-robin mode charges nothing extra, which is part of how
-  // EXO_SCHED_STRIDE=0 stays bit-identical to the legacy scheduler.
+  // reinsert), charged once per scheduling decision.
   Cycles stride_pick = 60;
 
   // Interrupt servicing overhead (disk or NIC completion).

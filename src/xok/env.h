@@ -28,10 +28,6 @@ namespace exo::xok {
 using EnvId = uint32_t;
 constexpr EnvId kInvalidEnv = 0xffffffff;
 
-// Predicate indexing is available in this tree; benches that must also compile
-// against older checkouts (for baseline recording) test this macro.
-#define EXO_XOK_PREDICATE_WATCHES 1
-
 // A kernel object a blocked env's wakeup predicate reads. When the predicate
 // declares its watches, the scheduler re-evaluates it only after a write to one
 // of the watched objects (or once the deadline passes) instead of on every

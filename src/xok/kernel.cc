@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "udf/verifier.h"
@@ -38,13 +37,6 @@ XokKernel::XokKernel(hw::Machine* machine) : machine_(machine) {
   wake_jump_counter_ = machine_->counters().Handle("sched.wake_pass_jumps");
   pressure_revoke_counter_ = machine_->counters().Handle("xok.pressure_revokes");
   pressure_abort_counter_ = machine_->counters().Handle("xok.pressure_aborts");
-  // Compatibility switch: EXO_SCHED_STRIDE=0 recovers the legacy round-robin
-  // rotation bit-exactly (same idiom as EXO_DISK_INTEGRITY in hw/machine.h).
-  const char* stride = std::getenv("EXO_SCHED_STRIDE");
-  stride_on_ = !(stride != nullptr && stride[0] == '0' && stride[1] == '\0');
-  // EXO_DEMUX_CACHE=0 recovers the linear per-packet filter walk.
-  const char* demux = std::getenv("EXO_DEMUX_CACHE");
-  demux_cache_on_ = !(demux != nullptr && demux[0] == '0' && demux[1] == '\0');
   tracer_ = &machine_->tracer();
   trace_track_ = tracer_->NewTrack("kernel");
   syscall_hist_ = tracer_->Histogram("syscall.latency_cycles");
@@ -142,7 +134,6 @@ EnvId XokKernel::CreateEnv(EnvId parent, std::vector<Capability> caps,
   raw->pass = global_pass_ + StrideOf(*raw);
   raw->sched_seq = ++sched_seq_counter_;
   envs_[id] = std::move(e);
-  run_queue_.push_back(id);
   StrideInsert(*raw);
   ++alive_count_;
   return id;
@@ -198,11 +189,6 @@ Status XokKernel::ReapEnv(EnvId id) {
     flow_cache_.clear();
   }
   DropPendingRevoke(e);
-  if (stride_on_) {
-    // Round-robin prunes dead ids lazily during rotation; the stride pick
-    // never walks the deque, so reap is the only place they can leave it.
-    run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), id), run_queue_.end());
-  }
   envs_.erase(it);
   return Status::kOk;
 }
@@ -325,29 +311,10 @@ Env* XokKernel::PickNext() {
     }
   }
 
-  if (!stride_on_) {
-    // Legacy round-robin rotation, preserved verbatim for EXO_SCHED_STRIDE=0:
-    // the fig2–5 goldens depend on this exact pop/push order.
-    for (size_t n = run_queue_.size(); n > 0; --n) {
-      EnvId id = run_queue_.front();
-      run_queue_.pop_front();
-      auto it = envs_.find(id);
-      if (it == envs_.end() || it->second->state == EnvState::kZombie) {
-        continue;  // reaped or dead: drop from the queue
-      }
-      run_queue_.push_back(id);
-      if (Env* e = consider(it->second.get())) {
-        return e;
-      }
-    }
-    return nullptr;
-  }
-
   // Stride pick: walk alive envs in (pass, sched_seq) order and run the first
   // schedulable one — blocked envs keep their place and are predicate-checked
-  // as encountered, exactly like the rotation above but in pass order. The
-  // walk re-seeks by key each step because a charged predicate evaluation can
-  // fire device events whose handlers mutate the set.
+  // as encountered. The walk re-seeks by key each step because a charged
+  // predicate evaluation can fire device events whose handlers mutate the set.
   auto it = stride_order_.begin();
   while (it != stride_order_.end()) {
     const auto key = *it;
@@ -360,15 +327,11 @@ Env* XokKernel::PickNext() {
 }
 
 void XokKernel::StrideInsert(const Env& e) {
-  if (stride_on_) {
-    stride_order_.insert({e.pass, e.sched_seq, e.id});
-  }
+  stride_order_.insert({e.pass, e.sched_seq, e.id});
 }
 
 void XokKernel::StrideErase(const Env& e) {
-  if (stride_on_) {
-    stride_order_.erase({e.pass, e.sched_seq, e.id});
-  }
+  stride_order_.erase({e.pass, e.sched_seq, e.id});
 }
 
 void XokKernel::StrideCharge(Env* e, sim::Cycles used) {
@@ -383,9 +346,6 @@ void XokKernel::StrideCharge(Env* e, sim::Cycles used) {
 }
 
 void XokKernel::StrideWake(Env* e) {
-  if (!stride_on_) {
-    return;
-  }
   // Bounded lag: an env that consumes less than its ticket share legitimately
   // trails the virtual clock, and that credit is what lets it preempt
   // CPU-bound envs the moment it wakes — so a waker keeps its own pass.
@@ -404,19 +364,6 @@ void XokKernel::StrideWake(Env* e) {
   e->sched_seq = ++sched_seq_counter_;
   StrideInsert(*e);
   ++*wake_jump_counter_;
-}
-
-void XokKernel::SetStrideScheduling(bool on) {
-  EXO_CHECK(current_ == nullptr);  // host-only: the pick walk must not be live
-  stride_on_ = on;
-  stride_order_.clear();
-  if (stride_on_) {
-    for (const auto& [id, e] : envs_) {
-      if (e->alive) {
-        stride_order_.insert({e->pass, e->sched_seq, id});
-      }
-    }
-  }
 }
 
 void XokKernel::Run() {
@@ -494,15 +441,13 @@ void XokKernel::Run() {
     }
     last_scheduled_ = next->id;
     next->slice_used = 0;
-    if (stride_on_) {
-      ++*stride_pick_counter_;
-      machine_->Charge(machine_->cost().stride_pick);
-      // Advance the virtual clock to the service point. The picked env is the
-      // lowest-pass schedulable env, so this is the stride analogue of CFS
-      // min_vruntime: monotone, and never ahead of what is actually served.
-      if (next->pass > global_pass_) {
-        global_pass_ = next->pass;
-      }
+    ++*stride_pick_counter_;
+    machine_->Charge(machine_->cost().stride_pick);
+    // Advance the virtual clock to the service point. The picked env is the
+    // lowest-pass schedulable env, so this is the stride analogue of CFS
+    // min_vruntime: monotone, and never ahead of what is actually served.
+    if (next->pass > global_pass_) {
+      global_pass_ = next->pass;
     }
     const sim::Cycles run_from = machine_->engine().now();
 
@@ -527,7 +472,7 @@ void XokKernel::Run() {
     if (next->fiber->done() && next->alive) {
       FinishExit(next, 0);
     }
-    if (stride_on_ && next->alive) {
+    if (next->alive) {
       StrideCharge(next, machine_->engine().now() - run_from);
     }
   }
@@ -660,7 +605,7 @@ void XokKernel::ChargeCpu(sim::Cycles cycles) {
       } else {
         e->deferred_slices = 0;
         DeliverEndOfSlice(e);
-        sim::Fiber::Suspend();  // back of the round-robin queue; resumed later
+        sim::Fiber::Suspend();  // descheduled; resumed when picked again
         e->slice_used = 0;
       }
       continue;
@@ -1728,7 +1673,9 @@ std::string XokKernel::CheckInvariants() const {
     }
   }
 
-  // (4) Scheduler consistency: alive <=> not zombie; alive envs are schedulable.
+  // (4) Scheduler consistency: alive <=> not zombie, and the stride order holds
+  // exactly one entry per alive env, keyed by its stored (pass, seq, id) — an
+  // env with a stale key would schedule at the wrong priority or never again.
   uint32_t alive = 0;
   for (const auto& [id, e] : envs_) {
     if (e->alive != (e->state != EnvState::kZombie)) {
@@ -1736,13 +1683,17 @@ std::string XokKernel::CheckInvariants() const {
     }
     if (e->alive) {
       ++alive;
-      if (std::find(run_queue_.begin(), run_queue_.end(), id) == run_queue_.end()) {
-        fail("alive env " + std::to_string(id) + " missing from run queue");
+      if (stride_order_.count({e->pass, e->sched_seq, id}) == 0) {
+        fail("alive env " + std::to_string(id) + " missing from stride order");
       }
     }
   }
   if (alive != alive_count_) {
     fail("alive_count " + std::to_string(alive_count_) + " != recount " + std::to_string(alive));
+  }
+  if (stride_order_.size() != alive_count_) {
+    fail("stride order holds " + std::to_string(stride_order_.size()) + " entries != " +
+         std::to_string(alive_count_) + " alive envs");
   }
 
   // (5) Protection: every writable mapping is justified by a capability — held
@@ -1801,22 +1752,7 @@ std::string XokKernel::CheckInvariants() const {
          " entries != " + std::to_string(pending) + " pending requests");
   }
 
-  // (7) Stride-order consistency: one entry per alive env, keyed exactly by
-  // its stored (pass, seq) — an env with a stale key would schedule at the
-  // wrong priority or never again.
-  if (stride_on_) {
-    if (stride_order_.size() != alive_count_) {
-      fail("stride order holds " + std::to_string(stride_order_.size()) + " entries != " +
-           std::to_string(alive_count_) + " alive envs");
-    }
-    for (const auto& [id, e] : envs_) {
-      if (e->alive && stride_order_.count({e->pass, e->sched_seq, id}) == 0) {
-        fail("alive env " + std::to_string(id) + " missing from stride order");
-      }
-    }
-  }
-
-  // (8) Demux consistency: the owner index is an exact partition of filters_,
+  // (7) Demux consistency: the owner index is an exact partition of filters_,
   // and every flow-cache entry still points at a live, cacheable filter whose
   // claim the linear walk would reproduce — a violation here means a packet
   // could be delivered to the wrong environment.

@@ -2,8 +2,7 @@
 //
 // Xok multiplexes the physical resources of one simulated machine: CPU time
 // (proportional-share stride scheduling over per-env quota tickets, with
-// begin/end-of-slice upcalls and directed yield; EXO_SCHED_STRIDE=0 recovers
-// the paper-faithful round-robin quantum list bit-exactly), physical memory
+// begin/end-of-slice upcalls and directed yield), physical memory
 // (explicit frame allocation guarded by capabilities; page tables updated only through
 // system calls), the network (dynamic packet filters demultiplex frames into per-
 // filter packet rings), plus the protected-sharing primitives of Sec. 3.3: software
@@ -197,7 +196,7 @@ class XokKernel {
 
   // Audits every kernel data structure against its definition: frame refcounts vs
   // guards vs the free list, per-env ledgers vs a from-scratch recount, zombie/
-  // alive/run-queue consistency, capability justification for writable mappings,
+  // alive/stride-order consistency, capability justification for writable mappings,
   // and the revocation bookkeeping. Returns "" when clean, else one violation per
   // line. Charges nothing (host diagnostic, not a syscall) — the fuzzer calls it
   // after every step.
@@ -217,16 +216,7 @@ class XokKernel {
   // small bound to exercise the diagnostic without minutes of idle scanning).
   void SetDeadlockBound(sim::Cycles cycles) { deadlock_bound_ = cycles; }
 
-  // ---- Proportional-share scheduling + memory pressure ----
-
-  // Whether the stride scheduler is active. Defaults to on; the
-  // EXO_SCHED_STRIDE=0 environment switch (read once at construction) or
-  // SetStrideScheduling(false) recovers the legacy round-robin rotation
-  // bit-exactly, which is what keeps the fig2–5 goldens byte-identical.
-  bool stride_scheduling() const { return stride_on_; }
-  // Host-only override (benches compare both modes in one process). Rebuilds
-  // the stride order from scratch, so it is legal at any host-context point.
-  void SetStrideScheduling(bool on);
+  // ---- Memory pressure ----
 
   // Arms (or, with low_frames == 0, disarms) the pressure monitor.
   void SetMemoryPressurePolicy(const MemoryPressurePolicy& p) { pressure_policy_ = p; }
@@ -316,9 +306,9 @@ class XokKernel {
   [[nodiscard]] Result<hw::Packet> SysRingConsume(FilterId id, CredIndex cred);
   const PacketFilter* Filter(FilterId id) const;  // exposed (predicate windows)
 
-  // Whether the demux flow cache is active. Defaults to on; EXO_DEMUX_CACHE=0
-  // (read once at construction) or SetDemuxCache(false) recovers the linear
-  // filter walk for every packet. Host-only toggle; flushes the cache.
+  // Whether the demux flow cache is active. Defaults to on; SetDemuxCache(false)
+  // recovers the linear filter walk for every packet (the fleet_http ablation).
+  // Host-only toggle; flushes the cache.
   bool demux_cache() const { return demux_cache_on_; }
   void SetDemuxCache(bool on) {
     demux_cache_on_ = on;
@@ -444,16 +434,13 @@ class XokKernel {
 
   hw::Machine* machine_;
   std::map<EnvId, std::unique_ptr<Env>> envs_;
-  std::deque<EnvId> run_queue_;  // round-robin order over alive envs
   Env* current_ = nullptr;
   EnvId last_scheduled_ = kInvalidEnv;
   EnvId next_env_id_ = 1;
   uint32_t alive_count_ = 0;
 
   // Stride scheduler: alive envs ordered by (pass, sched_seq, id). The
-  // scheduler picks the first schedulable entry; round-robin mode leaves the
-  // set maintained but unread so the two modes share every other code path.
-  bool stride_on_ = true;
+  // scheduler picks the first schedulable entry.
   std::set<std::tuple<uint64_t, uint64_t, EnvId>> stride_order_;
   // Virtual clock: the pass of the most-entitled env actually served, i.e.
   // max over picks of the picked env's pass. Tracking the service point (the

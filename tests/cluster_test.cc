@@ -264,15 +264,15 @@ std::string RunBalancerWorkload(uint32_t threads, uint64_t* forwarded,
   tc.machine.disks.clear();
   cluster::Topology topo(tc);
 
-  uint64_t echo_count = 0;
+  // Each server counts its echoes in its own machine's counters: the servers
+  // run on different shard threads, so a shared tally would race.
   for (uint32_t k = 0; k < tc.servers; ++k) {
     hw::Machine& srv = topo.server(k);
     srv.tracer().Enable();
     auto* rx = srv.counters().Handle("srv.rx");
     hw::Nic* nic = &srv.nic(0);
-    nic->SetReceiveHandler([rx, nic, &echo_count](hw::Packet p) {
+    nic->SetReceiveHandler([rx, nic](hw::Packet p) {
       ++*rx;
-      ++echo_count;
       // Echo: swap src and dst ip/port so the balancer routes the reply home.
       for (int i = 0; i < 4; ++i) {
         std::swap(p.bytes[net::kOffSrcIp + i], p.bytes[net::kOffDstIp + i]);
@@ -300,7 +300,10 @@ std::string RunBalancerWorkload(uint32_t threads, uint64_t* forwarded,
 
   *forwarded = topo.lb_forwarded();
   *flows = topo.lb_flows();
-  *echoed = echo_count;
+  *echoed = 0;
+  for (uint32_t k = 0; k < tc.servers; ++k) {
+    *echoed += topo.server(k).counters().Get("srv.rx");
+  }
   return topo.MergedCountersDump() + topo.MergedTraceDump();
 }
 

@@ -508,7 +508,6 @@ std::vector<sim::Cycles> RetransmitSchedule(uint64_t jitter_seed,
   hooks.cost = &cost;
   hooks.transmit = [&](hw::Packet, sim::Cycles when) { times.push_back(when); };
   TcpProfile p = ClientProfile();
-  p.adaptive_rto = true;
   p.rto_jitter_seed = jitter_seed;
   p.max_retransmits = 6;
   TcpStack stack(hooks, /*ip=*/1, p);

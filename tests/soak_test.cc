@@ -615,10 +615,11 @@ constexpr int kFloodWorkers = 8;
 // credit — and with it the right to preempt — even while draining a burst.
 constexpr uint32_t kVictimTickets = 400;  // tenant total 1200
 constexpr uint32_t kFloodTickets = 12;    // tenant total 96: ~7% of CPU
+constexpr uint32_t kEqualTickets = 100;   // control run: every env alike
 constexpr sim::Cycles kVictimInterval = 100'000;  // 2000 req/s per victim
 constexpr sim::Cycles kVictimService = 20'000;    // ~21% CPU demand per victim
-// SLOs asserted per epoch. Under round-robin the flooder holds 8 of 11 slices
-// and victim latency blows through these by an order of magnitude.
+// SLOs asserted per epoch. Under equal tickets the flooder holds 8 of 11
+// slices and victim latency blows through these by an order of magnitude.
 constexpr sim::Cycles kLatencySlo = 400'000;  // p99 bound: 2 ms
 constexpr double kGoodputSlo = 0.9;           // fraction of requests within SLO
 constexpr uint32_t kNoDma = UINT32_MAX;
@@ -626,7 +627,7 @@ constexpr uint32_t kNoDma = UINT32_MAX;
 struct NoisyConfig {
   uint64_t seed = 1;
   uint64_t epochs = 8;
-  bool stride = true;    // false: round-robin control run
+  bool equal_tickets = false;  // true: every env at kEqualTickets (control run)
   bool hostile = false;  // flooder hoards upfront and ignores revocation
   bool trace = false;    // record a full trace for determinism comparison
   const std::vector<FloodOp>* replay = nullptr;  // ddmin probes
@@ -662,9 +663,6 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
   hw::Link link(&engine, 100.0, 10.0, 200);
   link.Connect(&peer, &machine.nic(0));
   xok::XokKernel kernel(&machine);
-  if (!cfg.stride) {
-    kernel.SetStrideScheduling(false);
-  }
   xok::MemoryPressurePolicy pp;
   pp.low_frames = 64;
   pp.high_frames = 96;
@@ -741,7 +739,7 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
         });
     envs.push_back(id);
     xok::ResourceQuota q;
-    q.cpu_tickets = kVictimTickets;
+    q.cpu_tickets = cfg.equal_tickets ? kEqualTickets : kVictimTickets;
     EXPECT_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
     kernel.env(id).on_slice_begin = [&slices, i] { ++slices[i]; };
   }
@@ -818,7 +816,7 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
         });
     envs.push_back(id);
     xok::ResourceQuota q;
-    q.cpu_tickets = kFloodTickets;
+    q.cpu_tickets = cfg.equal_tickets ? kEqualTickets : kFloodTickets;
     EXPECT_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
     kernel.env(id).on_slice_begin = [&slices, w] { ++slices[kVictims + w]; };
     if (!cfg.hostile) {
@@ -900,10 +898,10 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
   if (!cfg.hostile && (r.pressure_aborts != 0 || r.env_aborts != 0)) {
     fail("compliant tenant aborted", cfg.epochs);
   }
-  if (cfg.stride) {
+  if (!cfg.equal_tickets) {
     // The cap that matters: even as the work-conserving scheduler hands the
-    // flooder every idle cycle, it cannot crowd out victim slices (round-robin
-    // would give the 8-env flooder 8/11 = 73% of all slices).
+    // flooder every idle cycle, it cannot crowd out victim slices (equal
+    // tickets would give the 8-env flooder 8/11 = 73% of all slices).
     const uint64_t total = r.victim_slices + r.flood_slices;
     if (total > 0 && r.flood_slices * 2 > total) {
       fail("flooder above ticket-share cap: " + std::to_string(r.flood_slices) + "/" +
@@ -975,15 +973,16 @@ TEST(NoisySoak, VictimSlosHoldUnderFloodSweep) {
   EXPECT_GE(total_revokes, 1u);
 }
 
-// Round-robin control: the identical workload without stride scheduling lets
-// the 8-env flooder take ~73% of slices and the victims blow their SLOs —
-// the isolation is the scheduler's doing, not an artifact of light load.
+// Round-robin control: the identical workload with every env at equal tickets
+// (per-env fairness, which stride serves in round-robin order) lets the 8-env
+// flooder take ~73% of slices and the victims blow their SLOs — the isolation
+// is the per-tenant tickets' doing, not an artifact of light load.
 TEST(NoisySoak, RoundRobinControlStarvesVictims) {
   NoisyConfig cfg;
   cfg.seed = 1;
   cfg.epochs = 6;
   NoisyResult stride = RunNoisy(cfg);
-  cfg.stride = false;
+  cfg.equal_tickets = true;
   NoisyResult rr = RunNoisy(cfg);
   EXPECT_EQ(stride.failure, "");
   EXPECT_NE(rr.failure, "");

@@ -134,7 +134,7 @@ TEST_F(XokTest, DirectedYieldHandsOffSlice) {
     kernel_.SysYield(b);  // hand the CPU to b specifically
     order.push_back(0);
   });
-  // A decoy env between a and b in round-robin order.
+  // A decoy env between a and b in scheduling order.
   kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] { order.push_back(9); });
   b = kernel_.CreateEnv(kInvalidEnv, {Capability::Root()}, [&] {
     order.push_back(1);
@@ -1177,36 +1177,6 @@ TEST_F(XokTest, SysSetQuotaAdjustsTicketsLive) {
   // 9:1 tickets from slice ~10 onwards: the worker ends far ahead.
   EXPECT_GT(counts[1], counts[0] * 3) << counts[0] << " vs " << counts[1];
   EXPECT_EQ(kernel_.CheckInvariants(), "");
-}
-
-TEST_F(XokTest, RoundRobinSwitchIgnoresTickets) {
-  // EXO_SCHED_STRIDE=0 recovers the legacy rotation: wildly uneven tickets
-  // still alternate strictly, and no stride bookkeeping runs.
-  ::setenv("EXO_SCHED_STRIDE", "0", 1);
-  {
-    sim::Engine engine;
-    hw::Machine machine(&engine, hw::MachineConfig{.mem_frames = 256});
-    XokKernel kernel(&machine);
-    EXPECT_FALSE(kernel.stride_scheduling());
-    const sim::Cycles q = machine.cost().quantum;
-    std::vector<int> order;
-    for (int i = 0; i < 2; ++i) {
-      EnvId id = kernel.CreateEnv(kInvalidEnv, {Capability::Root()}, [&kernel, &order, i, q] {
-        for (int s = 0; s < 3; ++s) {
-          order.push_back(i);
-          kernel.ChargeCpu(q);
-        }
-      });
-      ResourceQuota quota;
-      quota.cpu_tickets = i == 0 ? 10'000 : 1;
-      EXPECT_EQ(kernel.SysSetQuota(id, quota, kCredAny), Status::kOk);
-    }
-    kernel.Run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 1, 0, 1}));
-    EXPECT_EQ(machine.counters().Get("sched.stride_picks"), 0u);
-    EXPECT_EQ(kernel.CheckInvariants(), "");
-  }
-  ::unsetenv("EXO_SCHED_STRIDE");
 }
 
 // ---- Pressure-driven revocation ----
