@@ -125,22 +125,14 @@ Fleet BuildFleet(bool health_checks, bool client_retry, uint32_t threads,
   // Kill: the victim's HTTP stack dies with the machine (no FINs, no RSTs —
   // its zombie object just stops; stale timers no-op). Reboot: a fresh server
   // process comes up on the same hardware and re-registers its routes.
-  topo.SetMachineLifecycleHooks(
-      [&f, &topo](uint32_t id) {
-        for (uint32_t k = 0; k < kServers; ++k) {
-          if (id == topo.server_id(k) && f.servers[k] != nullptr) {
-            f.servers[k]->Shutdown();
-            f.graveyard.push_back(std::move(f.servers[k]));
-          }
-        }
-      },
-      [&f, &topo](uint32_t id) {
-        for (uint32_t k = 0; k < kServers; ++k) {
-          if (id == topo.server_id(k)) {
-            BuildServer(f, k);
-          }
-        }
-      });
+  for (uint32_t k = 0; k < kServers; ++k) {
+    hw::Machine& m = topo.server(k);
+    m.AddKillListener([&f, k] {
+      f.servers[k]->Shutdown();
+      f.graveyard.push_back(std::move(f.servers[k]));
+    });
+    m.AddRebootListener([&f, k] { BuildServer(f, k); });
+  }
 
   const double per_client = kOfferedPerSec / kClients;
   const sim::Cycles interval = static_cast<sim::Cycles>(

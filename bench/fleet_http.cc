@@ -243,10 +243,10 @@ FleetRunResult CollectFleetResult(
   return r;
 }
 
-// Cluster mode (the default): the server is one machine, every open-loop
-// client generator runs on its own dedicated client machine with its own event
-// queue; the wires between them are the conservative-horizon fabric. Output is
-// bit-identical for any `threads`.
+// The server is one machine, every open-loop client generator runs on its own
+// dedicated client machine with its own event queue; the wires between them
+// are the conservative-horizon fabric. Output is bit-identical for any
+// `threads`.
 FleetRunResult RunFleetCluster(double offered_per_sec, bool armed,
                                uint32_t threads) {
   cluster::TopologyConfig tc;
@@ -310,82 +310,17 @@ FleetRunResult RunFleetCluster(double offered_per_sec, bool armed,
   return CollectFleetResult(clients, server);
 }
 
-// Legacy single-machine mode (--single-engine): everything shares one engine,
-// byte-identical to the historical bench.
-FleetRunResult RunFleet(double offered_per_sec, bool armed) {
-  sim::Engine engine;
-  sim::CostModel cost = sim::CostModel::PentiumPro200();
-
-  net::DocumentStore store(&cost);  // setup-time writes: no CPU to charge
-  apps::HttpServerOptions opts;
-  if (armed) {
-    opts.persistent = true;
-    opts.documents = &store;
-    opts.response_cache_entries = 32;  // < kNumDocs: evictions are exercised
-    opts.gather_tx = true;
-  }
-  apps::HttpServer server(&engine, &cost, apps::ServerStyle::kCheetah, /*ip=*/100,
-                          opts);
-  server.SetOverloadPolicy(FleetPolicy(armed));
-  for (size_t i = 0; i < kNumDocs; ++i) {
-    server.AddDocument("d" + std::to_string(i),
-                       std::vector<uint8_t>(DocBytes(i), static_cast<uint8_t>(i)));
-  }
-  EXO_CHECK_EQ(server.Listen(80), Status::kOk);
-
-  std::vector<std::unique_ptr<hw::Nic>> server_nics, client_nics;
-  std::vector<std::unique_ptr<hw::Link>> links;
-  std::vector<std::unique_ptr<apps::OpenLoopHttpClient>> clients;
-  std::vector<std::unique_ptr<ZipfPicker>> pickers;
-
-  const double per_client = offered_per_sec / kClients;
-  const sim::Cycles interval =
-      static_cast<sim::Cycles>(static_cast<double>(kCyclesPerSec) / per_client);
-  for (int i = 0; i < kClients; ++i) {
-    auto snic = std::make_unique<hw::Nic>(static_cast<uint32_t>(i));
-    auto cnic = std::make_unique<hw::Nic>(static_cast<uint32_t>(100 + i));
-    auto link = std::make_unique<hw::Link>(&engine, 1000.0, 40.0, kMhz);
-    link->Connect(snic.get(), cnic.get());
-    const net::IpAddr client_ip = static_cast<net::IpAddr>(i + 1);
-    server.AttachNic(snic.get(), client_ip);
-    auto client = std::make_unique<apps::OpenLoopHttpClient>(
-        &engine, &cost, cnic.get(), client_ip, 100, "d0", interval);
-    client->set_request_timeout(kClientTimeout);
-    auto picker = std::make_unique<ZipfPicker>(kNumDocs);
-    client->set_doc_picker(
-        [p = picker.get()] { return "d" + std::to_string(p->Pick()); });
-    if (armed) {
-      client->EnablePersistent(kPoolPerClient, kMaxPipeline);
-    }
-    pickers.push_back(std::move(picker));
-    clients.push_back(std::move(client));
-    server_nics.push_back(std::move(snic));
-    client_nics.push_back(std::move(cnic));
-    links.push_back(std::move(link));
-  }
-
-  const sim::Cycles deadline = static_cast<sim::Cycles>(kSimSeconds * kCyclesPerSec);
-  for (auto& c : clients) {
-    c->Start(deadline);
-  }
-  engine.RunUntilIdle();
-  return CollectFleetResult(clients, server);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_fleet_http.json";
   std::string check_path;
-  bool single_engine = false;
   uint32_t threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
       check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--single-engine") == 0) {
-      single_engine = true;
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = static_cast<uint32_t>(std::atoi(argv[++i]));
     }
@@ -414,13 +349,9 @@ int main(int argc, char** argv) {
   // ---- Part 2: open-loop sweep, legacy vs fleet-armed Cheetah ----
   std::printf("\nhttp: %d clients, Zipf(1.1) over %zu docs, %.1fs simulated\n", kClients,
               kNumDocs, kSimSeconds);
-  if (single_engine) {
-    std::printf("mode: single-engine (all machines share one event queue)\n");
-  } else {
-    std::printf("mode: cluster (1 server + %d client machines; deterministic "
-                "for any thread count)\n",
-                kClients);
-  }
+  std::printf("mode: cluster (1 server + %d client machines; deterministic "
+              "for any thread count)\n",
+              kClients);
   std::printf("fleet lane: persistent+pipelined (%d x %zu conns), doc store, "
               "response cache, gather tx\n",
               kClients, kPoolPerClient);
@@ -434,12 +365,8 @@ int main(int argc, char** argv) {
   std::vector<FleetRunResult> legacy_v, fleet_v;
   size_t peak_conns = 0;
   for (double rate : rates) {
-    const FleetRunResult legacy = single_engine
-                                      ? RunFleet(rate, /*armed=*/false)
-                                      : RunFleetCluster(rate, /*armed=*/false, threads);
-    const FleetRunResult fleet = single_engine
-                                     ? RunFleet(rate, /*armed=*/true)
-                                     : RunFleetCluster(rate, /*armed=*/true, threads);
+    const FleetRunResult legacy = RunFleetCluster(rate, /*armed=*/false, threads);
+    const FleetRunResult fleet = RunFleetCluster(rate, /*armed=*/true, threads);
     std::printf(
         "%-9.0f | %-9.0f %-9.0f %-10.1f | %-9.0f %-7.0f %-7.0f %-9.0f %-7.1f %-7.1f "
         "%-8zu\n",
@@ -476,7 +403,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"fleet_http\",\n");
-  std::fprintf(f, "  \"mode\": \"%s\",\n", single_engine ? "single_engine" : "cluster");
   std::fprintf(f, "  \"threads\": %u,\n", threads);
   std::fprintf(f, "  \"demux_speedup_at_%zu_filters\": %.2f,\n", big.filters,
                big.speedup);

@@ -150,7 +150,6 @@ void HttpServer::ArmDeadline(net::TcpConn* conn) {
           return;  // completed (or the PCB was reused) before the timer fired
         }
         deadlines_.erase(it);
-        ++deadline_aborts_;
         stack_->Abort(conn);
       });
 }
@@ -460,24 +459,10 @@ void HttpClient::StartOne() {
     inflight_.erase(conn);
     if (conn->aborted()) {
       // Reset mid-request (server deadline abort or retry exhaustion): not a
-      // completed fetch. Keep the closed loop offering load — immediately by
-      // default, after a capped exponential backoff when armed (failover:
-      // don't hammer a dead server at RTT rate).
-      if (retry_base_ == 0) {
-        StartOne();
-        return;
-      }
-      const uint64_t shift = consec_aborts_ < 16 ? consec_aborts_ : 16;
-      sim::Cycles delay = retry_base_ << shift;
-      if (retry_cap_ != 0 && delay > retry_cap_) {
-        delay = retry_cap_;
-      }
-      delay += retry_rng_.Below(retry_base_ / 2 + 1);
-      ++consec_aborts_;
-      engine_->ScheduleAfter(delay, [this] { StartOne(); });
+      // completed fetch. Reissue at once to keep the closed loop offering load.
+      StartOne();
       return;
     }
-    consec_aborts_ = 0;
     // The server closes after the response: we have the whole document.
     if (latency_hist_ != nullptr && tracer_->enabled(trace::Category::kApp)) {
       latency_hist_->Record(engine_->now() - start);

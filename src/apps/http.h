@@ -76,8 +76,6 @@ class HttpServer {
   uint64_t requests_served() const { return requests_; }
   // Requests answered with a cheap 503 while shedding (admission control).
   uint64_t requests_rejected() const { return rejected_; }
-  // Admitted requests aborted because they blew the response deadline.
-  uint64_t deadline_aborts() const { return deadline_aborts_; }
   bool shedding() const { return shedding_; }
   // Response-cache counters (0s when no cache is configured).
   uint64_t cache_hits() const { return cache_ != nullptr ? cache_->hits() : 0; }
@@ -139,7 +137,6 @@ class HttpServer {
   net::ServerOverloadPolicy policy_;
   bool shedding_ = false;
   uint64_t rejected_ = 0;
-  uint64_t deadline_aborts_ = 0;
   uint64_t deadline_epoch_ = 0;
   // Keyed by PCB pointer; the epoch disambiguates a reused PCB from the
   // connection whose deadline was armed (stale timers check it and stand down).
@@ -167,17 +164,6 @@ class HttpClient {
   // identical.
   void set_request_timeout(sim::Cycles cycles) { request_timeout_ = cycles; }
 
-  // Connection-death retry backoff: after an aborted fetch the loop slot waits
-  // min(cap, base << consecutive_aborts) plus seeded jitter before reissuing,
-  // instead of hammering a dead server at RTT rate; any successful fetch
-  // resets the streak. 0 base (default) keeps the historical immediate-retry
-  // behavior, event-for-event.
-  void set_retry_backoff(sim::Cycles base, sim::Cycles cap, uint64_t seed) {
-    retry_base_ = base;
-    retry_cap_ = cap;
-    retry_rng_ = sim::Rng(seed);
-  }
-
   // Attaches a tracer under track `name`; completed requests feed the
   // "http.request_latency_cycles" histogram (connect to close).
   void SetTracer(trace::Tracer* tracer, const std::string& name);
@@ -198,10 +184,6 @@ class HttpClient {
   trace::LatencyHistogram* latency_hist_ = nullptr;
   sim::Cycles request_timeout_ = 0;
   uint64_t timeout_epoch_ = 0;
-  sim::Cycles retry_base_ = 0;
-  sim::Cycles retry_cap_ = 0;
-  uint64_t consec_aborts_ = 0;
-  sim::Rng retry_rng_{1};
   // Outstanding requests by PCB pointer; the epoch disambiguates a reused PCB
   // from the request whose timeout was armed (stale timers stand down).
   std::map<net::TcpConn*, uint64_t> inflight_;

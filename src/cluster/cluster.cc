@@ -32,91 +32,12 @@ sim::Engine* ShardLink::engine_for(const hw::Nic* side) const {
   return cluster_->shards_[side == a_ ? shard_a_ : shard_b_]->engine.get();
 }
 
-void ShardLink::SetFaultInjectorFor(const hw::Nic* sender, sim::FaultInjector* faults) {
-  EXO_CHECK(sender == a_ || sender == b_);
-  DirState& ds = sender == a_ ? dir_state_ab_ : dir_state_ba_;
-  ds.faults = faults;
-  if (ds.faults != nullptr && ds.tracer != nullptr) {
-    ds.faults->AttachTracer(ds.tracer, engine_for(sender));
-  }
-}
-
-void ShardLink::AttachTracerFor(const hw::Nic* sender, trace::Tracer* tracer,
-                                const std::string& name) {
-  EXO_CHECK(sender == a_ || sender == b_);
-  DirState& ds = sender == a_ ? dir_state_ab_ : dir_state_ba_;
-  ds.tracer = tracer;
-  if (ds.tracer != nullptr) {
-    ds.track = ds.tracer->NewTrack(name);
-    if (ds.faults != nullptr) {
-      ds.faults->AttachTracer(ds.tracer, engine_for(sender));
-    }
-  }
-}
-
-sim::Cycles ShardLink::Send(hw::Nic* from, hw::Packet p) {
-  EXO_CHECK(from == a_ || from == b_);
-  const bool from_a = from == a_;
-  hw::Nic* to = from_a ? b_ : a_;
-  Direction& dir = from_a ? dir_ab_ : dir_ba_;
-  DirState& ds = from_a ? dir_state_ab_ : dir_state_ba_;
-  const uint32_t src = from_a ? shard_a_ : shard_b_;
-  const uint32_t dst = from_a ? shard_b_ : shard_a_;
-
-  // Same wire model as hw::Link::Send, serialized against the sender's shard
-  // clock. Each direction — including its fault and trace state — is touched
-  // only by its sender's shard, so none of this needs synchronization.
-  const uint64_t wire_bytes =
-      std::max<uint64_t>(p.bytes.size(), hw::kMinFrameBytes) + hw::kFrameWireOverhead;
-  const sim::Cycles serialize =
-      static_cast<sim::Cycles>(static_cast<double>(wire_bytes) * cycles_per_byte_);
-  sim::Engine* src_engine = cluster_->shards_[src]->engine.get();
-  const sim::Cycles start = std::max(src_engine->now(), dir.busy_until);
-  dir.busy_until = start + serialize;
-  const sim::Cycles arrival = dir.busy_until + latency_cycles_;
-
-  const bool tracing =
-      ds.tracer != nullptr && ds.tracer->enabled(trace::Category::kNet);
-  if (tracing) {
-    ds.tracer->Begin(trace::Category::kNet, ds.track, "wire", start, wire_bytes);
-    ds.tracer->End(trace::Category::kNet, ds.track, "wire", dir.busy_until, wire_bytes);
-  }
-
-  if (ds.faults != nullptr) {
-    switch (ds.faults->NextWireFate(p.bytes.size())) {
-      case sim::FaultInjector::WireFate::kDrop:
-        return dir.busy_until;  // wire time consumed, frame never crosses
-      case sim::FaultInjector::WireFate::kCorrupt:
-        p.bytes[ds.faults->CorruptionOffset()] ^= 0xff;
-        break;
-      case sim::FaultInjector::WireFate::kDuplicate: {
-        // The duplicate trails the original by one serialization slot and
-        // crosses the fabric as its own message.
-        hw::Packet copy = p;
-        dir.busy_until += serialize;
-        if (tracing) {
-          ds.tracer->Begin(trace::Category::kNet, ds.track, "wire_dup",
-                           dir.busy_until - serialize, wire_bytes);
-          ds.tracer->End(trace::Category::kNet, ds.track, "wire_dup",
-                         dir.busy_until, wire_bytes);
-        }
-        cluster_->Post(dst, Cluster::CrossMsg{dir.busy_until + latency_cycles_, src,
-                                              cluster_->shards_[src]->next_msg_seq++,
-                                              to, std::move(copy)});
-        break;
-      }
-      case sim::FaultInjector::WireFate::kDeliver:
-        break;
-    }
-  }
-
-  if (tracing) {
-    ds.tracer->Instant(trace::Category::kNet, ds.track, "arrive", arrival, wire_bytes);
-  }
-  cluster_->Post(dst, Cluster::CrossMsg{arrival, src,
-                                        cluster_->shards_[src]->next_msg_seq++, to,
-                                        std::move(p)});
-  return dir.busy_until;
+void ShardLink::Arrive(hw::Nic* to, hw::Packet p, sim::Cycles arrival) {
+  // Runs on the sender's shard thread, inside Link::Send.
+  const uint32_t src = to == b_ ? shard_a_ : shard_b_;
+  const uint32_t dst = to == b_ ? shard_b_ : shard_a_;
+  cluster_->Post(dst, Cluster::CrossMsg{arrival, src, cluster_->shards_[src]->next_msg_seq++,
+                                        to, std::move(p)});
 }
 
 Cluster::Cluster(const ClusterOptions& options)
@@ -145,7 +66,7 @@ hw::Link* Cluster::Connect(uint32_t shard_a, hw::Nic* a, uint32_t shard_b,
   } else {
     std::unique_ptr<ShardLink> link(
         new ShardLink(this, shard_a, shard_b, mbit_per_s, latency_us, cpu_mhz));
-    lookahead_ = std::min(lookahead_, link->latency_cycles());
+    lookahead_ = std::min(lookahead_, link->latency_cycles_);
     link->Connect(a, b);
     links_.push_back(std::move(link));
   }

@@ -56,54 +56,28 @@ inline uint64_t DeriveSeed(uint64_t cluster_seed, uint64_t stream) {
 
 class Cluster;
 
-// hw::Link generalized across shards. Each direction serializes frames at the
-// wire rate against its *sender's* shard clock (the wire model is unchanged);
-// the arrival is posted to the receiving shard's mailbox instead of being
-// scheduled on the sender's engine, and materializes there as a timestamped
-// event at the next horizon. Latency is clamped to >= 1 cycle: a zero-latency
-// cross-shard wire would leave the conservative protocol no lookahead window.
-//
-// Fault injection and wire tracing are *per direction*: a direction's state is
-// consulted only from its sender's shard thread, so arming each direction with
-// its sender machine's injector/tracer keeps the packet path lock-free (one
-// injector shared by both directions would race across threads — use the
-// ...For variants, not the base-class setters, on cross-shard links).
+// hw::Link across shards: the same wire model, with each direction
+// serializing against its *sender's* shard clock (engine_for) and each arrival
+// posted to the receiving shard's mailbox (Arrive), where it materializes as a
+// timestamped event at the next horizon. Latency is clamped to >= 1 cycle: a
+// zero-latency cross-shard wire would leave the conservative protocol no
+// lookahead window. Arm faults and tracing per direction (the ...For setters):
+// a direction is touched only by its sender's shard thread, which keeps the
+// packet path lock-free.
 class ShardLink : public hw::Link {
  public:
-  sim::Cycles Send(hw::Nic* from, hw::Packet p) override;
   sim::Engine* engine_for(const hw::Nic* side) const override;
-
-  sim::Cycles latency_cycles() const { return latency_cycles_; }
-
-  // Arms drop/corrupt/duplicate injection for the direction whose *sender* is
-  // `sender` (one of the two connected NICs). Call after Connect. The injector
-  // is also wired to this direction's tracer, when attached, so injected fates
-  // land on the sender's timeline (first-wins, like hw::Link).
-  void SetFaultInjectorFor(const hw::Nic* sender, sim::FaultInjector* faults);
-  // Attaches wire-occupancy tracing (`net` spans + arrival instants) for the
-  // direction whose sender is `sender`, on a track named `name`. The tracer
-  // must belong to the sender's machine: its events are stamped with the
-  // sender's shard clock and merged under that machine's prefix.
-  void AttachTracerFor(const hw::Nic* sender, trace::Tracer* tracer,
-                       const std::string& name);
 
  private:
   friend class Cluster;
   ShardLink(Cluster* cluster, uint32_t shard_a, uint32_t shard_b,
             double mbit_per_s, double latency_us, uint32_t cpu_mhz);
 
-  // Per-direction fault/trace state, touched only by the sender's thread.
-  struct DirState {
-    sim::FaultInjector* faults = nullptr;
-    trace::Tracer* tracer = nullptr;
-    uint32_t track = 0;
-  };
+  void Arrive(hw::Nic* to, hw::Packet p, sim::Cycles arrival) override;
 
   Cluster* cluster_;
   uint32_t shard_a_;
   uint32_t shard_b_;
-  DirState dir_state_ab_;  // sender == a_
-  DirState dir_state_ba_;  // sender == b_
 };
 
 struct ClusterOptions {
@@ -179,7 +153,7 @@ class Cluster {
     std::vector<CrossMsg> drain_scratch;
   };
 
-  // Called from the sending shard's thread (ShardLink::Send).
+  // Called from the sending shard's thread (ShardLink::Arrive).
   void Post(uint32_t dst_shard, CrossMsg msg);
   // Inserts this shard's sorted mailbox into its engine and refreshes
   // next_event. Runs on the thread owning the shard.

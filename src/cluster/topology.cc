@@ -396,14 +396,8 @@ void Topology::ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedu
       inj->RecordMachine(e);
       if (e.kind == 'k') {
         machine(id).Kill();
-        if (on_kill_) {
-          on_kill_(id);
-        }
       } else {
         machine(id).Reboot();
-        if (on_reboot_) {
-          on_reboot_(id);
-        }
       }
     });
   }

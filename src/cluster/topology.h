@@ -20,7 +20,6 @@
 #define EXO_CLUSTER_TOPOLOGY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -39,10 +38,10 @@ namespace exo::cluster {
 // and failover"): the balancer probes each backend's NIC firmware on a
 // seeded-jitter interval, ejects a backend after `fall` consecutive missed
 // replies (evicting its pinned flows), and readmits it after `rise`
-// consecutive successes. Disabled by default — an unarmed topology schedules
-// no probe events and stays byte-identical to the pre-failover behavior.
+// consecutive successes. Nothing probes until ArmHealthChecks — an unarmed
+// topology schedules no probe events and stays byte-identical to the
+// pre-failover behavior.
 struct HealthCheckConfig {
-  bool enabled = false;
   double interval_us = 2000.0;  // mean per-backend probe interval
   double timeout_us = 1000.0;   // reply deadline per probe
   uint32_t fall = 3;            // consecutive misses before ejection
@@ -133,22 +132,14 @@ class Topology {
   // Schedules the machine kill/reboot events (sim::ParseMachineSchedule
   // grammar: "k@<t>:<m>,b@<t>:<m>") on each victim's shard engine. Kills run
   // hw::Machine::Kill (NICs down, disks power-cut, kill listeners) and reboots
-  // hw::Machine::Reboot; both are recorded through a per-victim
+  // hw::Machine::Reboot (reboot listeners): software that must die or come
+  // back with the machine registers there (Machine::AddKillListener /
+  // AddRebootListener). Both are recorded through a per-victim
   // sim::FaultInjector (fault.machine_kills / fault.machine_reboots counters
   // and machine_kill/machine_reboot trace instants on the victim's timeline).
   // All state touched is machine-local, so schedules replay bit-identically at
   // any thread count. Call before Run; may be called multiple times.
   void ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedule);
-
-  // Optional fleet-level lifecycle hooks, called (with the machine id, on the
-  // victim's shard thread, after the hardware transition and the machine's own
-  // listeners) for every scheduled kill/reboot. Benches and tests use these to
-  // shut down / rebuild the victim's software stack.
-  void SetMachineLifecycleHooks(std::function<void(uint32_t)> on_kill,
-                                std::function<void(uint32_t)> on_reboot) {
-    on_kill_ = std::move(on_kill);
-    on_reboot_ = std::move(on_reboot);
-  }
 
   // Health-check observability for benches: current ejection state and the
   // last ejection/readmission timestamps per backend (0 = never).
@@ -238,8 +229,6 @@ class Topology {
   // Machine-fault recording: one injector per victim machine, touched only by
   // that machine's shard thread.
   std::map<uint32_t, std::unique_ptr<sim::FaultInjector>> machine_faults_;
-  std::function<void(uint32_t)> on_kill_;
-  std::function<void(uint32_t)> on_reboot_;
 };
 
 }  // namespace exo::cluster

@@ -262,17 +262,6 @@ int System::SpawnInit(const std::string& program, std::function<void(UnixEnv&)> 
 
 void System::Run() { kernel_->Run(); }
 
-Status System::SetTickets(int pid, uint32_t tickets) {
-  auto it = pid_to_env_.find(pid);
-  if (it == pid_to_env_.end() || !kernel_->EnvExists(it->second) ||
-      !kernel_->env(it->second).alive) {
-    return Status::kNotFound;
-  }
-  xok::ResourceQuota q = kernel_->env(it->second).quota;
-  q.cpu_tickets = tickets;
-  return kernel_->SysSetQuota(it->second, q, xok::kCredAny);
-}
-
 // ---- Proc ----
 
 Proc::Proc(System* sys, int pid, xok::EnvId env, uint16_t uid, std::string program)

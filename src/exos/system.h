@@ -85,11 +85,6 @@ class System {
   // Drives the machine until every process has exited.
   void Run();
 
-  // Sets the process's CPU weight for the stride scheduler (host-context
-  // supervisor knob; the rest of the quota is preserved). kNotFound for a pid
-  // that never existed or already exited.
-  Status SetTickets(int pid, uint32_t tickets);
-
   // Process completion times for the global-performance figures (Sec. 8).
   struct ProcRecord {
     std::string program;

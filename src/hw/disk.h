@@ -177,10 +177,8 @@ class Disk {
 
   const DiskGeometry& geometry() const { return geometry_; }
   const DiskStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = DiskStats{}; }
   bool idle() const { return !active_ && queue_.empty(); }
   bool active() const { return active_; }
-  uint32_t queue_depth() const { return static_cast<uint32_t>(queue_.size()); }
 
  private:
   // One integrity-sidecar entry; `intended` is the LBA the stamped write was

@@ -95,13 +95,12 @@ class Machine {
 
   // ---- Crash/reboot lifecycle ----
   //
-  // Kill models a hard power loss: every NIC goes down (DMA rings cleared,
-  // arrivals drop, transmits refuse), every disk takes a power cut (in-flight
-  // requests torn exactly like the PR-6 crash model), and the kill listeners
-  // run so software layers (TCP stack, HTTP server, kernel envs) can drop
-  // volatile state. The Machine object itself stays alive as a zombie — any
-  // already-scheduled engine events against it must find coherent (empty)
-  // state, not freed memory.
+  // Kill models a hard power loss: every NIC goes down (arrivals drop,
+  // transmits refuse), every disk takes a power cut (Disk::PowerCut tears
+  // in-flight requests), and the kill listeners run so software layers (TCP
+  // stack, HTTP server) can drop volatile state. The Machine object itself
+  // stays alive as a zombie — any already-scheduled engine events against it
+  // must find coherent (empty) state, not freed memory.
   //
   // Reboot restores power: disks come back with their surviving media image
   // (the reboot listeners are where fsck/XN recovery runs), NICs come up, and

@@ -15,32 +15,9 @@ bool Nic::Transmit(Packet p) {
     }
     return false;
   }
-  if (tx_slots_ != 0 && tx_in_ring_ >= tx_slots_) {
-    // Ring full: refuse at the door. The frame was never accepted, so this is
-    // backpressure (`nic.rejected`), not loss.
-    ++stats_.tx_rejected;
-    if (rejected_counter_ != nullptr) {
-      ++*rejected_counter_;
-    }
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kNet)) {
-      tracer_->Instant(trace::Category::kNet, trace_track_, "nic.tx_reject",
-                       link_->engine_for(this)->now(), p.bytes.size());
-    }
-    return false;
-  }
   ++stats_.tx_packets;
   stats_.tx_bytes += p.bytes.size();
-  if (tx_slots_ != 0) {
-    ++tx_in_ring_;
-    const sim::Cycles done = link_->Send(this, std::move(p));
-    link_->engine_for(this)->ScheduleAt(done, [this] {
-      if (tx_in_ring_ > 0) {
-        --tx_in_ring_;
-      }
-    });
-  } else {
-    link_->Send(this, std::move(p));
-  }
+  link_->Send(this, std::move(p));
   return true;
 }
 
@@ -66,26 +43,9 @@ void Nic::Deliver(Packet p) {
     Transmit(std::move(p));
     return;
   }
-  if (rx_slots_ != 0 && rx_in_ring_ >= rx_slots_) {
-    // Every rx descriptor is held by the host: the frame has nowhere to land.
-    // Unlike a tx refusal the sender already paid for the wire, so this is loss.
-    ++stats_.dropped;
-    ++stats_.rx_overflows;
-    if (dropped_counter_ != nullptr) {
-      ++*dropped_counter_;
-    }
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFault)) {
-      tracer_->Instant(trace::Category::kFault, trace_track_, "nic.rx_overflow",
-                       link_->engine_for(this)->now(), p.bytes.size());
-    }
-    return;
-  }
   ++stats_.rx_packets;
   stats_.rx_bytes += p.bytes.size();
   if (rx_handler_) {
-    if (rx_slots_ != 0) {
-      ++rx_in_ring_;
-    }
     rx_handler_(std::move(p));
   } else {
     ++stats_.dropped;
@@ -95,49 +55,66 @@ void Nic::Deliver(Packet p) {
   }
 }
 
-sim::Cycles Link::Send(Nic* from, Packet p) {
-  EXO_CHECK(from == a_ || from == b_);
+void Link::SetFaultInjectorFor(const Nic* sender, sim::FaultInjector* faults) {
+  Direction& dir = direction(sender);
+  dir.faults = faults;
+  if (dir.faults != nullptr && dir.tracer != nullptr) {
+    dir.faults->AttachTracer(dir.tracer, engine_for(sender));
+  }
+}
+
+void Link::AttachTracerFor(const Nic* sender, trace::Tracer* tracer,
+                           const std::string& name) {
+  Direction& dir = direction(sender);
+  dir.tracer = tracer;
+  if (dir.tracer != nullptr) {
+    dir.track = dir.tracer->NewTrack(name);
+    if (dir.faults != nullptr) {
+      dir.faults->AttachTracer(dir.tracer, engine_for(sender));
+    }
+  }
+}
+
+void Link::Send(Nic* from, Packet p) {
+  Direction& dir = direction(from);
   Nic* to = from == a_ ? b_ : a_;
-  Direction& dir = from == a_ ? dir_ab_ : dir_ba_;
 
   const uint64_t wire_bytes =
       std::max<uint64_t>(p.bytes.size(), kMinFrameBytes) + kFrameWireOverhead;
   const sim::Cycles serialize =
       static_cast<sim::Cycles>(static_cast<double>(wire_bytes) * cycles_per_byte_);
 
-  const sim::Cycles start = std::max(engine_->now(), dir.busy_until);
+  // Each direction is touched only by its sender, which serializes against its
+  // own clock — on a cross-shard link, its own shard thread.
+  const sim::Cycles start = std::max(engine_for(from)->now(), dir.busy_until);
   dir.busy_until = start + serialize;
   const sim::Cycles arrival = dir.busy_until + latency_cycles_;
 
-  const bool tracing = tracer_ != nullptr && tracer_->enabled(trace::Category::kNet);
+  const bool tracing = dir.tracer != nullptr && dir.tracer->enabled(trace::Category::kNet);
   if (tracing) {
     // Serialization windows per direction never overlap (start >= prior busy_until).
-    tracer_->Begin(trace::Category::kNet, dir.track, "wire", start, wire_bytes);
-    tracer_->End(trace::Category::kNet, dir.track, "wire", dir.busy_until, wire_bytes);
+    dir.tracer->Begin(trace::Category::kNet, dir.track, "wire", start, wire_bytes);
+    dir.tracer->End(trace::Category::kNet, dir.track, "wire", dir.busy_until, wire_bytes);
   }
 
-  if (faults_ != nullptr) {
-    switch (faults_->NextWireFate(p.bytes.size())) {
+  if (dir.faults != nullptr) {
+    switch (dir.faults->NextWireFate(p.bytes.size())) {
       case sim::FaultInjector::WireFate::kDrop:
-        return dir.busy_until;  // wire time was consumed, but the frame never arrives
+        return;  // wire time was consumed, but the frame never arrives
       case sim::FaultInjector::WireFate::kCorrupt:
-        p.bytes[faults_->CorruptionOffset()] ^= 0xff;
+        p.bytes[dir.faults->CorruptionOffset()] ^= 0xff;
         break;
       case sim::FaultInjector::WireFate::kDuplicate: {
         // The duplicate trails the original by one serialization slot, as if the
         // sender's retransmit logic fired spuriously.
-        Packet copy = p;
         dir.busy_until += serialize;
         if (tracing) {
-          tracer_->Begin(trace::Category::kNet, dir.track, "wire_dup",
-                         dir.busy_until - serialize, wire_bytes);
-          tracer_->End(trace::Category::kNet, dir.track, "wire_dup", dir.busy_until,
-                       wire_bytes);
+          dir.tracer->Begin(trace::Category::kNet, dir.track, "wire_dup",
+                            dir.busy_until - serialize, wire_bytes);
+          dir.tracer->End(trace::Category::kNet, dir.track, "wire_dup", dir.busy_until,
+                          wire_bytes);
         }
-        engine_->ScheduleAt(dir.busy_until + latency_cycles_,
-                            [to, copy = std::move(copy)]() mutable {
-          to->Deliver(std::move(copy));
-        });
+        Arrive(to, p, dir.busy_until + latency_cycles_);
         break;
       }
       case sim::FaultInjector::WireFate::kDeliver:
@@ -146,10 +123,13 @@ sim::Cycles Link::Send(Nic* from, Packet p) {
   }
 
   if (tracing) {
-    tracer_->Instant(trace::Category::kNet, dir.track, "arrive", arrival, wire_bytes);
+    dir.tracer->Instant(trace::Category::kNet, dir.track, "arrive", arrival, wire_bytes);
   }
+  Arrive(to, std::move(p), arrival);
+}
+
+void Link::Arrive(Nic* to, Packet p, sim::Cycles arrival) {
   engine_->ScheduleAt(arrival, [to, p = std::move(p)]() mutable { to->Deliver(std::move(p)); });
-  return dir.busy_until;
 }
 
 }  // namespace exo::hw

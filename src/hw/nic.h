@@ -8,12 +8,11 @@
 #define EXO_HW_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
-#include <string>
-
+#include "sim/check.h"
 #include "sim/counters.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
@@ -48,13 +47,12 @@ struct NicStats {
   uint64_t rx_packets = 0;
   uint64_t tx_bytes = 0;
   uint64_t rx_bytes = 0;
-  // Frames lost after the NIC accepted responsibility: rx-ring overflow, or
-  // arrival with no receive handler installed.
+  // Frames lost after they reached the NIC: arrival at a down NIC, or with no
+  // receive handler installed.
   uint64_t dropped = 0;
-  // Frames refused at the tx ring (ring full): the host keeps the buffer and
-  // can retry — backpressure, not loss.
+  // Frames refused by a down NIC: the host keeps the buffer — backpressure,
+  // not loss.
   uint64_t tx_rejected = 0;
-  uint64_t rx_overflows = 0;  // the rx-ring-full subset of `dropped`
 };
 
 class Link;
@@ -71,26 +69,8 @@ class Nic {
     rx_handler_ = std::move(handler);
   }
 
-  // Opt-in DMA ring bounds, in frames. 0 = unbounded (the historic model: the
-  // wire itself is the only queue). With a tx bound, Transmit refuses frames
-  // while `tx_slots` are still serializing — backpressure the host observes.
-  // With an rx bound, arriving frames are dropped while `rx_slots` are held by
-  // the host; the host returns a slot with RxRelease when it has consumed the
-  // frame (e.g. at the TCP stack's rx-processing completion time).
-  void ConfigureRings(uint32_t tx_slots, uint32_t rx_slots) {
-    tx_slots_ = tx_slots;
-    rx_slots_ = rx_slots;
-  }
-  void RxRelease() {
-    if (rx_in_ring_ > 0) {
-      --rx_in_ring_;
-    }
-  }
-  uint32_t rx_in_ring() const { return rx_in_ring_; }
-  uint32_t tx_in_ring() const { return tx_in_ring_; }
-
   // Queues a frame for transmission on the attached link. Returns false (frame
-  // refused, `nic.rejected`) when a configured tx ring is full.
+  // refused, `nic.rejected`) while the NIC is down.
   bool Transmit(Packet p);
 
   void AttachLink(Link* link) { link_ = link; }
@@ -102,29 +82,12 @@ class Nic {
     dropped_counter_ = counters != nullptr ? counters->Handle("nic.dropped") : nullptr;
   }
 
-  // Attaches a tracer: tx refusals become `net` instants (`nic.tx_reject`),
-  // rx-ring overflows `fault` instants (`nic.rx_overflow`) on the named track.
-  void AttachTracer(trace::Tracer* tracer, const std::string& name) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr) {
-      trace_track_ = tracer_->NewTrack(name);
-    }
-  }
-
   const NicStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NicStats{}; }
 
-  // Power state. Downing the NIC (machine kill) clears both DMA rings: the
-  // frames they held are gone with the machine's memory. While down, Transmit
-  // refuses (`nic.rejected`) and arrivals drop on the floor (`nic.dropped`) —
-  // the wire itself keeps working, the host on this end does not.
-  void SetUp(bool up) {
-    up_ = up;
-    if (!up_) {
-      tx_in_ring_ = 0;
-      rx_in_ring_ = 0;
-    }
-  }
+  // Power state. While down (machine kill), Transmit refuses (`nic.rejected`)
+  // and arrivals drop on the floor (`nic.dropped`) — the wire itself keeps
+  // working, the host on this end does not.
+  void SetUp(bool up) { up_ = up; }
   bool up() const { return up_; }
 
   // Arms the probe responder: kProbeProto frames are echoed (ips swapped)
@@ -143,33 +106,31 @@ class Nic {
   Link* link_ = nullptr;
   std::function<void(Packet)> rx_handler_;
   NicStats stats_;
-  uint32_t tx_slots_ = 0;
-  uint32_t rx_slots_ = 0;
-  uint32_t tx_in_ring_ = 0;
-  uint32_t rx_in_ring_ = 0;
   bool up_ = true;
   bool probe_responder_ = false;
   sim::Counters::Slot* rejected_counter_ = nullptr;
   sim::Counters::Slot* dropped_counter_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  uint32_t trace_track_ = 0;
 };
 
 // Full-duplex point-to-point wire. Each direction is an independent serialization
 // queue: a frame occupies the wire for (bytes + overhead) * 8 / bandwidth and arrives
 // at the far side after an additional propagation latency.
 //
-// Send and engine_for are virtual so the cluster fabric (cluster::ShardLink)
-// can reuse the NIC interface while serializing each direction on its own
-// shard's clock and delivering arrivals through the conservative-horizon
-// mailbox instead of this engine's queue.
+// Each direction carries its own fault and trace state, consulted only when its
+// sender transmits. The cluster fabric (cluster::ShardLink) reuses this one wire
+// model across shards: it overrides engine_for, so each direction serializes on
+// its sender's shard clock, and Arrive, so arrivals cross through the
+// conservative-horizon mailbox instead of this engine's queue.
 class Link {
  public:
   Link(sim::Engine* engine, double mbit_per_s, double latency_us, uint32_t cpu_mhz)
-      : engine_(engine),
-        cycles_per_byte_(static_cast<double>(cpu_mhz) * 8.0 / mbit_per_s),
-        latency_cycles_(static_cast<sim::Cycles>(latency_us * cpu_mhz)) {}
+      : latency_cycles_(static_cast<sim::Cycles>(latency_us * cpu_mhz)),
+        engine_(engine),
+        cycles_per_byte_(static_cast<double>(cpu_mhz) * 8.0 / mbit_per_s) {}
   virtual ~Link() = default;
+  // Connected NICs hold the link's address.
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   void Connect(Nic* a, Nic* b) {
     a_ = a;
@@ -178,55 +139,63 @@ class Link {
     b->AttachLink(this);
   }
 
-  // Serializes a frame onto the wire; returns the serialization-complete time
-  // (when a tx-ring slot, if configured, is handed back to the host).
-  virtual sim::Cycles Send(Nic* from, Packet p);
+  // Serializes a frame onto the wire in `from`'s direction and hands every
+  // copy that survives the direction's fault injector to Arrive.
+  void Send(Nic* from, Packet p);
 
-  // The engine carrying `side`'s events (ring bookkeeping, tracer stamps).
-  // One engine serves both sides of a plain link; a cross-shard link returns
-  // the shard engine that owns that side.
+  // The engine carrying `side`'s events. One engine serves both sides of a
+  // plain link; a cross-shard link returns the shard engine that owns that side.
   virtual sim::Engine* engine_for(const Nic* side) const { return engine_; }
 
-  // Attaches (or detaches, with nullptr) a fault injector consulted once per frame
-  // for drop/corrupt/duplicate; unarmed links skip it behind one pointer test.
+  // Arms (or disarms, with nullptr) drop/corrupt/duplicate injection for the
+  // direction whose sender is `sender` (one of the two connected NICs; call after
+  // Connect). The injector is consulted once per frame in send order; it is also
+  // wired to the direction's tracer, when attached, so injected fates land on the
+  // sender's timeline (first attachment wins).
+  void SetFaultInjectorFor(const Nic* sender, sim::FaultInjector* faults);
+  // Attaches wire-occupancy tracing (`net` spans + arrival instants) for the
+  // direction whose sender is `sender`, on a track named `name`. Events are
+  // stamped with the sender's clock, so the tracer must belong to the sender's
+  // machine whenever the two sides run on different engines.
+  void AttachTracerFor(const Nic* sender, trace::Tracer* tracer, const std::string& name);
+
+  // Both directions at once: one injector, or one tracer with tracks `name`.a2b
+  // and `name`.b2a. Only for links whose sides share an engine — on a
+  // cross-shard link each direction is touched by a different thread.
   void SetFaultInjector(sim::FaultInjector* faults) {
-    faults_ = faults;
-    if (faults_ != nullptr && tracer_ != nullptr) {
-      faults_->AttachTracer(tracer_, engine_);  // injected fates share our timeline
-    }
+    EXO_CHECK(engine_for(a_) == engine_for(b_));
+    SetFaultInjectorFor(a_, faults);
+    SetFaultInjectorFor(b_, faults);
   }
-  sim::FaultInjector* fault_injector() const { return faults_; }
-
-  // Attaches a tracer; each direction gets its own track (`name`.a2b / `name`.b2a)
-  // carrying `net` wire-occupancy spans and arrival instants.
   void AttachTracer(trace::Tracer* tracer, const std::string& name) {
-    tracer_ = tracer;
-    if (tracer_ != nullptr) {
-      dir_ab_.track = tracer_->NewTrack(name + ".a2b");
-      dir_ba_.track = tracer_->NewTrack(name + ".b2a");
-      if (faults_ != nullptr) {
-        faults_->AttachTracer(tracer_, engine_);
-      }
-    }
+    EXO_CHECK(engine_for(a_) == engine_for(b_));
+    AttachTracerFor(a_, tracer, name + ".a2b");
+    AttachTracerFor(b_, tracer, name + ".b2a");
   }
-
-  sim::Engine* engine() const { return engine_; }
-
-  double utilization_tx_a() const { return 0; }  // reserved for future instrumentation
 
  protected:
+  // Delivers a frame to `to` at simulated time `arrival`. A plain link
+  // schedules the delivery on its engine.
+  virtual void Arrive(Nic* to, Packet p, sim::Cycles arrival);
+
+  sim::Cycles latency_cycles_;
+  Nic* a_ = nullptr;
+  Nic* b_ = nullptr;
+
+ private:
   struct Direction {
     sim::Cycles busy_until = 0;
+    sim::FaultInjector* faults = nullptr;
+    trace::Tracer* tracer = nullptr;
     uint32_t track = 0;
   };
+  Direction& direction(const Nic* sender) {
+    EXO_CHECK(sender != nullptr && (sender == a_ || sender == b_));
+    return sender == a_ ? dir_ab_ : dir_ba_;
+  }
 
   sim::Engine* engine_;
   double cycles_per_byte_;
-  sim::Cycles latency_cycles_;
-  sim::FaultInjector* faults_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
-  Nic* a_ = nullptr;
-  Nic* b_ = nullptr;
   Direction dir_ab_;
   Direction dir_ba_;
 };

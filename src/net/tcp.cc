@@ -469,10 +469,10 @@ void TcpStack::Shutdown() {
   reap_timer_deadline_ = 0;
 }
 
-sim::Cycles TcpStack::Input(const hw::Packet& p) {
+void TcpStack::Input(const hw::Packet& p) {
   auto seg = DecodeTcp(p);
   if (!seg.has_value()) {
-    return hooks_.engine->now();
+    return;
   }
   // Receive-path CPU: fixed per-segment cost + payload copy/verify, then process.
   sim::Cycles cost = profile_.rx_fixed;
@@ -498,12 +498,11 @@ sim::Cycles TcpStack::Input(const hw::Packet& p) {
     if (tracing) {
       tracer_->Instant(trace::Category::kNet, trace_track_, "tcp.csum_drop", when, seg->seq);
     }
-    return when;
+    return;
   }
   hooks_.engine->ScheduleAt(when, [this, s = std::move(*seg)]() mutable {
     ProcessSegment(std::move(s));
   });
-  return when;
 }
 
 void TcpStack::ProcessSegment(TcpSegment seg) {

@@ -142,7 +142,6 @@ class TcpConn {
 
   State state() const { return state_; }
   IpAddr peer_ip() const { return peer_ip_; }
-  Port peer_port() const { return peer_port_; }
   // True once the connection was torn down abnormally (retry exhaustion, an
   // incoming RST, a reap timeout, or an application Abort) rather than by the
   // FIN handshake. Valid inside and after the on_close callback.
@@ -151,7 +150,6 @@ class TcpConn {
   // first un-retransmitted segment is acknowledged (Karn's rule).
   sim::Cycles srtt() const { return srtt_; }
   sim::Cycles rttvar() const { return rttvar_; }
-  uint32_t rto_backoff() const { return backoff_; }
   uint64_t user_data = 0;  // application scratch (request state machines)
 
  private:
@@ -238,9 +236,7 @@ class TcpStack {
                    std::function<void(TcpConn*)> on_established);
 
   // Feed a received frame (from the NIC receive handler or a packet ring drain).
-  // Returns the simulated time the stack is done with the frame (receive-path CPU
-  // completion) so callers managing bounded receive rings know when the slot frees.
-  sim::Cycles Input(const hw::Packet& p);
+  void Input(const hw::Packet& p);
 
   // Application-initiated abort: emits an RST, fires on_close with aborted() set,
   // and reaps the PCB (servers use this to shed connections that blew a deadline).
@@ -266,7 +262,6 @@ class TcpStack {
   // ---- Introspection (soak invariants, tests) ----
   size_t conn_count() const { return conns_.size(); }
   size_t peak_conn_count() const { return peak_conns_; }  // high-water of conn_count
-  size_t reap_index_size() const { return reap_deadlines_.size(); }
   uint32_t half_open_count(Port port) const {
     auto it = half_open_.find(port);
     return it == half_open_.end() ? 0 : it->second;

@@ -25,7 +25,6 @@ namespace exo::sim::internal {
   } while (0)
 
 #define EXO_CHECK_EQ(a, b) EXO_CHECK((a) == (b))
-#define EXO_CHECK_NE(a, b) EXO_CHECK((a) != (b))
 #define EXO_CHECK_LT(a, b) EXO_CHECK((a) < (b))
 #define EXO_CHECK_LE(a, b) EXO_CHECK((a) <= (b))
 #define EXO_CHECK_GT(a, b) EXO_CHECK((a) > (b))

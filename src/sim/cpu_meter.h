@@ -40,7 +40,6 @@ class CpuMeter {
 
   Cycles busy_until() const { return busy_until_; }
   Cycles total_busy() const { return total_busy_; }
-  void ResetAccounting() { total_busy_ = 0; }
 
   // Fraction of [since, now] the CPU spent busy (clamped to 1).
   double Utilization(Cycles since) const {

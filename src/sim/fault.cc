@@ -195,7 +195,6 @@ void FaultInjector::AttachCounters(Counters* counters) {
 
 void FaultInjector::RecordMachine(const MachineEvent& e) {
   machine_events_.push_back(e);
-  fault_events_.push_back(FaultEvent{e.kind, e.time, e.machine});
   if (e.kind == 'k') {
     ++stats_.machine_kills;
     Count(c_machine_kills_);

@@ -71,10 +71,9 @@ struct MachineEvent {
   bool operator==(const MachineEvent&) const = default;
 };
 
-// A wire, disk, or machine fault in one combined stream, recorded
-// chronologically. The kind letters of the layers are disjoint (d/c/u vs
-// w/m/l/r vs k/b), so a single token grammar — and a single ddmin pass —
-// covers all of them.
+// A wire, disk, or machine fault in one combined stream. The kind letters of
+// the layers are disjoint (d/c/u vs w/m/l/r vs k/b), so a single token
+// grammar — and a single ddmin pass — covers all of them.
 struct FaultEvent {
   char kind = 'd';
   uint64_t index = 0;  // per-layer, per-direction consultation index (or time)
@@ -84,7 +83,6 @@ struct FaultEvent {
 };
 
 inline bool IsWireFaultKind(char k) { return k == 'd' || k == 'c' || k == 'u'; }
-inline bool IsDiskFaultKind(char k) { return k == 'w' || k == 'm' || k == 'l' || k == 'r'; }
 inline bool IsMachineFaultKind(char k) { return k == 'k' || k == 'b'; }
 
 // Compact one-line codecs: "d@3 c@15:7 u@20" (wire), "w@9 m@5:917 l@2 r@7:128"
@@ -111,9 +109,9 @@ std::string FormatMachineSchedule(const std::vector<MachineEvent>& events);
 std::vector<MachineEvent> ParseMachineSchedule(const std::string& text,
                                                std::string* error = nullptr);
 
-// Splits a combined schedule into its per-layer scripts (the inverse of the
-// merged fault_events() recording). Sound because indices are per-stream. The
-// two-argument form ignores machine events; pass `machine` to collect them.
+// Splits a combined schedule into its per-layer scripts. Sound because indices
+// are per-stream. The two-argument form ignores machine events; pass `machine`
+// to collect them.
 void SplitFaultSchedule(const std::vector<FaultEvent>& events,
                         std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk);
 void SplitFaultSchedule(const std::vector<FaultEvent>& events,
@@ -121,7 +119,10 @@ void SplitFaultSchedule(const std::vector<FaultEvent>& events,
                         std::vector<MachineEvent>* machine);
 
 // Declarative description of the faults to inject. Rates are per-consultation
-// probabilities in [0, 1]; 0 disables the corresponding fault class.
+// probabilities in [0, 1]; 0 disables the corresponding fault class. The
+// script vectors carry explicit `{}` initializers so a designated initializer
+// that omits them (FaultPlan{.seed = 3}) stays clean under GCC 12's
+// -Wmissing-field-initializers.
 struct FaultPlan {
   uint64_t seed = 1;
 
@@ -150,7 +151,7 @@ struct FaultPlan {
   // Scripted media mode: when non-empty, media-fault fates come from this
   // explicit schedule instead of the four rates above — no RNG is consulted for
   // the media at all.
-  std::vector<DiskEvent> disk_script;
+  std::vector<DiskEvent> disk_script{};
 
   // ---- Wire ----
   double net_drop_rate = 0.0;       // frame vanishes
@@ -165,15 +166,7 @@ struct FaultPlan {
   // schedule instead of the rates above — no RNG is consulted for the wire at
   // all. Used to replay (and delta-minimize) a schedule recorded by a previous
   // rate-mode run.
-  std::vector<WireEvent> wire_script;
-
-  // ---- Machine ----
-  // Whole-machine kill/reboot schedule. The injector itself never consults
-  // this (machine death is not a per-device fate): the cluster layer reads it
-  // at setup (cluster::Topology::ApplyMachineSchedule) and calls back into
-  // RecordMachine when each event fires, so kills land in the same log /
-  // trace / counter surface as every other fault.
-  std::vector<MachineEvent> machine_script;
+  std::vector<WireEvent> wire_script{};
 };
 
 struct FaultStats {
@@ -230,14 +223,11 @@ class FaultInjector {
   const std::vector<DiskEvent>& disk_events() const { return disk_events_; }
 
   // Machine kill/reboot events actually executed, in firing order: replay
-  // through FaultPlan::machine_script.
+  // through cluster::Topology::ApplyMachineSchedule.
   const std::vector<MachineEvent>& machine_events() const { return machine_events_; }
 
-  // All layers merged chronologically — the unit a combined soak reproducer
-  // minimizes. SplitFaultSchedule turns a (pruned) copy back into scripts.
-  const std::vector<FaultEvent>& fault_events() const { return fault_events_; }
-
-  // Called by the cluster layer when a scheduled machine event fires, so
+  // Called by the cluster layer when a scheduled machine event fires (machine
+  // death is not a per-device fate, so the injector never schedules one), so
   // whole-machine faults join the injector's log / trace / counter surface.
   void RecordMachine(const MachineEvent& e);
 
@@ -326,14 +316,8 @@ class FaultInjector {
       ++*slot;
     }
   }
-  void RecordWire(const WireEvent& e) {
-    wire_events_.push_back(e);
-    fault_events_.push_back(FaultEvent{e.kind, e.frame_index, e.corrupt_offset});
-  }
-  void RecordDisk(const DiskEvent& e) {
-    disk_events_.push_back(e);
-    fault_events_.push_back(FaultEvent{e.kind, e.index, e.arg});
-  }
+  void RecordWire(const WireEvent& e) { wire_events_.push_back(e); }
+  void RecordDisk(const DiskEvent& e) { disk_events_.push_back(e); }
 
   FaultPlan plan_;
   Rng rng_;
@@ -346,7 +330,6 @@ class FaultInjector {
   std::vector<WireEvent> wire_events_;
   std::vector<DiskEvent> disk_events_;
   std::vector<MachineEvent> machine_events_;
-  std::vector<FaultEvent> fault_events_;
   std::map<uint64_t, WireEvent> script_;        // wire_script indexed by frame_index
   std::map<uint64_t, DiskEvent> write_script_;  // disk_script, write-stream kinds
   std::map<uint64_t, DiskEvent> read_script_;   // disk_script, read-stream kinds

@@ -93,9 +93,6 @@ class Tracer {
       seq_ = 0;
     }
   }
-  // Drops the master switch; records and histograms stay readable.
-  void Disable() { mask_ = 0; }
-
   bool active() const { return mask_ != 0; }
   bool enabled(Category c) const { return (mask_ & Bit(c)) != 0; }
   uint32_t mask() const { return mask_; }
@@ -128,7 +125,6 @@ class Tracer {
     histograms_ = std::move(renamed);
     name_prefix_ = prefix;
   }
-  const std::string& name_prefix() const { return name_prefix_; }
 
   // Emission. Callers must check enabled(category) first — these write
   // unconditionally (apart from an empty-ring guard).

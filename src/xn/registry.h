@@ -62,16 +62,6 @@ class Registry {
 
   void Remove(hw::BlockId b) { entries_.erase(b); }
 
-  // Reverse mapping: which block a frame caches, if any.
-  hw::BlockId BlockOfFrame(hw::FrameId f) const {
-    for (const auto& [b, e] : entries_) {
-      if (e.frame == f) {
-        return b;
-      }
-    }
-    return hw::kInvalidBlock;
-  }
-
   size_t size() const { return entries_.size(); }
   const std::map<hw::BlockId, RegistryEntry>& entries() const { return entries_; }
 

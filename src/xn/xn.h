@@ -183,7 +183,6 @@ class Xn {
   IntegrityReport VerifyDiskIntegrity(uint64_t max_blocks = UINT64_MAX);
 
   bool IsQuarantined(hw::BlockId b) const { return quarantined_.count(b) != 0; }
-  size_t QuarantineCount() const { return quarantined_.size(); }
 
   // Read-repair: if a clean (non-dirty) resident registry copy of `b` exists,
   // rewrites the media from it, restamps, and lifts the quarantine. Returns

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 namespace exo::xok {
@@ -35,15 +34,6 @@ struct Capability {
   }
 
   bool operator==(const Capability&) const = default;
-
-  std::string ToString() const {
-    std::string s = write ? "w:/" : "r:/";
-    for (uint16_t p : name) {
-      s += std::to_string(p);
-      s += '/';
-    }
-    return s;
-  }
 };
 
 // True when `cred` grants `need_write` access to a resource guarded by `guard_name`:

@@ -53,9 +53,8 @@ struct WatchSpec {
 // cost; this stands in for an equivalent downloaded program where writing assembly
 // text would add nothing, while keeping the charged cost honest.
 struct WakeupPredicate {
-  udf::Program program;                       // empty => use `host`
-  std::vector<uint8_t> window;                // snapshot source is re-read each eval
-  const std::vector<uint8_t>* live_window = nullptr;  // pinned live memory (preferred)
+  udf::Program program;                               // empty => use `host`
+  const std::vector<uint8_t>* live_window = nullptr;  // pinned live memory
   std::function<bool()> host;
   sim::Cycles host_cost = 60;
   // Re-evaluation deadline hint for time-based predicates; the scheduler advances an

@@ -233,8 +233,6 @@ bool XokKernel::EvalPredicate(Env* e) {
     udf::RunInput in;
     if (p.live_window != nullptr) {
       in.buffers[udf::kBufMeta] = *p.live_window;
-    } else {
-      in.buffers[udf::kBufMeta] = p.window;
     }
     in.time = [this] { return machine_->engine().now(); };
     in.fuel = 4096;
@@ -893,12 +891,6 @@ Status XokKernel::SysFrameRef(hw::FrameId frame, CredIndex cred) {
   return Status::kOk;
 }
 
-const CapName& XokKernel::FrameGuard(hw::FrameId frame) const {
-  auto it = frame_guards_.find(frame);
-  EXO_CHECK(it != frame_guards_.end());
-  return it->second;
-}
-
 uint32_t XokKernel::FreeFrameCount() const { return machine_->mem().free_frames(); }
 
 Status XokKernel::PtApply(Env& target, const PtOp& op, CredIndex cred) {
@@ -1554,25 +1546,6 @@ void XokKernel::AbortEnv(EnvId id, const char* reason) {
       sim::Fiber::Suspend();  // zombies are never scheduled again
       EXO_CHECK(false);
     }
-  }
-}
-
-void XokKernel::KillAllEnvs(const char* reason) {
-  EXO_CHECK(current_ == nullptr);  // host context only: no fiber survives this
-  std::vector<EnvId> ids;
-  ids.reserve(envs_.size());
-  for (const auto& [id, e] : envs_) {
-    ids.push_back(id);
-  }
-  for (EnvId id : ids) {
-    auto it = envs_.find(id);
-    if (it == envs_.end()) {
-      continue;  // reaped as a side effect of an earlier abort (parent wait)
-    }
-    if (it->second->state != EnvState::kZombie) {
-      AbortEnv(id, reason);
-    }
-    (void)ReapEnv(id);
   }
 }
 

@@ -174,12 +174,6 @@ class XokKernel {
   // env aborts itself (the calling fiber suspends forever).
   void AbortEnv(EnvId id, const char* reason);
 
-  // Machine death: aborts and reaps every environment, in id order, from host
-  // context (the machine-kill listener — never from an env's own fiber). After
-  // this the kernel holds no envs; whatever survives the crash lives on the
-  // disks, which is exactly the surface the reboot-time fsck recovers.
-  void KillAllEnvs(const char* reason);
-
   // ---- Resource quotas + revocation (Sec. 3: visible revocation; Sec. 3.5) ----
 
   // Replaces `target`'s quota. Callable from the host, or by an env holding the
@@ -220,7 +214,6 @@ class XokKernel {
 
   // Arms (or, with low_frames == 0, disarms) the pressure monitor.
   void SetMemoryPressurePolicy(const MemoryPressurePolicy& p) { pressure_policy_ = p; }
-  const MemoryPressurePolicy& memory_pressure_policy() const { return pressure_policy_; }
   // Non-empty once Run() has diagnosed a deadlock (all remaining envs were
   // aborted instead of spinning forever).
   const std::string& deadlock_report() const { return deadlock_report_; }
@@ -259,7 +252,6 @@ class XokKernel {
   [[nodiscard]] Status SysFrameFree(hw::FrameId frame, CredIndex cred);
   // Extra reference for sharing (e.g. COW); freeing decrements.
   [[nodiscard]] Status SysFrameRef(hw::FrameId frame, CredIndex cred);
-  const CapName& FrameGuard(hw::FrameId frame) const;
   uint32_t FreeFrameCount() const;  // exposed free list (no syscall)
 
   // Trusted-sibling release path (XN, the buffer registry, host drivers): drops
@@ -306,10 +298,9 @@ class XokKernel {
   [[nodiscard]] Result<hw::Packet> SysRingConsume(FilterId id, CredIndex cred);
   const PacketFilter* Filter(FilterId id) const;  // exposed (predicate windows)
 
-  // Whether the demux flow cache is active. Defaults to on; SetDemuxCache(false)
+  // Switches the demux flow cache. Defaults to on; SetDemuxCache(false)
   // recovers the linear filter walk for every packet (the fleet_http ablation).
   // Host-only toggle; flushes the cache.
-  bool demux_cache() const { return demux_cache_on_; }
   void SetDemuxCache(bool on) {
     demux_cache_on_ = on;
     flow_cache_.clear();

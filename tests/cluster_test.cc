@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -373,74 +375,121 @@ TEST(ClusterTest, DirectTopologyWiresClientsToServers) {
   EXPECT_EQ(rx, 1);
 }
 
-// ---- Cross-shard wire faults (satellite: ShardLink fault/trace parity) ----
+// ---- Cross-shard wire faults: one wire model for both link kinds ----
 
-// A scripted injector armed on one direction of a cross-shard link hits the
-// exact frames it names — drop, corrupt, duplicate — with `wire`/`wire_dup`
-// spans and `arrive` instants on the sender's tracer, while the reverse
-// direction stays untouched.
-TEST(ClusterTest, CrossShardLinkInjectsScriptedWireFaults) {
-  cluster::Cluster cl;
-  const uint32_t sa = cl.AddShard("a");
-  const uint32_t sb = cl.AddShard("b");
-  hw::Nic a(0), b(1);
-  auto* link = static_cast<cluster::ShardLink*>(
-      cl.Connect(sa, &a, sb, &b, 100.0, 25.0, 200));
+// What a scripted 4-frame burst a -> b produced: each arrival at b (time and
+// bytes), the injector's outcome, and the a->b direction's wire records.
+struct ScriptedBurst {
+  std::vector<sim::Cycles> arrival_times;
+  std::vector<std::vector<uint8_t>> arrivals;
+  int a_rx = 0;
+  sim::FaultStats stats;
+  std::string executed;  // the executed schedule, replay form
+  std::vector<std::string> fault_log;
+  // (kind, name, time, arg) of every `wire`, `wire_dup` and `arrive` record.
+  std::vector<std::tuple<trace::Kind, std::string, sim::Cycles, uint64_t>> wire_records;
+};
 
+// Arms only the a->b direction of `link` with the injector "d@1 c@2:3 u@3" and
+// a tracer, sends frames 1..4 (id in byte 63), and has b answer the fourth
+// arrival over the unarmed reverse direction. `run` drains the simulation;
+// `b_clock` is the engine b's events run on.
+ScriptedBurst RunScriptedBurst(hw::Link* link, hw::Nic& a, hw::Nic& b,
+                               const sim::Engine& b_clock,
+                               const std::function<void()>& run) {
   sim::FaultPlan plan;
   plan.wire_script = sim::ParseWireSchedule("d@1 c@2:3 u@3");
-  ASSERT_EQ(plan.wire_script.size(), 3u);
+  EXPECT_EQ(plan.wire_script.size(), 3u);
   sim::FaultInjector faults(plan);
   trace::Tracer tracer;
   tracer.Enable();
   link->AttachTracerFor(&a, &tracer, "ab");
   link->SetFaultInjectorFor(&a, &faults);
 
-  std::vector<uint8_t> markers;   // frame id (byte 63) per arrival at b
-  std::vector<uint8_t> byte3s;    // the corruption target byte per arrival
-  int a_rx = 0;
+  ScriptedBurst r;
   b.SetReceiveHandler([&](hw::Packet p) {
-    markers.push_back(p.bytes[63]);
-    byte3s.push_back(p.bytes[3]);
-    if (markers.size() == 4) {
+    r.arrival_times.push_back(b_clock.now());
+    r.arrivals.push_back(p.bytes);
+    if (r.arrivals.size() == 4) {
       b.Transmit(hw::Packet{std::vector<uint8_t>(64, 9)});  // reverse direction
     }
   });
-  a.SetReceiveHandler([&](hw::Packet) { ++a_rx; });
+  a.SetReceiveHandler([&](hw::Packet) { ++r.a_rx; });
   for (uint8_t i = 1; i <= 4; ++i) {
     hw::Packet p{std::vector<uint8_t>(64, 0)};
     p.bytes[63] = i;
     a.Transmit(std::move(p));
   }
-  cl.Run();
+  run();
+
+  r.stats = faults.stats();
+  r.executed = sim::FormatWireSchedule(faults.wire_events());
+  r.fault_log = faults.log();
+  for (const trace::Record& rec : tracer.Records()) {
+    const std::string name = rec.name;
+    if (name == "wire" || name == "wire_dup" || name == "arrive") {
+      r.wire_records.emplace_back(rec.kind, name, rec.time, rec.arg);
+    }
+  }
+  return r;
+}
+
+// A scripted injector armed on one direction of a cross-shard link hits the
+// exact frames it names — drop, corrupt, duplicate — with `wire`/`wire_dup`
+// spans and `arrive` instants on the sender's tracer, while the reverse
+// direction stays untouched. The same burst over a plain hw::Link on one
+// engine is the reference: arrivals, fault log and wire records all match.
+TEST(ClusterTest, CrossShardLinkInjectsScriptedWireFaults) {
+  cluster::Cluster cl;
+  const uint32_t sa = cl.AddShard("a");
+  const uint32_t sb = cl.AddShard("b");
+  hw::Nic a(0), b(1);
+  hw::Link* link = cl.Connect(sa, &a, sb, &b, 100.0, 25.0, 200);
+  const ScriptedBurst cross =
+      RunScriptedBurst(link, a, b, cl.engine(sb), [&] { cl.Run(); });
 
   // Frame 1 dropped; frame 2 corrupted at byte 3; frame 3 doubled; frame 4
   // clean. The duplicate trails its original by one serialization slot.
+  std::vector<uint8_t> markers;  // frame id (byte 63) per arrival at b
+  std::vector<uint8_t> byte3s;   // the corruption target byte per arrival
+  for (const std::vector<uint8_t>& bytes : cross.arrivals) {
+    markers.push_back(bytes[63]);
+    byte3s.push_back(bytes[3]);
+  }
   ASSERT_EQ(markers, (std::vector<uint8_t>{2, 3, 3, 4}));
   EXPECT_EQ(byte3s, (std::vector<uint8_t>{0xff, 0, 0, 0}));
-  EXPECT_EQ(a_rx, 1);
-  EXPECT_EQ(faults.stats().frames_seen, 4u);  // reverse direction unarmed
-  EXPECT_EQ(faults.stats().net_drops, 1u);
-  EXPECT_EQ(faults.stats().net_corruptions, 1u);
-  EXPECT_EQ(faults.stats().net_duplicates, 1u);
+  EXPECT_EQ(cross.a_rx, 1);
+  EXPECT_EQ(cross.stats.frames_seen, 4u);  // reverse direction unarmed
+  EXPECT_EQ(cross.stats.net_drops, 1u);
+  EXPECT_EQ(cross.stats.net_corruptions, 1u);
+  EXPECT_EQ(cross.stats.net_duplicates, 1u);
   // The executed schedule replays verbatim.
-  EXPECT_EQ(sim::FormatWireSchedule(faults.wire_events()), "d@1 c@2:3 u@3");
+  EXPECT_EQ(cross.executed, "d@1 c@2:3 u@3");
 
   int wire_begins = 0, dup_begins = 0, arrives = 0;
-  for (const trace::Record& r : tracer.Records()) {
-    if (r.kind == trace::Kind::kBegin && std::strcmp(r.name, "wire") == 0) {
+  for (const auto& [kind, name, time, arg] : cross.wire_records) {
+    if (kind == trace::Kind::kBegin && name == "wire") {
       ++wire_begins;
-    } else if (r.kind == trace::Kind::kBegin &&
-               std::strcmp(r.name, "wire_dup") == 0) {
+    } else if (kind == trace::Kind::kBegin && name == "wire_dup") {
       ++dup_begins;
-    } else if (r.kind == trace::Kind::kInstant &&
-               std::strcmp(r.name, "arrive") == 0) {
+    } else if (kind == trace::Kind::kInstant && name == "arrive") {
       ++arrives;
     }
   }
   EXPECT_EQ(wire_begins, 4);  // every frame serializes, even the dropped one
   EXPECT_EQ(dup_begins, 1);
   EXPECT_EQ(arrives, 3);      // the dropped frame never arrives
+
+  sim::Engine engine;
+  hw::Nic ra(0), rb(1);
+  hw::Link plain(&engine, 100.0, 25.0, 200);
+  plain.Connect(&ra, &rb);
+  const ScriptedBurst ref =
+      RunScriptedBurst(&plain, ra, rb, engine, [&] { engine.RunUntilIdle(); });
+  EXPECT_EQ(cross.arrival_times, ref.arrival_times);
+  EXPECT_EQ(cross.arrivals, ref.arrivals);
+  EXPECT_EQ(cross.fault_log, ref.fault_log);
+  EXPECT_EQ(cross.wire_records, ref.wire_records);
 }
 
 // ---- Balancer pin lifecycle (satellite: no stale pins) ----
@@ -505,7 +554,6 @@ std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed) {
   tc.seed = 99;
   tc.machine.mem_frames = 64;
   tc.machine.disks.clear();
-  tc.health.enabled = true;
   tc.health.interval_us = 500.0;  // 100k cycles at 200 MHz
   tc.health.timeout_us = 200.0;
   tc.health.fall = 2;
@@ -723,38 +771,37 @@ TEST(ClusterTest, RebootedServerFsckQuarantinesPreKillDiskCorruption) {
   Status good_read = Status::kNotFound;
   Status bad_read = Status::kOk;
   hw::FrameId good_frame = hw::kInvalidFrame;
-  topo.SetMachineLifecycleHooks(
-      [&](uint32_t) { xn->Crash(); },
-      [&](uint32_t) {
-        reborn = std::make_unique<xn::Xn>(&srv, &srv.disk());
-        reattach = reborn->Attach();
-        if (reattach != Status::kOk) {
-          return;
-        }
-        auto rf = srv.mem().Alloc();
-        EXO_CHECK(rf.ok());
-        EXO_CHECK_EQ(reborn->LoadRoot("fs", *rf, creds,
-                                      [&](Status s) {
-          if (s != Status::kOk) {
-            return;
-          }
-          auto gf = srv.mem().Alloc();
-          EXO_CHECK(gf.ok());
-          good_frame = *gf;
-          std::vector<hw::BlockId> want = {kids[1]};
-          std::vector<hw::FrameId> frames = {good_frame};
-          EXO_CHECK_EQ(reborn->ReadAndInsert(root, want, frames, creds,
-                                             [&](Status rs) { good_read = rs; }),
-                       Status::kOk);
-          auto bf = srv.mem().Alloc();
-          EXO_CHECK(bf.ok());
-          std::vector<hw::BlockId> doomed = {kids[0]};
-          std::vector<hw::FrameId> bframes = {*bf};
-          bad_read = reborn->ReadAndInsert(root, doomed, bframes, creds,
-                                           [](Status) {});
-        }),
-                     Status::kOk);
-      });
+  srv.AddKillListener([&] { xn->Crash(); });
+  srv.AddRebootListener([&] {
+    reborn = std::make_unique<xn::Xn>(&srv, &srv.disk());
+    reattach = reborn->Attach();
+    if (reattach != Status::kOk) {
+      return;
+    }
+    auto rf = srv.mem().Alloc();
+    EXO_CHECK(rf.ok());
+    EXO_CHECK_EQ(reborn->LoadRoot("fs", *rf, creds,
+                                  [&](Status s) {
+      if (s != Status::kOk) {
+        return;
+      }
+      auto gf = srv.mem().Alloc();
+      EXO_CHECK(gf.ok());
+      good_frame = *gf;
+      std::vector<hw::BlockId> want = {kids[1]};
+      std::vector<hw::FrameId> frames = {good_frame};
+      EXO_CHECK_EQ(reborn->ReadAndInsert(root, want, frames, creds,
+                                         [&](Status rs) { good_read = rs; }),
+                   Status::kOk);
+      auto bf = srv.mem().Alloc();
+      EXO_CHECK(bf.ok());
+      std::vector<hw::BlockId> doomed = {kids[0]};
+      std::vector<hw::FrameId> bframes = {*bf};
+      bad_read = reborn->ReadAndInsert(root, doomed, bframes, creds,
+                                       [](Status) {});
+    }),
+                 Status::kOk);
+  });
   const sim::Cycles t_kill = eng.now() + 50'000;
   topo.ApplyMachineSchedule({{t_kill, 'k', topo.server_id(0)},
                              {t_kill + 100'000, 'b', topo.server_id(0)}});

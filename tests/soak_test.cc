@@ -186,21 +186,15 @@ SoakResult RunSoak(const sim::FaultPlan& plan, uint64_t epochs) {
     if (server.stack().half_open_count(80) != 0) {
       fail("half-open count nonzero after drain", epochs);
     }
-    // Frame conservation: every frame a NIC transmitted is delivered, dropped
-    // by an injected wire fault, or dropped at a full rx ring; a duplicate adds
-    // one extra delivery.
+    // Frame conservation: every frame a NIC transmitted is delivered or
+    // dropped by an injected wire fault; a duplicate adds one extra delivery.
     const uint64_t tx = snic0.stats().tx_packets + snic1.stats().tx_packets +
                         snic2.stats().tx_packets + cnic0.stats().tx_packets +
                         cnic1.stats().tx_packets + cnic2.stats().tx_packets;
     const uint64_t rx = snic0.stats().rx_packets + snic1.stats().rx_packets +
                         snic2.stats().rx_packets + cnic0.stats().rx_packets +
                         cnic1.stats().rx_packets + cnic2.stats().rx_packets;
-    const uint64_t overflows =
-        snic0.stats().rx_overflows + snic1.stats().rx_overflows +
-        snic2.stats().rx_overflows + cnic0.stats().rx_overflows +
-        cnic1.stats().rx_overflows + cnic2.stats().rx_overflows;
-    if (tx + faults.stats().net_duplicates !=
-        rx + overflows + faults.stats().net_drops) {
+    if (tx + faults.stats().net_duplicates != rx + faults.stats().net_drops) {
       fail("frames leaked on the wire (tx != rx + drops)", epochs);
     }
   }
@@ -1093,7 +1087,6 @@ FleetResult RunFleet(const std::vector<sim::MachineEvent>& schedule,
   tc.seed = 11;
   tc.machine.mem_frames = 64;
   tc.machine.disks.clear();
-  tc.health.enabled = true;
   tc.health.interval_us = 300.0;  // 60k cycles at 200 MHz
   tc.health.timeout_us = 100.0;
   tc.health.fall = 2;
