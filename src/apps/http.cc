@@ -65,7 +65,8 @@ HttpServer::HttpServer(sim::Engine* engine, const sim::CostModel* cost, ServerSt
       style_(style),
       cpu_(engine),
       options_(options),
-      checksums_(cost, [this](sim::Cycles c) { cpu_.Occupy(c); }) {
+      own_documents_(cost),
+      documents_(options.documents != nullptr ? options.documents : &own_documents_) {
   if (options_.response_cache_entries != 0) {
     cache_ = std::make_unique<net::HttpResponseCache>(options_.response_cache_entries);
   }
@@ -103,13 +104,7 @@ void HttpServer::AttachNic(hw::Nic* nic, net::IpAddr peer_ip) {
 }
 
 void HttpServer::AddDocument(const std::string& name, std::vector<uint8_t> content) {
-  if (options_.documents != nullptr) {
-    // Shared libFS store: bytes pinned there, checksums computed at write time.
-    options_.documents->Put(name, std::move(content));
-    return;
-  }
-  docs_[name] = std::move(content);
-  doc_ids_[name] = next_doc_id_++;
+  documents_->Put(name, std::move(content));  // checksums computed at write time
 }
 
 void HttpServer::SetOverloadPolicy(const net::ServerOverloadPolicy& policy) {
@@ -240,23 +235,24 @@ void HttpServer::FinishResponse(net::TcpConn* conn, bool keep_alive) {
 }
 
 void HttpServer::SendPrepared(net::TcpConn* conn, const net::HttpResponseCache::Entry& e) {
-  const net::DocumentStore::Doc* doc = e.doc;
-  if (doc == nullptr || doc->bytes.empty()) {
+  const net::DocumentStore::Doc& doc = *e.doc;
+  if (doc.bytes.empty()) {
     conn->Send(e.header);
     return;
   }
+  net::PinnedBytes body{e.doc, doc.bytes, doc.checksums};
   if (options_.gather_tx && e.header.size() % 2 == 0 &&
-      e.header.size() + doc->bytes.size() <= net::kMss) {
+      e.header.size() + doc.bytes.size() <= net::kMss) {
     // One wire segment: copied header + zero-copy body, checksum stapled from
     // the stored sums — the CPU never touches the payload, and small responses
     // cost one frame instead of two.
-    conn->SendGather(e.header, doc->bytes,
-                     net::ChecksumCombine(e.header_checksum, doc->checksums[0]));
+    conn->SendGather(e.header, std::move(body),
+                     net::ChecksumCombine(e.header_checksum, doc.checksums[0]));
     ++gather_sends_;
     return;
   }
   conn->Send(e.header);
-  conn->Send(doc->bytes, doc->checksums);
+  conn->Send(std::move(body));
 }
 
 void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
@@ -309,9 +305,13 @@ void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
   }
   const char* version = options_.persistent ? "HTTP/1.1" : "HTTP/1.0";
 
+  // The request's one store lookup: it pins the current version, which the
+  // response cache checks its entry against and the response body rides on.
+  std::shared_ptr<const net::DocumentStore::Doc> doc = documents_->Pin(name);
+
   // Response-cache fast path: one probe replaces the whole per-request OS walk.
-  if (cache_ != nullptr && options_.documents != nullptr) {
-    if (const net::HttpResponseCache::Entry* e = cache_->Get(name); e != nullptr) {
+  if (cache_ != nullptr) {
+    if (const net::HttpResponseCache::Entry* e = cache_->Get(name, doc.get()); e != nullptr) {
       cpu_.Occupy(kCacheHitCost);
       ++requests_;
       SendPrepared(conn, *e);
@@ -320,24 +320,15 @@ void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
     }
   }
 
-  const std::vector<uint8_t>* body_ptr = nullptr;
-  const net::DocumentStore::Doc* doc = nullptr;
-  if (options_.documents != nullptr) {
-    doc = options_.documents->Find(name);
-    body_ptr = doc != nullptr ? &doc->bytes : nullptr;
-  } else {
-    auto it = docs_.find(name);
-    body_ptr = it != docs_.end() ? &it->second : nullptr;
-  }
   std::string header;
-  if (body_ptr == nullptr) {
+  if (doc == nullptr) {
     header = std::string(version) + " 404 Not Found\r\nContent-Length: 0\r\n\r\n";
     cpu_.Occupy(1'000);
     conn->Send(std::vector<uint8_t>(header.begin(), header.end()));
     FinishResponse(conn, keep_alive);
     return;
   }
-  const std::vector<uint8_t>& body = *body_ptr;
+  const size_t body_size = doc->bytes.size();
   const bool tracing = tracer_ != nullptr && tracer_->enabled(trace::Category::kApp);
   // The copy portion of the OS path is file-cache work; the remainder is the
   // syscall path. Splitting the single Occupy keeps the total cycles identical
@@ -345,9 +336,9 @@ void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
   sim::Cycles copy_part = 0;
   if (style_ == ServerStyle::kNcsaBsd || style_ == ServerStyle::kSocketBsd ||
       style_ == ServerStyle::kSocketXok) {
-    copy_part = cost_->CopyCost(body.size());
+    copy_part = cost_->CopyCost(body_size);
   }
-  const sim::Cycles os_part = PerRequestOsCost(body.size()) - copy_part;
+  const sim::Cycles os_part = PerRequestOsCost(body_size) - copy_part;
   sim::Cycles done = cpu_.Occupy(os_part);
   if (tracing && os_part > 0) {
     tracer_->Begin(trace::Category::kSyscall, trace_track_, "os", done - os_part, os_part);
@@ -364,48 +355,40 @@ void HttpServer::ServeOne(net::TcpConn* conn, const std::string& buf) {
   ++requests_;
 
   header = std::string(version) +
-           " 200 OK\r\nContent-Length: " + std::to_string(body.size());
+           " 200 OK\r\nContent-Length: " + std::to_string(body_size);
   if ((cache_ != nullptr || options_.gather_tx) && (header.size() + 4) % 2 != 0) {
     header += ' ';  // even-length pad: lets the stored body checksum staple on
   }
   header += "\r\n\r\n";
-  if (style_ == ServerStyle::kCheetah && doc != nullptr) {
-    // Full Cheetah path off the shared store: prepared header + stored body
-    // checksums, optionally cached and/or gathered into one segment.
+  if (style_ == ServerStyle::kCheetah) {
+    // Prepared header + the pinned version's bytes and stored checksums, the
+    // CPU never touching the payload (Sec. 7.3); optionally cached and/or
+    // gathered into one segment.
     net::HttpResponseCache::Entry e;
     e.header.assign(header.begin(), header.end());
     if (cache_ != nullptr || options_.gather_tx) {
       cpu_.Occupy(cost_->ChecksumCost(e.header.size()));
       e.header_checksum = net::Checksum(e.header);
     }
-    e.doc = doc;
-    e.doc_generation = doc->generation;
+    e.doc = std::move(doc);
     if (cache_ != nullptr) {
       SendPrepared(conn, *cache_->Put(name, std::move(e)));
     } else {
       SendPrepared(conn, e);
     }
-  } else if (style_ == ServerStyle::kCheetah) {
-    // Header: small copied segment. Body: straight from the file cache, with the
-    // file's stored checksums — the CPU never touches the payload (Sec. 7.3).
-    conn->Send(std::vector<uint8_t>(header.begin(), header.end()));
-    if (!body.empty()) {
-      const auto& sums = checksums_.For(doc_ids_[name], body);
-      conn->Send(body, sums);
-    }
   } else {
     std::vector<uint8_t> response(header.begin(), header.end());
-    response.insert(response.end(), body.begin(), body.end());
-    conn->Send(response);
+    response.insert(response.end(), doc->bytes.begin(), doc->bytes.end());
+    conn->Send(std::move(response));
   }
   FinishResponse(conn, keep_alive);
   if (tracing) {
     // The request's CPU window: parse through the last transmit Occupy. Windows
     // are serialized on the meter, so these spans never interleave.
     tracer_->Begin(trace::Category::kApp, trace_track_, "http.request",
-                   parse_done - kParseCost, body.size());
+                   parse_done - kParseCost, body_size);
     tracer_->End(trace::Category::kApp, trace_track_, "http.request", cpu_.busy_until(),
-                 body.size());
+                 body_size);
   }
 }
 

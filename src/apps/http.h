@@ -44,11 +44,11 @@ struct HttpServerOptions {
   // Keep connections open and answer pipelined requests in arrival order
   // (responses carry HTTP/1.1). Off: one request per connection, server closes.
   bool persistent = false;
-  // Shared libFS document store: bodies are served from its pinned bytes with
-  // its stored per-MSS checksums (computed at file-write time, not lazily per
-  // server). nullptr: per-server docs_ + lazy ChecksumCache as before.
+  // Shared libFS document store: bodies are served from its bytes with its
+  // stored per-MSS checksums (computed at file-write time). nullptr: the
+  // server keeps a store of its own.
   net::DocumentStore* documents = nullptr;
-  // LRU response cache capacity (prepared header + checksum + body pointer),
+  // LRU response cache capacity (prepared header + checksum + body pin),
   // shared across requests. 0 = no cache.
   size_t response_cache_entries = 0;
   // Cheetah only: transmit header+body in one gather segment when they fit one
@@ -64,7 +64,8 @@ class HttpServer {
   // Attaches a NIC; frames to `peer_ip` leave through it (one client per link).
   void AttachNic(hw::Nic* nic, net::IpAddr peer_ip);
 
-  // Registers a document (contents stay stable: they are the file cache).
+  // Writes a document into the server's store (a new version if the name
+  // exists; responses still in flight keep the version they pinned).
   void AddDocument(const std::string& name, std::vector<uint8_t> content);
 
   // Installs the overload policy. Must precede Listen (the listen backlog is
@@ -112,9 +113,9 @@ class HttpServer {
   // HTTP/1.1 (a 1.0 client on an armed server still learns end-of-body from
   // the close, so mixed tenants can share one server).
   void FinishResponse(net::TcpConn* conn, bool keep_alive);
-  // Transmits a prepared (header, store-backed body) response: one gather
-  // segment with a stapled checksum when configured and it fits, else header
-  // and zero-copy body as separate sends.
+  // Transmits a prepared (header, pinned body) response: one gather segment
+  // with a stapled checksum when configured and it fits, else the header and
+  // the pinned body as separate sends.
   void SendPrepared(net::TcpConn* conn, const net::HttpResponseCache::Entry& e);
 
   sim::Engine* engine_;
@@ -128,10 +129,8 @@ class HttpServer {
   HttpServerOptions options_;
   std::unique_ptr<net::HttpResponseCache> cache_;
   uint64_t gather_sends_ = 0;
-  std::map<std::string, std::vector<uint8_t>> docs_;
-  net::ChecksumCache checksums_;
-  std::map<std::string, uint64_t> doc_ids_;
-  uint64_t next_doc_id_ = 1;
+  net::DocumentStore own_documents_;  // used when options_.documents is null
+  net::DocumentStore* documents_;     // every response's body source
   uint64_t requests_ = 0;
   std::map<net::TcpConn*, std::string> partial_;  // request bytes per connection
   net::ServerOverloadPolicy policy_;

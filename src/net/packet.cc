@@ -95,34 +95,4 @@ std::optional<TcpSegment> DecodeTcp(const hw::Packet& p) {
   return s;
 }
 
-hw::Packet EncodeUdp(const UdpDatagram& d) {
-  hw::Packet p;
-  p.bytes.reserve(kIpHeaderBytes + kUdpHeaderBytes + d.payload.size());
-  p.bytes.push_back(kProtoUdp);
-  PutU32(p.bytes, d.src_ip);
-  PutU32(p.bytes, d.dst_ip);
-  PutU16(p.bytes, 0);
-  p.bytes.push_back(0);
-  PutU16(p.bytes, d.src_port);
-  PutU16(p.bytes, d.dst_port);
-  PutU16(p.bytes, static_cast<uint16_t>(d.payload.size()));
-  PutU16(p.bytes, 0);
-  p.bytes.insert(p.bytes.end(), d.payload.begin(), d.payload.end());
-  return p;
-}
-
-std::optional<UdpDatagram> DecodeUdp(const hw::Packet& p) {
-  if (p.bytes.size() < kIpHeaderBytes + kUdpHeaderBytes || p.bytes[0] != kProtoUdp) {
-    return std::nullopt;
-  }
-  UdpDatagram d;
-  std::span<const uint8_t> b = p.bytes;
-  d.src_ip = GetU32(b, 1);
-  d.dst_ip = GetU32(b, 5);
-  d.src_port = GetU16(b, kIpHeaderBytes);
-  d.dst_port = GetU16(b, kIpHeaderBytes + 2);
-  d.payload.assign(b.begin() + kIpHeaderBytes + kUdpHeaderBytes, b.end());
-  return d;
-}
-
 }  // namespace exo::net

@@ -1,4 +1,4 @@
-// Wire formats for the simulated network: a compact IP+TCP/UDP header pair.
+// Wire formats for the simulated network: a compact IP+TCP header pair.
 //
 // Links are point-to-point, so no Ethernet addressing is needed; frames carry an IP
 // header directly. Checksums are real (computed over payload bytes), because the
@@ -21,11 +21,10 @@ using IpAddr = uint32_t;
 using Port = uint16_t;
 
 constexpr uint8_t kProtoTcp = 6;
-constexpr uint8_t kProtoUdp = 17;
+constexpr uint8_t kProtoUdp = 17;  // non-TCP frames in demux tests and benches
 
 constexpr uint32_t kIpHeaderBytes = 12;
 constexpr uint32_t kTcpHeaderBytes = 20;
-constexpr uint32_t kUdpHeaderBytes = 8;
 constexpr uint32_t kMss = hw::kMaxFrameBytes - kIpHeaderBytes - kTcpHeaderBytes;  // 1482
 
 enum TcpFlags : uint8_t {
@@ -46,14 +45,6 @@ struct TcpSegment {
   uint8_t flags = 0;
   uint16_t window = 0;
   uint32_t checksum = 0;
-  std::vector<uint8_t> payload;
-};
-
-struct UdpDatagram {
-  IpAddr src_ip = 0;
-  IpAddr dst_ip = 0;
-  Port src_port = 0;
-  Port dst_port = 0;
   std::vector<uint8_t> payload;
 };
 
@@ -78,8 +69,6 @@ hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> payload);
 hw::Packet EncodeTcp(const TcpSegment& seg, std::span<const uint8_t> head,
                      std::span<const uint8_t> tail);
 std::optional<TcpSegment> DecodeTcp(const hw::Packet& p);
-hw::Packet EncodeUdp(const UdpDatagram& d);
-std::optional<UdpDatagram> DecodeUdp(const hw::Packet& p);
 
 // Protocol byte at a fixed offset, so UDF packet filters can demultiplex:
 //   offset 0: u8 proto; 1..4 src_ip; 5..8 dst_ip; then the transport header with

@@ -9,6 +9,20 @@ namespace exo::net {
 
 namespace {
 constexpr uint32_t kInitialSeq = 1000;
+constexpr uint32_t kWindowBytes = 48 * 1024;  // fixed send window
+// Control-block setup: fresh, or recycled from the pool (TcpProfile::pcb_reuse).
+constexpr sim::Cycles kPcbAllocCycles = 700;
+constexpr sim::Cycles kPcbReuseCycles = 90;
+constexpr sim::Cycles kDelayedAckUs = 2'000;  // piggyback_ack: longest ACK hold
+// Retransmission timer: the RTO before the first RTT sample, and the clamp
+// on every RTO after it (backoff included).
+constexpr sim::Cycles kInitialRtoUs = 50'000;
+constexpr sim::Cycles kMinRtoUs = 5'000;
+constexpr sim::Cycles kMaxRtoUs = 4'000'000;
+// A connection that sent its FIN (kFinWait) but whose peer goes silent is
+// force-closed after this long — the TIME_WAIT-style reaper that keeps
+// half-closed PCBs from leaking when the peer dies.
+constexpr sim::Cycles kFinWaitTimeoutUs = 1'000'000;
 // Sequence-space compare: a >= b under 32-bit wraparound.
 inline bool SeqGe(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) >= 0; }
 }  // namespace
@@ -37,7 +51,7 @@ TcpConn* TcpStack::NewConn() {
     auto conn = std::move(pcb_pool_.back());
     pcb_pool_.pop_back();
     ++stats_.pcb_reused;
-    Occupy(profile_.pcb_reuse_cost);
+    Occupy(kPcbReuseCycles);
     *conn = TcpConn{};
     conn->stack_ = this;
     TcpConn* raw = conn.get();
@@ -45,7 +59,7 @@ TcpConn* TcpStack::NewConn() {
     tmp_ = std::move(conn);
     return raw;
   }
-  Occupy(profile_.pcb_alloc);
+  Occupy(kPcbAllocCycles);
   auto conn = std::make_unique<TcpConn>();
   conn->stack_ = this;
   TcpConn* raw = conn.get();
@@ -161,7 +175,7 @@ void TcpStack::ScheduleDelayedAck(TcpConn* c) {
   }
   ConnKey key = Key(c->peer_ip_, c->peer_port_, c->local_port_);
   c->ack_timer_ = hooks_.engine->ScheduleAfter(
-      profile_.delayed_ack_timeout_us * hooks_.cost->cpu_mhz, [this, key] {
+      kDelayedAckUs * hooks_.cost->cpu_mhz, [this, key] {
         auto it = conns_.find(key);
         if (it != conns_.end() && it->second->ack_pending_) {
           it->second->ack_timer_ = 0;
@@ -174,7 +188,7 @@ void TcpStack::PumpSendQueue(TcpConn* c) {
   while (!c->send_queue_.empty()) {
     uint32_t in_flight = c->snd_next_ - c->snd_una_;
     const auto& head = c->send_queue_.front();
-    if (in_flight + head.size() > profile_.window_bytes) {
+    if (in_flight + head.size() > kWindowBytes) {
       break;
     }
     TcpConn::PendingSegment seg = std::move(c->send_queue_.front());
@@ -206,44 +220,48 @@ void TcpStack::PumpSendQueue(TcpConn* c) {
   }
 }
 
-void TcpConn::Send(std::span<const uint8_t> data, std::span<const uint32_t> checksums) {
+void TcpConn::Send(std::vector<uint8_t> data) {
   EXO_CHECK(stack_ != nullptr);
-  size_t seg_index = 0;
-  for (size_t off = 0; off < data.size(); off += kMss, ++seg_index) {
-    size_t n = std::min<size_t>(kMss, data.size() - off);
-    PendingSegment seg;
-    if (stack_->profile_.zero_copy_tx) {
-      // Merged file cache and retransmission pool: reference, don't copy.
-      seg.stable = data.subspan(off, n);
-    } else {
+  if (data.size() > kMss) {
+    for (size_t off = 0; off < data.size(); off += kMss) {
+      const size_t n = std::min<size_t>(kMss, data.size() - off);
+      PendingSegment seg;
       seg.owned.assign(data.begin() + static_cast<long>(off),
                        data.begin() + static_cast<long>(off + n));
+      send_queue_.push_back(std::move(seg));
     }
-    if (seg_index < checksums.size()) {
-      seg.checksum = checksums[seg_index];
+  } else if (!data.empty()) {
+    PendingSegment seg;
+    seg.owned = std::move(data);  // one segment: keep the caller's buffer
+    send_queue_.push_back(std::move(seg));
+  }
+  stack_->PumpSendQueue(this);
+}
+
+void TcpConn::Send(PinnedBytes data) {
+  EXO_CHECK(stack_ != nullptr);
+  EXO_CHECK(data.owner != nullptr);
+  size_t seg_index = 0;
+  for (size_t off = 0; off < data.bytes.size(); off += kMss, ++seg_index) {
+    PendingSegment seg;
+    seg.stable = data.bytes.subspan(off, std::min<size_t>(kMss, data.bytes.size() - off));
+    seg.owner = data.owner;
+    if (seg_index < data.checksums.size()) {
+      seg.checksum = data.checksums[seg_index];
     }
     send_queue_.push_back(std::move(seg));
   }
   stack_->PumpSendQueue(this);
 }
 
-void TcpConn::SendGather(std::span<const uint8_t> header, std::span<const uint8_t> body,
-                         uint32_t checksum) {
+void TcpConn::SendGather(std::vector<uint8_t> header, PinnedBytes body, uint32_t checksum) {
   EXO_CHECK(stack_ != nullptr);
-  if (header.size() + body.size() > kMss || header.size() % 2 != 0) {
-    // Too big for one segment (or the combined checksum would be misaligned):
-    // degrade to the unbatched path.
-    Send(header);
-    Send(body);
-    return;
-  }
+  EXO_CHECK(body.owner != nullptr);
+  EXO_CHECK(header.size() % 2 == 0 && header.size() + body.bytes.size() <= kMss);
   PendingSegment seg;
-  seg.owned.assign(header.begin(), header.end());
-  if (stack_->profile_.zero_copy_tx) {
-    seg.stable = body;  // file cache doubles as the retransmission pool
-  } else {
-    seg.owned.insert(seg.owned.end(), body.begin(), body.end());
-  }
+  seg.owned = std::move(header);
+  seg.stable = body.bytes;
+  seg.owner = std::move(body.owner);
   seg.checksum = checksum;
   send_queue_.push_back(std::move(seg));
   stack_->PumpSendQueue(this);
@@ -262,13 +280,13 @@ void TcpConn::Close() {
 
 sim::Cycles TcpStack::RtoCycles(TcpConn* c) {
   const sim::Cycles mhz = hooks_.cost->cpu_mhz;
-  // rto_us is the initial RTO; the estimator takes over at the first sample.
+  // The initial RTO holds until the estimator's first sample.
   sim::Cycles rto = c->rtt_valid_
                         ? c->srtt_ + std::max<sim::Cycles>(4 * c->rttvar_, mhz)
-                        : profile_.rto_us * mhz;
-  rto = std::clamp(rto, profile_.rto_min_us * mhz, profile_.rto_max_us * mhz);
+                        : kInitialRtoUs * mhz;
+  rto = std::clamp(rto, kMinRtoUs * mhz, kMaxRtoUs * mhz);
   if (c->backoff_ > 0) {
-    const sim::Cycles max_rto = profile_.rto_max_us * mhz;
+    const sim::Cycles max_rto = kMaxRtoUs * mhz;
     const uint32_t shift = std::min<uint32_t>(c->backoff_, 20);
     rto = rto > (max_rto >> shift) ? max_rto : (rto << shift);
     // Deterministic seeded jitter desynchronizes retry storms without breaking
@@ -296,7 +314,7 @@ void TcpStack::OnRto(TcpConn* c) {
   if (c->unacked_.empty()) {
     return;
   }
-  if (profile_.max_retransmits != 0 && c->backoff_ >= profile_.max_retransmits) {
+  if (c->backoff_ >= profile_.max_retransmits) {
     // Retry budget exhausted: the peer is gone (or the path is dead). Abort
     // rather than retry forever — under sustained loss this is what turns an
     // unbounded PCB leak into bounded, observable failure.
@@ -319,8 +337,9 @@ void TcpStack::OnRto(TcpConn* c) {
   } else if (seg.fin) {
     when = Emit(c, kFlagFin, seg.seq, {}, 0, false, false);
   } else {
-    // Retransmission reads the (still pinned) data; zero-copy pays no copy here
-    // either — the file cache is the retransmission pool.
+    // Retransmission reads the segment's own bytes: owned, or kept alive by
+    // its pin. Zero-copy pays no copy here either — the file cache is the
+    // retransmission pool.
     const bool precomputed = seg.checksum != 0;
     when = Emit(c, kFlagPsh, seg.seq, seg.head(),
                 precomputed ? seg.checksum : Checksum(seg.head()),
@@ -333,10 +352,10 @@ void TcpStack::OnRto(TcpConn* c) {
 }
 
 void TcpStack::ArmFinWaitReaper(TcpConn* c) {
-  if (profile_.fin_wait_timeout_us == 0 || c->reap_deadline_ != 0) {
+  if (c->reap_deadline_ != 0) {
     return;
   }
-  AddReapDeadline(c, hooks_.engine->now() + profile_.fin_wait_timeout_us * hooks_.cost->cpu_mhz);
+  AddReapDeadline(c, hooks_.engine->now() + kFinWaitTimeoutUs * hooks_.cost->cpu_mhz);
 }
 
 void TcpStack::AddReapDeadline(TcpConn* c, sim::Cycles deadline) {
@@ -717,7 +736,7 @@ std::string TcpStack::CheckInvariants() const {
       return "snd_una passed snd_next (cumulative ACK regressed)";
     }
     // SYN and FIN each occupy one sequence number beyond the data window.
-    if (static_cast<uint32_t>(in_flight) > profile_.window_bytes + 2) {
+    if (static_cast<uint32_t>(in_flight) > kWindowBytes + 2) {
       return "in-flight bytes exceed the send window";
     }
     uint32_t expect = c.snd_una_;

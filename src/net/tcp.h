@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,36 +50,34 @@ struct TcpProfile {
   bool checksum_tx = true;      // compute checksum on send (off when precomputed)
   bool checksum_rx = true;      // verify checksum on receive
   bool piggyback_ack = false;   // Cheetah: delay ACKs to merge them into responses
-  bool zero_copy_tx = false;    // retransmit pool IS the file cache (no tx copy)
+  bool zero_copy_tx = false;    // transmit charges no payload copy (Cheetah's cost)
   bool pcb_reuse = false;       // recycle protocol control blocks
-  sim::Cycles pcb_alloc = 700;  // fresh control-block setup
-  sim::Cycles pcb_reuse_cost = 90;
-  sim::Cycles delayed_ack_timeout_us = 2000;
 
   // ---- Retransmission timer ----
-  // `rto_us` is the *initial* retransmission timeout, used only until the first
-  // RTT sample lands; from then on the timer follows Jacobson's estimator,
-  // RTO = SRTT + max(4*RTTVAR, 1us), clamped to [rto_min_us, rto_max_us].
-  // Consecutive timeouts on the same connection double the timer (exponential
-  // backoff, capped at rto_max_us) and add a deterministic jitter in [0, RTO/8]
-  // drawn from a per-stack Rng seeded with `rto_jitter_seed` — two runs with
-  // the same seed retransmit at identical times.
-  sim::Cycles rto_us = 50'000;
-  sim::Cycles rto_min_us = 5'000;
-  sim::Cycles rto_max_us = 4'000'000;
+  // The initial RTO holds until the first RTT sample lands; from then on the
+  // timer follows Jacobson's estimator, RTO = SRTT + max(4*RTTVAR, 1us),
+  // clamped to a fixed [min, max] (tcp.cc). Consecutive timeouts on the same
+  // connection double the timer (exponential backoff, capped at the max) and
+  // add a deterministic jitter in [0, RTO/8] drawn from a per-stack Rng seeded
+  // with `rto_jitter_seed` — two runs with the same seed retransmit at
+  // identical times.
   uint64_t rto_jitter_seed = 0x5eed;
   // Consecutive timeouts on one connection before it is aborted: an RST is
   // emitted (except from kSynSent, where the peer never spoke), the close
   // callback fires with aborted() set, and the PCB is reaped. This budget is
   // also what reaps a kSynRcvd connection whose handshake never completes.
-  // 0 = retry forever (the pre-abort behavior).
   uint32_t max_retransmits = 8;
-  // A connection that sent its FIN (kFinWait) but whose peer goes silent is
-  // force-closed after this long — the TIME_WAIT-style reaper that keeps
-  // half-closed PCBs from leaking when the peer dies. 0 disables.
-  sim::Cycles fin_wait_timeout_us = 1'000'000;
+};
 
-  uint32_t window_bytes = 48 * 1024;
+// Caller bytes that TCP transmits by reference (Cheetah's merged file cache and
+// retransmission pool, Sec. 7.3): `bytes` stays valid while `owner` lives, and
+// every segment carrying them holds a copy of `owner` until the segment is
+// acknowledged, aborted or shut down. `checksums` are the stored per-MSS sums
+// of `bytes` (one per segment); where absent, the stack computes the sum.
+struct PinnedBytes {
+  std::shared_ptr<const void> owner;
+  std::span<const uint8_t> bytes;
+  std::span<const uint32_t> checksums;
 };
 
 struct TcpStats {
@@ -115,20 +114,20 @@ class TcpConn {
     kClosed,
   };
 
-  // Queues payload; segments drain as window opens. With `precomputed_checksums`
-  // (one per MSS segment) the stack skips checksum computation (Cheetah). With the
-  // zero-copy profile the data must stay stable until acked (it lives in the file
-  // cache, which doubles as the retransmission pool).
-  void Send(std::span<const uint8_t> data,
-            std::span<const uint32_t> precomputed_checksums = {});
+  // Queues payload; segments drain as the window opens. The stack owns `data`
+  // from here on and keeps its segments until they are acknowledged.
+  void Send(std::vector<uint8_t> data);
+  // Queues pinned bytes by reference, without copying them. Each segment
+  // holds a copy of `data.owner`, which must be non-null, until it is
+  // acknowledged; a segment with a stored checksum goes out without the stack
+  // summing its bytes.
+  void Send(PinnedBytes data);
   // Batched header+body transmission in one segment (Cheetah's HTML-aware
-  // gather): `header` is copied into the segment, `body` rides zero-copy from
-  // the file cache, and `checksum` covers the concatenation (combine the
-  // rendered header's sum with the file's stored body sum via ChecksumCombine —
-  // valid because the header is padded to even length). Falls back to two plain
-  // Sends when header+body exceed one MSS.
-  void SendGather(std::span<const uint8_t> header, std::span<const uint8_t> body,
-                  uint32_t checksum);
+  // gather): the stack owns `header`, `body` rides by reference, and
+  // `checksum` covers the concatenation (combine the rendered header's sum
+  // with the body's stored sum via ChecksumCombine). The header must have even
+  // length, so that combination is valid, and header+body must fit one MSS.
+  void SendGather(std::vector<uint8_t> header, PinnedBytes body, uint32_t checksum);
   // Half-close after all queued data is acknowledged.
   void Close();
 
@@ -155,11 +154,12 @@ class TcpConn {
  private:
   friend class TcpStack;
   struct PendingSegment {
-    // Payload = owned ‖ stable. Plain sends fill exactly one of the two; a
-    // gather send owns the copied header in `owned` and references the
-    // file-cache body through `stable`.
-    std::vector<uint8_t> owned;          // copy (normal path / gather header)
-    std::span<const uint8_t> stable;     // zero-copy path
+    // Payload = owned ‖ stable. A plain send fills `owned`, a pinned send
+    // fills `stable`, and a gather send fills both (header, then body).
+    // `owner` keeps `stable` alive for as long as this segment exists.
+    std::vector<uint8_t> owned;
+    std::span<const uint8_t> stable;
+    std::shared_ptr<const void> owner;
     uint32_t checksum = 0;
     uint32_t seq = 0;
     bool fin = false;

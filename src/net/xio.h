@@ -2,10 +2,14 @@
 //
 // XIO exists so application writers can "exploit domain-specific knowledge" without
 // tricking the OS. The pieces Cheetah uses:
-//   - ChecksumCache: per-file precomputed TCP checksums, stored with the file and
-//     computed once; transmission then never touches the data with the CPU.
-//   - The merged file-cache/retransmission-pool convention: callers pass stable
-//     cache spans to TcpConn::Send under a zero-copy profile.
+//   - DocumentStore: file bytes with per-MSS TCP checksums computed when the
+//     file is written and stored with it; transmission then never touches the
+//     data with the CPU.
+//   - The merged file-cache/retransmission-pool: a pinned document version is
+//     handed to TcpConn::Send as PinnedBytes, and TCP holds the pin until the
+//     bytes are acknowledged.
+//   - HttpResponseCache: prepared response headers, keyed to the document
+//     version they were rendered against.
 //   - Ready-made TcpProfiles for each server configuration measured in Figure 3.
 #ifndef EXO_NET_XIO_H_
 #define EXO_NET_XIO_H_
@@ -14,6 +18,8 @@
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -43,63 +49,17 @@ struct ServerOverloadPolicy {
   sim::Cycles request_deadline_us = 0;
 };
 
-// Computes and caches per-MSS-segment checksums for stable buffers keyed by an
-// application-chosen id (Cheetah keys by file). The first request charges the
-// checksum cost; later requests are free — the point of storing checksums with the
-// file (Sec. 7.3, "Merged File Cache and Retransmission Pool").
-class ChecksumCache {
- public:
-  using ChargeFn = std::function<void(sim::Cycles)>;
-
-  ChecksumCache(const sim::CostModel* cost, ChargeFn charge)
-      : cost_(cost), charge_(std::move(charge)) {}
-
-  const std::vector<uint32_t>& For(uint64_t key, std::span<const uint8_t> data) {
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      ++hits_;
-      return it->second;
-    }
-    if (charge_) {
-      charge_(cost_->ChecksumCost(data.size()));
-    }
-    std::vector<uint32_t> sums;
-    for (size_t off = 0; off < data.size(); off += kMss) {
-      size_t n = std::min<size_t>(kMss, data.size() - off);
-      sums.push_back(Checksum(data.subspan(off, n)));
-    }
-    ++misses_;
-    return cache_.emplace(key, std::move(sums)).first->second;
-  }
-
-  void Invalidate(uint64_t key) { cache_.erase(key); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-
- private:
-  const sim::CostModel* cost_;
-  ChargeFn charge_;
-  std::map<uint64_t, std::vector<uint32_t>> cache_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
-
 // The libFS-side document registry: file bytes plus their per-MSS checksums,
-// computed once when the file is written and *stored with the file* — the full
-// Cheetah discipline (Sec. 7.3), one step past ChecksumCache's lazy per-server
-// memo. Every server instance sharing the store sees the same pinned bytes
-// (they double as the zero-copy retransmission pool) and the same checksums.
-// Mutations (Put over an existing name, Truncate) recompute the checksums and
-// bump the generation so response caches can detect staleness; callers must
-// quiesce in-flight zero-copy transmissions first, exactly as a real merged
-// file-cache/retransmission-pool requires.
+// computed once when the file is written and *stored with the file* (Sec.
+// 7.3). Every server instance sharing the store sees the same bytes and the
+// same checksums. Each write installs a new version, so a Pin taken earlier
+// keeps the version it saw alive and unchanged: that is what lets the bytes
+// double as the zero-copy retransmission pool while documents are rewritten.
 class DocumentStore {
  public:
   using ChargeFn = std::function<void(sim::Cycles)>;
 
   struct Doc {
-    uint64_t id = 0;
-    uint64_t generation = 1;
     std::vector<uint8_t> bytes;
     std::vector<uint32_t> checksums;  // one per MSS segment of `bytes`
   };
@@ -107,85 +67,67 @@ class DocumentStore {
   DocumentStore(const sim::CostModel* cost, ChargeFn charge = {})
       : cost_(cost), charge_(std::move(charge)) {}
 
-  // Writes (or rewrites) a document. The checksum cost is charged here, at
-  // file-write time, never on the serving path.
+  // Writes (or rewrites) a document as a new version. The checksum cost is
+  // charged here, at file-write time, never on the serving path.
   const Doc* Put(const std::string& name, std::vector<uint8_t> bytes) {
-    Doc& d = docs_[name];
-    if (d.id == 0) {
-      d.id = next_id_++;
-    } else {
-      ++d.generation;  // rewrite: every cached reference to the old bytes is stale
+    auto d = std::make_shared<Doc>();
+    d->bytes = std::move(bytes);
+    if (charge_) {
+      charge_(cost_->ChecksumCost(d->bytes.size()));
     }
-    d.bytes = std::move(bytes);
-    Resum(d);
-    return &d;
+    std::span<const uint8_t> data = d->bytes;
+    for (size_t off = 0; off < data.size(); off += kMss) {
+      const size_t n = std::min<size_t>(kMss, data.size() - off);
+      d->checksums.push_back(Checksum(data.subspan(off, n)));
+    }
+    const Doc* current = d.get();
+    docs_[name] = std::move(d);  // the replaced version lives on while pinned
+    return current;
   }
 
-  // Shrinks a document in place. Returns false if it does not exist or would
-  // grow. The tail segment's checksum changes, so all checksums are recomputed.
-  bool Truncate(const std::string& name, size_t new_size) {
-    auto it = docs_.find(name);
-    if (it == docs_.end() || new_size > it->second.bytes.size()) {
-      return false;
-    }
-    Doc& d = it->second;
-    ++d.generation;
-    d.bytes.resize(new_size);
-    Resum(d);
-    return true;
-  }
-
+  // The current version, or nullptr.
   const Doc* Find(const std::string& name) const {
     auto it = docs_.find(name);
-    return it != docs_.end() ? &it->second : nullptr;
+    return it != docs_.end() ? it->second.get() : nullptr;
   }
 
-  size_t size() const { return docs_.size(); }
+  // The current version, kept alive by the returned pointer however often
+  // the document is rewritten; nullptr if there is no such document.
+  std::shared_ptr<const Doc> Pin(const std::string& name) const {
+    auto it = docs_.find(name);
+    return it != docs_.end() ? it->second : nullptr;
+  }
 
  private:
-  void Resum(Doc& d) {
-    if (charge_) {
-      charge_(cost_->ChecksumCost(d.bytes.size()));
-    }
-    d.checksums.clear();
-    std::span<const uint8_t> data = d.bytes;
-    for (size_t off = 0; off < data.size(); off += kMss) {
-      size_t n = std::min<size_t>(kMss, data.size() - off);
-      d.checksums.push_back(Checksum(data.subspan(off, n)));
-    }
-  }
-
   const sim::CostModel* cost_;
   ChargeFn charge_;
-  std::map<std::string, Doc> docs_;
-  uint64_t next_id_ = 1;
+  std::map<std::string, std::shared_ptr<const Doc>> docs_;
 };
 
 // An LRU cache of fully prepared responses shared across requests (and across
 // server instances, if desired): the rendered, even-length-padded header, its
-// checksum, and a pointer to the document whose body completes the response.
-// Entries carry the document generation they were rendered against; a
-// generation mismatch at lookup is treated as a miss and the entry dropped, so
-// a Put/Truncate in the DocumentStore can never serve a stale header.
+// checksum, and a pin on the document version whose body completes the
+// response. A lookup names the store's current version; an entry pinning any
+// other version was rendered before a rewrite, so it misses and is dropped —
+// a Put in the DocumentStore can never serve a stale header.
 class HttpResponseCache {
  public:
   struct Entry {
     std::vector<uint8_t> header;  // padded to even length for ChecksumCombine
     uint32_t header_checksum = 0;
-    const DocumentStore::Doc* doc = nullptr;
-    uint64_t doc_generation = 0;
+    std::shared_ptr<const DocumentStore::Doc> doc;
   };
 
   explicit HttpResponseCache(size_t capacity) : capacity_(capacity) {}
 
-  const Entry* Get(const std::string& key) {
+  // `current` is the store's current version of the document `key` names.
+  const Entry* Get(const std::string& key, const DocumentStore::Doc* current) {
     auto it = index_.find(key);
     if (it == index_.end()) {
       ++misses_;
       return nullptr;
     }
-    const Entry& e = it->second->second;
-    if (e.doc != nullptr && e.doc_generation != e.doc->generation) {
+    if (it->second->second.doc.get() != current) {
       // The document was rewritten since this response was rendered.
       lru_.erase(it->second);
       index_.erase(it);
@@ -211,14 +153,6 @@ class HttpResponseCache {
       ++evictions_;
     }
     return &lru_.front().second;
-  }
-
-  void Invalidate(const std::string& key) {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      lru_.erase(it->second);
-      index_.erase(it);
-    }
   }
 
   size_t size() const { return lru_.size(); }

@@ -1,5 +1,6 @@
 // Tests for the network stack: packet codecs, TCP handshake/data/close/retransmit,
-// Cheetah's zero-copy + precomputed-checksum + ACK-piggybacking options, and UDP.
+// Cheetah's zero-copy + precomputed-checksum + ACK-piggybacking options, and the
+// XIO document store and response cache.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,7 +8,6 @@
 #include "apps/http.h"
 #include "net/packet.h"
 #include "net/tcp.h"
-#include "net/udp.h"
 #include "net/xio.h"
 #include "sim/cpu_meter.h"
 #include "sim/engine.h"
@@ -87,23 +87,12 @@ TEST(PacketTest, TcpCodecRoundTrips) {
   EXPECT_EQ(d->checksum, Checksum(d->payload));
 }
 
-TEST(PacketTest, UdpCodecRoundTrips) {
-  UdpDatagram d;
-  d.src_ip = 1;
-  d.dst_ip = 2;
-  d.src_port = 53;
-  d.dst_port = 5353;
-  d.payload = {9, 8, 7};
-  auto p = EncodeUdp(d);
-  auto back = DecodeUdp(p);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->payload, d.payload);
-  EXPECT_EQ(back->dst_port, d.dst_port);
-}
-
 TEST(PacketTest, DecodeRejectsWrongProtoAndShortFrames) {
   EXPECT_FALSE(DecodeTcp(hw::Packet{.bytes = {1, 2, 3}}).has_value());
-  auto udp = EncodeUdp(UdpDatagram{});
+  // Long enough for a TCP header, but the protocol byte says UDP.
+  hw::Packet udp;
+  udp.bytes.assign(kIpHeaderBytes + kTcpHeaderBytes + 4, 0);
+  udp.bytes[kOffProto] = kProtoUdp;
   EXPECT_FALSE(DecodeTcp(udp).has_value());
 }
 
@@ -377,7 +366,7 @@ TEST_F(NetTest, PiggybackedAcksReducePurePackets) {
 }
 
 TEST_F(NetTest, ZeroCopyProfileUsesLessCpu) {
-  std::vector<uint8_t> blob(200 * 1024, 0x77);
+  const auto blob = std::make_shared<const std::vector<uint8_t>>(200 * 1024, 0x77);
   auto run = [&](TcpProfile profile, std::span<const uint32_t> sums) {
     sim::Engine engine;
     hw::Link link(&engine, 100.0, 30.0, 200);
@@ -402,26 +391,68 @@ TEST_F(NetTest, ZeroCopyProfileUsesLessCpu) {
     nb.SetReceiveHandler([&](hw::Packet p) { server->Input(p); });
     na.SetReceiveHandler([&](hw::Packet p) { client->Input(p); });
     size_t received = 0;
-    EXPECT_EQ(server->Listen(80, [&](TcpConn* c) { c->Send(blob, sums); }), Status::kOk);
+    EXPECT_EQ(server->Listen(80, [&](TcpConn* c) {
+      c->Send(PinnedBytes{blob, *blob, sums});  // every profile references the blob
+    }), Status::kOk);
     client->Connect(2, 80, [&](TcpConn* c) {
       c->set_on_data([&](TcpConn*, std::span<const uint8_t> d) { received += d.size(); });
     });
     engine.RunUntilIdle();
-    EXPECT_EQ(received, blob.size());
+    EXPECT_EQ(received, blob->size());
     return cpu.total_busy();
   };
 
   // Precompute checksums as Cheetah stores them with the file.
   std::vector<uint32_t> sums;
-  for (size_t off = 0; off < blob.size(); off += kMss) {
-    sums.push_back(Checksum(std::span<const uint8_t>(blob).subspan(
-        off, std::min<size_t>(kMss, blob.size() - off))));
+  for (size_t off = 0; off < blob->size(); off += kMss) {
+    sums.push_back(Checksum(std::span<const uint8_t>(*blob).subspan(
+        off, std::min<size_t>(kMss, blob->size() - off))));
   }
   sim::Cycles cheetah = run(CheetahProfile(), sums);
   sim::Cycles socket = run(XokSocketProfile(), {});
   sim::Cycles bsd = run(BsdSocketProfile(), {});
   EXPECT_LT(cheetah * 2, socket);  // no copy, no checksum
   EXPECT_LT(socket, bsd);          // fewer copies, cheaper crossings
+}
+
+// Cheetah's retransmission pool is the file cache, so a retransmission must
+// resend the bytes first sent even after the caller's temporary header is
+// gone, the heap has reused its memory, and the document has been rewritten:
+// the stack owns what it copied and pins what it references.
+TEST_F(NetTest, ZeroCopyRetransmissionResendsTheBytesFirstSent) {
+  auto server = MakeStack(&nic_b_, &cpu_b_, 2, CheetahProfile());
+  auto client = MakeStack(&nic_a_, nullptr, 1, ClientProfile());
+  DocumentStore store(&cost_);
+  std::vector<uint8_t> doc(600);
+  for (size_t i = 0; i < doc.size(); ++i) {
+    doc[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  store.Put("doc", doc);
+  const std::vector<uint8_t> header(40, 'H');
+
+  std::vector<uint8_t> scratch;
+  ASSERT_EQ(server->Listen(80, [&](TcpConn* c) {
+    drop_next_ = 2;  // the header and body segments both vanish on the wire
+    c->Send(std::vector<uint8_t>(header));  // a temporary, freed on return
+    std::shared_ptr<const DocumentStore::Doc> pin = store.Pin("doc");
+    c->Send(PinnedBytes{pin, pin->bytes, pin->checksums});
+    // Before the RTO fires: rewrite the document and reuse the freed memory.
+    store.Put("doc", std::vector<uint8_t>(doc.size(), 0xee));
+    scratch.assign(header.size(), 0xff);
+  }), Status::kOk);
+  std::vector<uint8_t> got;
+  client->Connect(2, 80, [&](TcpConn* c) {
+    c->set_on_data([&](TcpConn*, std::span<const uint8_t> d) {
+      got.insert(got.end(), d.begin(), d.end());
+    });
+  });
+  Run();
+
+  std::vector<uint8_t> want = header;
+  want.insert(want.end(), doc.begin(), doc.end());
+  EXPECT_EQ(got, want);
+  EXPECT_GE(server->stats().retransmits, 2u);
+  EXPECT_EQ(drop_next_, 0);
 }
 
 TEST_F(NetTest, PcbReuseCountsAndCharges) {
@@ -444,56 +475,6 @@ TEST_F(NetTest, PcbReuseCountsAndCharges) {
     // Release server-side conns that reached Closed.
   }
   EXPECT_EQ(closed, 5);
-}
-
-TEST_F(NetTest, UdpRoundTrip) {
-  UdpStack::Hooks hooks_a;
-  hooks_a.engine = &engine_;
-  hooks_a.cost = &cost_;
-  hooks_a.transmit = [this](hw::Packet p, sim::Cycles when) {
-    engine_.ScheduleAt(std::max(when, engine_.now()),
-                       [this, p = std::move(p)]() mutable { nic_a_.Transmit(std::move(p)); });
-  };
-  UdpStack a(hooks_a, 1);
-  UdpStack::Hooks hooks_b = hooks_a;
-  hooks_b.cpu = &cpu_b_;
-  hooks_b.transmit = [this](hw::Packet p, sim::Cycles when) {
-    engine_.ScheduleAt(std::max(when, engine_.now()),
-                       [this, p = std::move(p)]() mutable { nic_b_.Transmit(std::move(p)); });
-  };
-  UdpStack b(hooks_b, 2);
-  nic_a_.SetReceiveHandler([&](hw::Packet p) { a.Input(p); });
-  nic_b_.SetReceiveHandler([&](hw::Packet p) { b.Input(p); });
-
-  std::vector<uint8_t> got;
-  ASSERT_EQ(b.Bind(5000, [&](const UdpDatagram& d) {
-    got = d.payload;
-    b.SendTo(5000, d.src_ip, d.src_port, std::vector<uint8_t>{4, 5, 6});
-  }), Status::kOk);
-  std::vector<uint8_t> reply;
-  ASSERT_EQ(a.Bind(6000, [&](const UdpDatagram& d) { reply = d.payload; }), Status::kOk);
-  ASSERT_EQ(a.SendTo(6000, 2, 5000, std::vector<uint8_t>{1, 2, 3}), Status::kOk);
-  Run();
-  EXPECT_EQ(got, (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_EQ(reply, (std::vector<uint8_t>{4, 5, 6}));
-}
-
-TEST(ChecksumCacheTest, ComputesOnceThenHits) {
-  sim::CostModel cost = sim::CostModel::PentiumPro200();
-  sim::Cycles charged = 0;
-  ChecksumCache cache(&cost, [&](sim::Cycles c) { charged += c; });
-  std::vector<uint8_t> data(10000, 3);
-  const auto& s1 = cache.For(42, data);
-  EXPECT_EQ(s1.size(), (data.size() + kMss - 1) / kMss);
-  sim::Cycles after_first = charged;
-  EXPECT_GT(after_first, 0u);
-  const auto& s2 = cache.For(42, data);
-  EXPECT_EQ(charged, after_first);  // no recharge
-  EXPECT_EQ(&s1, &s2);
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.Invalidate(42);
-  cache.For(42, data);
-  EXPECT_GT(charged, after_first);
 }
 
 // Transmit times for a connection whose every frame is black-holed: the initial
@@ -543,63 +524,70 @@ TEST(DocumentStoreTest, ChecksumsAtWriteTimeAndGenerationOnMutation) {
   sim::Cycles charged = 0;
   DocumentStore store(&cost, [&](sim::Cycles c) { charged += c; });
 
-  const DocumentStore::Doc* d = store.Put("f", std::vector<uint8_t>(kMss + 100, 7));
+  const std::vector<uint8_t> first(kMss + 100, 7);
+  const DocumentStore::Doc* d = store.Put("f", first);
   ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->generation, 1u);
+  EXPECT_EQ(store.Find("f"), d);
   EXPECT_GT(charged, 0u);  // checksum cost lands at write time, not serve time
   ASSERT_EQ(d->checksums.size(), 2u);
   std::span<const uint8_t> bytes = d->bytes;
   EXPECT_EQ(d->checksums[0], Checksum(bytes.subspan(0, kMss)));
   EXPECT_EQ(d->checksums[1], Checksum(bytes.subspan(kMss)));
 
-  // Rewrite: same Doc slot, bumped generation, fresh checksums.
+  // Rewrite: a new version with fresh checksums, charged again. A pin taken
+  // before the rewrite still reads the old bytes and sums.
+  std::shared_ptr<const DocumentStore::Doc> pin = store.Pin("f");
+  EXPECT_EQ(pin.get(), d);
+  const sim::Cycles charged_first = charged;
   const DocumentStore::Doc* d2 = store.Put("f", std::vector<uint8_t>(50, 9));
-  EXPECT_EQ(d2, d);
-  EXPECT_EQ(d2->generation, 2u);
+  EXPECT_NE(d2, pin.get());
+  EXPECT_EQ(store.Find("f"), d2);
+  EXPECT_EQ(store.Pin("f").get(), d2);
+  EXPECT_GT(charged, charged_first);
   ASSERT_EQ(d2->checksums.size(), 1u);
   EXPECT_EQ(d2->checksums[0], Checksum(std::span<const uint8_t>(d2->bytes)));
+  EXPECT_EQ(pin->bytes, first);
+  ASSERT_EQ(pin->checksums.size(), 2u);
+  EXPECT_EQ(pin->checksums[1], Checksum(std::span<const uint8_t>(first).subspan(kMss)));
 
-  EXPECT_TRUE(store.Truncate("f", 20));
-  EXPECT_EQ(d2->generation, 3u);
-  EXPECT_EQ(store.Find("f")->bytes.size(), 20u);
-  EXPECT_FALSE(store.Truncate("f", 100));      // would grow
-  EXPECT_FALSE(store.Truncate("missing", 0));  // no such file
-  EXPECT_EQ(d2->generation, 3u);
+  EXPECT_EQ(store.Find("missing"), nullptr);
+  EXPECT_EQ(store.Pin("missing"), nullptr);
 }
 
 TEST(HttpResponseCacheTest, LruEvictsAndGenerationMismatchDropsEntry) {
   sim::CostModel cost = sim::CostModel::PentiumPro200();
   DocumentStore store(&cost);
-  const DocumentStore::Doc* da = store.Put("a", std::vector<uint8_t>(100, 1));
-  const DocumentStore::Doc* db = store.Put("b", std::vector<uint8_t>(100, 2));
+  store.Put("a", std::vector<uint8_t>(100, 1));
+  store.Put("b", std::vector<uint8_t>(100, 2));
 
   HttpResponseCache cache(2);
-  auto entry = [](const DocumentStore::Doc* d) {
+  auto entry = [&store](const std::string& doc) {
     HttpResponseCache::Entry e;
     e.header = {'O', 'K'};
     e.header_checksum = Checksum(std::span<const uint8_t>(e.header));
-    e.doc = d;
-    e.doc_generation = d->generation;
+    e.doc = store.Pin(doc);
     return e;
   };
-  cache.Put("a", entry(da));
-  cache.Put("b", entry(db));
-  EXPECT_NE(cache.Get("a"), nullptr);  // "a" is now most recent
-  cache.Put("c", entry(db));           // capacity 2: evicts "b", the LRU
+  cache.Put("a", entry("a"));
+  cache.Put("b", entry("b"));
+  EXPECT_NE(cache.Get("a", store.Find("a")), nullptr);  // "a" is now most recent
+  cache.Put("c", entry("b"));  // capacity 2: evicts "b", the LRU
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.Get("b"), nullptr);
-  EXPECT_NE(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b", store.Find("b")), nullptr);
+  EXPECT_NE(cache.Get("a", store.Find("a")), nullptr);
 
-  // Rewriting the document invalidates the prepared response: the entry's
-  // recorded generation no longer matches, so lookup misses and drops it.
+  // Rewriting the document invalidates the prepared response: the entry pins
+  // the version the store replaced, so lookup misses and drops it, and with
+  // it the last pin on that version.
+  std::weak_ptr<const DocumentStore::Doc> old_a = store.Pin("a");
   store.Put("a", std::vector<uint8_t>(200, 3));
+  EXPECT_FALSE(old_a.expired());
   const uint64_t misses_before = cache.misses();
-  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("a", store.Find("a")), nullptr);
   EXPECT_EQ(cache.misses(), misses_before + 1);
   EXPECT_EQ(cache.size(), 1u);  // only "c" remains
-
-  cache.Invalidate("c");
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(old_a.expired());
+  EXPECT_NE(cache.Get("c", store.Find("b")), nullptr);
 }
 
 TEST(TcpRtoTest, BackoffIsDeterministicUnderSeededJitterAndDoubles) {
