@@ -20,6 +20,7 @@
 #include <cstring>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <thread>
@@ -246,11 +247,12 @@ WorkloadResult DiskDeepQueue(uint32_t bursts, uint32_t burst_size) {
 // The chains are the parallelizable CPU meat: at a 20 us rack lookahead every
 // server shard advances ~a chain per window independently.
 //
-// The workload runs once at threads=1 and once at threads=N and EXO_CHECKs the
-// merged per-machine counters are byte-identical — the determinism contract —
-// then reports wall-clock speedup. ops counts server chain events (the
-// dominant event population), so events_per_sec gates the serial lane exactly
-// like the other workloads.
+// The workload runs at threads=1, at threads=2 (the repository benchmark's
+// web_fleet thread count) and at threads=N, EXO_CHECKs the merged per-machine
+// counters are byte-identical — the determinism contract — then reports
+// wall-clock speedups and host time per round for each lane. ops counts server
+// chain events (the dominant event population), so events_per_sec gates the
+// serial lane exactly like the other workloads.
 
 struct ClusterScaleRun {
   double wall_s = 0;
@@ -360,10 +362,13 @@ ClusterScaleRun RunClusterScaleOnce(uint32_t threads, uint32_t chain_events,
 struct ClusterScaleResult {
   WorkloadResult serial;  // the threads=1 lane: gated like every workload
   double speedup = 0;     // t1 wall / tN wall
+  double speedup_at_2 = 0;  // t1 wall / t2 wall
   uint32_t parallel_threads = 0;
   uint64_t cross_messages = 0;
   uint64_t rounds = 0;
   bool equivalent = false;  // byte-identical merged counters across lanes
+  // (threads, host microseconds per round) for 1, 2 and, when N > 2, N.
+  std::vector<std::pair<uint32_t, double>> host_us_per_round;
 };
 
 ClusterScaleResult ClusterScale(double scale) {
@@ -373,9 +378,13 @@ ClusterScaleResult ClusterScale(double scale) {
   const uint32_t par = std::min(4u, hw_threads);
 
   ClusterScaleRun t1 = RunClusterScaleOnce(1, chain, sim_cycles);
-  ClusterScaleRun tn = RunClusterScaleOnce(par, chain, sim_cycles);
-  EXO_CHECK_EQ(t1.ops, tn.ops);
-  EXO_CHECK(t1.counters == tn.counters);  // determinism contract, enforced
+  ClusterScaleRun t2 = RunClusterScaleOnce(2, chain, sim_cycles);
+  ClusterScaleRun tn = par == 2 ? t2 : RunClusterScaleOnce(par, chain, sim_cycles);
+  for (const ClusterScaleRun* lane : {&t2, &tn}) {
+    EXO_CHECK_EQ(t1.ops, lane->ops);
+    EXO_CHECK_EQ(t1.rounds, lane->rounds);
+    EXO_CHECK(t1.counters == lane->counters);  // determinism contract, enforced
+  }
 
   ClusterScaleResult r;
   r.serial.name = "cluster_scale";
@@ -383,10 +392,17 @@ ClusterScaleResult ClusterScale(double scale) {
   r.serial.wall_s = t1.wall_s;
   r.serial.sim_s = t1.sim_s;
   r.speedup = tn.wall_s > 0 ? t1.wall_s / tn.wall_s : 0;
+  r.speedup_at_2 = t2.wall_s > 0 ? t1.wall_s / t2.wall_s : 0;
   r.parallel_threads = par;
   r.cross_messages = t1.cross_messages;
   r.rounds = t1.rounds;
-  r.equivalent = t1.counters == tn.counters;
+  r.equivalent = t1.counters == t2.counters && t1.counters == tn.counters;
+  // Every lane runs the same rounds (checked above).
+  const double rounds = static_cast<double>(std::max<uint64_t>(t1.rounds, 1));
+  r.host_us_per_round = {{1, t1.wall_s * 1e6 / rounds}, {2, t2.wall_s * 1e6 / rounds}};
+  if (par > 2) {
+    r.host_us_per_round.emplace_back(par, tn.wall_s * 1e6 / rounds);
+  }
   return r;
 }
 
@@ -472,12 +488,17 @@ int main(int argc, char** argv) {
   const ClusterScaleResult cs = ClusterScale(scale);
   results.push_back(cs.serial);
   PrintResult(results.back());
-  std::printf("%-18s %12s threads=%u speedup=%.2fx rounds=%llu cross_msgs=%llu "
-              "equivalent=%s hw_threads=%u\n",
-              "", "", cs.parallel_threads, cs.speedup,
+  std::printf("%-18s %12s threads=%u speedup=%.2fx speedup_at_2=%.2fx rounds=%llu "
+              "cross_msgs=%llu equivalent=%s hw_threads=%u\n",
+              "", "", cs.parallel_threads, cs.speedup, cs.speedup_at_2,
               static_cast<unsigned long long>(cs.rounds),
               static_cast<unsigned long long>(cs.cross_messages),
               cs.equivalent ? "yes" : "NO", std::thread::hardware_concurrency());
+  std::printf("%-18s %12s host_us_per_round:", "", "");
+  for (const auto& [threads, us] : cs.host_us_per_round) {
+    std::printf(" threads=%u %.2f", threads, us);
+  }
+  std::printf("\n");
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
@@ -487,10 +508,16 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n  \"bench\": \"simperf\",\n  \"scale\": %.3f,\n", scale);
   std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
   std::fprintf(f, "  \"cluster\": {\"threads\": %u, \"speedup\": %.3f, "
-               "\"equivalent\": %s, \"rounds\": %llu, \"cross_messages\": %llu},\n",
-               cs.parallel_threads, cs.speedup, cs.equivalent ? "true" : "false",
-               static_cast<unsigned long long>(cs.rounds),
+               "\"speedup_at_2\": %.3f, \"equivalent\": %s, \"rounds\": %llu, "
+               "\"cross_messages\": %llu, \"host_us_per_round\": {",
+               cs.parallel_threads, cs.speedup, cs.speedup_at_2,
+               cs.equivalent ? "true" : "false", static_cast<unsigned long long>(cs.rounds),
                static_cast<unsigned long long>(cs.cross_messages));
+  for (size_t i = 0; i < cs.host_us_per_round.size(); ++i) {
+    std::fprintf(f, "%s\"%u\": %.3f", i > 0 ? ", " : "", cs.host_us_per_round[i].first,
+                 cs.host_us_per_round[i].second);
+  }
+  std::fprintf(f, "}},\n");
   std::fprintf(f, "  \"workloads\": {\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const WorkloadResult& r = results[i];

@@ -8,10 +8,15 @@
 // latency >= lookahead, a shard executing events in [tmin, tmin + lookahead)
 // can never receive a message timestamped inside that window — every send in
 // the window happens at local time >= tmin and lands at >= tmin + lookahead.
-// Rounds therefore run as: compute the global minimum next-event time tmin,
-// let every shard execute its events with timestamp < tmin + lookahead in
-// parallel, barrier, deliver the cross-shard packets that accumulated in the
-// per-shard mailboxes, repeat.
+// Each round takes one barrier. Its last arriver computes tmin, the minimum
+// over shards of each shard's next event and the earliest arrival that shard
+// posted in the last window, and sets horizon = tmin + lookahead. Then every
+// thread drains the mail its shards received in the last window into their
+// engines and runs their events with timestamp < horizon, in parallel, while
+// the new window's mail goes into the other half of each mailbox. A thread
+// waiting at the barrier spins briefly, then parks in std::atomic::wait. The
+// phase that releases it is stored seq_cst, so libstdc++'s notify_all cannot
+// skip the wake-up of a thread that is just parking (cluster.cc).
 //
 // Determinism contract (docs/CLUSTER.md): same seed => bit-identical
 // counters, traces, and bench output regardless of thread count.
@@ -24,12 +29,14 @@
 //     shard, so same-timestamp arrivals tie-break identically no matter which
 //     thread produced them first in wall-clock time.
 //   - Mailboxes are single-writer single-reader by construction: slot
-//     [dst][src] is appended only by the thread running shard src during a
-//     window and drained only by the thread running shard dst after the
-//     barrier. No locks touch the packet path.
+//     [dst][half][src] is appended only by the thread running shard src during
+//     a window and drained only by the thread running shard dst after the next
+//     barrier, while windows post into the other half. No locks touch the
+//     packet path.
 #ifndef EXO_CLUSTER_CLUSTER_H_
 #define EXO_CLUSTER_CLUSTER_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -146,18 +153,24 @@ class Cluster {
     std::string name;
     uint64_t next_msg_seq = 1;
     uint64_t messages_in = 0;
+    // Earliest pending work as of the last closed window: this shard's next
+    // event, or the earliest arrival it posted (still in a mailbox).
     sim::Cycles next_event = kNever;
-    // inbox[src]: written only by the thread running shard src during a
-    // window, drained only by this shard's thread after the barrier.
-    std::vector<std::vector<CrossMsg>> inbox;
+    // Earliest arrival this shard posted since its last closed window.
+    sim::Cycles earliest_post = kNever;
+    // inbox[half][src]: written only by the thread running shard src during a
+    // window, drained only by this shard's thread after the next barrier.
+    std::array<std::vector<std::vector<CrossMsg>>, 2> inbox;
     std::vector<CrossMsg> drain_scratch;
   };
 
   // Called from the sending shard's thread (ShardLink::Arrive).
   void Post(uint32_t dst_shard, CrossMsg msg);
-  // Inserts this shard's sorted mailbox into its engine and refreshes
-  // next_event. Runs on the thread owning the shard.
-  void DrainShard(uint32_t shard);
+  // Inserts one half of this shard's mailbox into its engine in sorted order.
+  // Runs on the thread owning the shard.
+  void DrainShard(uint32_t shard, uint32_t half);
+  // Sets next_event from the engine and the mail posted since the last call.
+  void CloseWindow(Shard& s);
   void RunWindow(uint32_t shard, sim::Cycles horizon);
   void RunLoop(sim::Cycles deadline);
 
@@ -174,6 +187,8 @@ class Cluster {
   // before the pool starts, so barrier ordering publishes it.
   sim::Cycles horizon_ = 0;
   bool done_ = false;
+  // The mailbox half that Post appends to: flipped by every barrier.
+  uint32_t post_half_ = 0;
 };
 
 }  // namespace exo::cluster

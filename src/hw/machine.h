@@ -86,7 +86,11 @@ class Machine {
   // machines never call this, keeping single-machine output byte-identical.
   void SetClusterIdentity(uint32_t id) {
     cluster_id_ = id;
-    const std::string prefix = "m" + std::to_string(id) + ".";
+    // Appended, not concatenated: GCC 12 at -O3 reports a false -Wrestrict
+    // overlap inside "lit" + std::to_string(n).
+    std::string prefix = "m";
+    prefix += std::to_string(id);
+    prefix += '.';
     counters_.SetPrefix(prefix);
     tracer_.SetNamePrefix(prefix);
   }

@@ -137,7 +137,8 @@ TEST(ClusterTest, ZeroLatencyCrossShardLinkClampsToOneCycle) {
 // Same-cycle arrivals from different source shards must insert in
 // (src shard, send seq) order no matter which worker thread drained first.
 TEST(ClusterTest, SameTimestampCrossShardArrivalsTieBreakBySourceShard) {
-  for (uint32_t threads : {1u, 3u}) {
+  uint64_t rounds1 = 0;
+  for (uint32_t threads : {1u, 2u, 3u}) {
     cluster::Cluster cl(cluster::ClusterOptions{threads, 1});
     const uint32_t sa = cl.AddShard("a");
     const uint32_t sb = cl.AddShard("b");
@@ -165,6 +166,69 @@ TEST(ClusterTest, SameTimestampCrossShardArrivalsTieBreakBySourceShard) {
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 1) << "threads=" << threads;
     EXPECT_EQ(order[1], 2) << "threads=" << threads;
+    if (threads == 1) {
+      rounds1 = cl.rounds();
+    }
+    EXPECT_EQ(cl.rounds(), rounds1) << "threads=" << threads;
+  }
+}
+
+// A liveness check for the round barrier rather than a reproducer of any one
+// interleaving: two ping-pongs on four shards over zero-latency wires, so the
+// lookahead is one cycle and the threads cross the barrier tens of thousands
+// of times. A lost wake-up hangs (ctest's timeout turns that into a failure);
+// a protocol slip shows as a different round count or arrival time.
+constexpr size_t kPingPongHops = 30'000;  // receptions per NIC, at most
+
+struct PingPongRun {
+  uint64_t rounds = 0;
+  uint64_t cross_messages = 0;
+  std::vector<std::vector<sim::Cycles>> arrivals;  // per NIC, in receive order
+};
+
+PingPongRun RunShortRoundPingPong(uint32_t threads) {
+  cluster::Cluster cl(cluster::ClusterOptions{threads, 1});
+  uint32_t shard[4];
+  for (uint32_t i = 0; i < 4; ++i) {
+    shard[i] = cl.AddShard(std::to_string(i));
+  }
+  hw::Nic n0(0), n1(1), n2(2), n3(3);
+  hw::Nic* nic[4] = {&n0, &n1, &n2, &n3};
+  // Different wire rates keep the two pairs' arrivals on different cycles, so
+  // most rounds run one event.
+  cl.Connect(shard[0], nic[0], shard[1], nic[1], 1000.0, 0.0, 200);
+  cl.Connect(shard[2], nic[2], shard[3], nic[3], 800.0, 0.0, 200);
+  EXPECT_EQ(cl.lookahead(), 1u);
+
+  PingPongRun run;
+  run.arrivals.resize(4);
+  for (uint32_t i = 0; i < 4; ++i) {
+    // Each NIC's log is touched only by its own shard's thread.
+    nic[i]->SetReceiveHandler([&cl, &run, i, s = shard[i], n = nic[i]](hw::Packet p) {
+      run.arrivals[i].push_back(cl.engine(s).now());
+      if (run.arrivals[i].size() < kPingPongHops) {
+        n->Transmit(std::move(p));
+      }
+    });
+  }
+  nic[0]->Transmit(hw::Packet{std::vector<uint8_t>(64, 0)});
+  nic[2]->Transmit(hw::Packet{std::vector<uint8_t>(64, 0)});
+  cl.Run();
+  run.rounds = cl.rounds();
+  run.cross_messages = cl.cross_messages();
+  return run;
+}
+
+TEST(ClusterTest, ManyShortRoundsFinishAtEveryThreadCount) {
+  const PingPongRun one = RunShortRoundPingPong(1);
+  EXPECT_GE(one.rounds, 50'000u);
+  // Each pair's answering NIC hears every hop; the opener misses the last.
+  EXPECT_EQ(one.cross_messages, 4 * kPingPongHops - 2);
+  for (uint32_t threads : {2u, 4u}) {
+    const PingPongRun run = RunShortRoundPingPong(threads);
+    EXPECT_EQ(run.rounds, one.rounds) << "threads=" << threads;
+    EXPECT_EQ(run.cross_messages, one.cross_messages) << "threads=" << threads;
+    EXPECT_TRUE(run.arrivals == one.arrivals) << "threads=" << threads;
   }
 }
 
@@ -251,11 +315,18 @@ TEST(ClusterTest, ClusterIdentityPrefixesCountersAndTracks) {
 
 // ---- Topology ----
 
+struct BalancerRun {
+  std::string dump;  // merged counters + trace
+  uint64_t forwarded = 0;
+  size_t flows = 0;
+  uint64_t echoed = 0;
+  uint64_t rounds = 0;
+};
+
 // Drives the balancer topology with raw routable frames: every client streams
-// requests at the VIP, servers echo them back. Returns the merged
-// counters+trace dump, which must be bit-identical across thread counts.
-std::string RunBalancerWorkload(uint32_t threads, uint64_t* forwarded,
-                                size_t* flows, uint64_t* echoed) {
+// requests at the VIP, servers echo them back. The merged counters+trace dump
+// must be bit-identical across thread counts.
+BalancerRun RunBalancerWorkload(uint32_t threads) {
   cluster::TopologyConfig tc;
   tc.servers = 2;
   tc.clients = 3;
@@ -300,47 +371,43 @@ std::string RunBalancerWorkload(uint32_t threads, uint64_t* forwarded,
   topo.balancer().tracer().Enable();
   topo.Run();
 
-  *forwarded = topo.lb_forwarded();
-  *flows = topo.lb_flows();
-  *echoed = 0;
+  BalancerRun run;
+  run.forwarded = topo.lb_forwarded();
+  run.flows = topo.lb_flows();
   for (uint32_t k = 0; k < tc.servers; ++k) {
-    *echoed += topo.server(k).counters().Get("srv.rx");
+    run.echoed += topo.server(k).counters().Get("srv.rx");
   }
-  return topo.MergedCountersDump() + topo.MergedTraceDump();
+  run.rounds = topo.cluster().rounds();
+  run.dump = topo.MergedCountersDump() + topo.MergedTraceDump();
+  return run;
 }
 
-// The determinism contract, end to end: same seed, thread count 1 vs 3 vs 4,
-// byte-identical merged counters and trace dumps.
+// The determinism contract, end to end: same seed, thread count 1 vs 2 vs 3
+// vs 4, the same rounds and byte-identical merged counters and trace dumps.
 TEST(ClusterTest, TopologyOutputBitIdenticalAcrossThreadCounts) {
-  uint64_t fwd1 = 0, fwd3 = 0, fwd4 = 0, echo1 = 0, echo3 = 0, echo4 = 0;
-  size_t flows1 = 0, flows3 = 0, flows4 = 0;
-  const std::string dump1 = RunBalancerWorkload(1, &fwd1, &flows1, &echo1);
-  const std::string dump3 = RunBalancerWorkload(3, &fwd3, &flows3, &echo3);
-  const std::string dump4 = RunBalancerWorkload(4, &fwd4, &flows4, &echo4);
-
-  EXPECT_EQ(echo1, 12u);  // 3 clients x 4 bursts, every frame reached a server
-  EXPECT_EQ(fwd1, 24u);   // each echoed frame crossed the balancer twice
-  EXPECT_EQ(flows1, 3u);  // one pinned flow per client
-  EXPECT_EQ(fwd1, fwd3);
-  EXPECT_EQ(fwd1, fwd4);
-  EXPECT_EQ(flows1, flows3);
-  EXPECT_EQ(flows1, flows4);
-  EXPECT_EQ(echo1, echo3);
-  EXPECT_EQ(echo1, echo4);
-  EXPECT_EQ(dump1, dump3);
-  EXPECT_EQ(dump1, dump4);
+  const BalancerRun one = RunBalancerWorkload(1);
+  EXPECT_EQ(one.echoed, 12u);    // 3 clients x 4 bursts, every frame reached a server
+  EXPECT_EQ(one.forwarded, 24u);  // each echoed frame crossed the balancer twice
+  EXPECT_EQ(one.flows, 3u);       // one pinned flow per client
   // The dump is machine-prefixed and non-trivial.
-  EXPECT_NE(dump1.find("m0.lb.forwarded 24"), std::string::npos);
-  EXPECT_NE(dump1.find("m1.srv.rx"), std::string::npos);
+  EXPECT_NE(one.dump.find("m0.lb.forwarded 24"), std::string::npos);
+  EXPECT_NE(one.dump.find("m1.srv.rx"), std::string::npos);
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    const BalancerRun run = RunBalancerWorkload(threads);
+    EXPECT_EQ(run.forwarded, one.forwarded) << "threads=" << threads;
+    EXPECT_EQ(run.flows, one.flows) << "threads=" << threads;
+    EXPECT_EQ(run.echoed, one.echoed) << "threads=" << threads;
+    EXPECT_EQ(run.rounds, one.rounds) << "threads=" << threads;
+    EXPECT_EQ(run.dump, one.dump) << "threads=" << threads;
+  }
 }
 
 // Flow pinning: each client's flow lands on one backend, round-robin by first
 // sight; replies route back to the right client.
 TEST(ClusterTest, BalancerPinsFlowsRoundRobin) {
-  uint64_t fwd = 0, echoed = 0;
-  size_t flows = 0;
-  const std::string dump = RunBalancerWorkload(2, &fwd, &flows, &echoed);
-  EXPECT_EQ(flows, 3u);
+  const BalancerRun run = RunBalancerWorkload(2);
+  const std::string& dump = run.dump;
+  EXPECT_EQ(run.flows, 3u);
   // Clients fire in j order within each burst (311 * j stagger): backends get
   // flows 0,1,0 -> server m1 sees 2 flows x 4 frames, m2 sees 1 x 4.
   EXPECT_NE(dump.find("m1.srv.rx 8"), std::string::npos) << dump;
@@ -544,8 +611,8 @@ TEST(ClusterTest, BalancerEvictsPinsOnConnectionClose) {
 
 // Kills one of two backends mid-workload with health checks armed, reboots it
 // later, and requires the whole story — ejection, pin eviction, failover
-// re-pinning, readmission — to be byte-identical at 1, 3, and 4 threads.
-std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed) {
+// re-pinning, readmission — to be byte-identical at 1, 2, 3, and 4 threads.
+std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed, uint64_t* rounds) {
   cluster::TopologyConfig tc;
   tc.servers = 2;
   tc.clients = 3;
@@ -614,23 +681,24 @@ std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed) {
   EXPECT_GT(topo.backend_last_readmit(0), 1'500'000u);
 
   *echoed = echo_counts[0] + echo_counts[1];
+  *rounds = topo.cluster().rounds();
   return topo.MergedCountersDump() + topo.MergedTraceDump();
 }
 
 TEST(ClusterTest, FailoverWithKillAndRebootIsBitIdenticalAcrossThreads) {
-  uint64_t echo1 = 0, echo3 = 0, echo4 = 0;
-  const std::string dump1 = RunFailoverWorkload(1, &echo1);
-  const std::string dump3 = RunFailoverWorkload(3, &echo3);
-  const std::string dump4 = RunFailoverWorkload(4, &echo4);
-
+  uint64_t echo1 = 0, rounds1 = 0;
+  const std::string dump1 = RunFailoverWorkload(1, &echo1, &rounds1);
   // Some frames blackholed between the kill and the ejection; everything after
   // the failover re-pin was served.
   EXPECT_GE(echo1, 40u);
   EXPECT_LE(echo1, 46u);
-  EXPECT_EQ(echo1, echo3);
-  EXPECT_EQ(echo1, echo4);
-  EXPECT_EQ(dump1, dump3);
-  EXPECT_EQ(dump1, dump4);
+  for (uint32_t threads : {2u, 3u, 4u}) {
+    uint64_t echo = 0, rounds = 0;
+    const std::string dump = RunFailoverWorkload(threads, &echo, &rounds);
+    EXPECT_EQ(echo, echo1) << "threads=" << threads;
+    EXPECT_EQ(rounds, rounds1) << "threads=" << threads;
+    EXPECT_EQ(dump, dump1) << "threads=" << threads;
+  }
   // The machine faults and the failover counters are on the merged surface.
   EXPECT_NE(dump1.find("m1.fault.machine_kills 1"), std::string::npos);
   EXPECT_NE(dump1.find("m1.fault.machine_reboots 1"), std::string::npos);
