@@ -32,7 +32,7 @@ Disk::Disk(sim::Engine* engine, PhysMem* mem, const DiskGeometry& geometry, uint
       mem_(mem),
       geometry_(geometry),
       cpu_mhz_(cpu_mhz),
-      store_(static_cast<size_t>(geometry.num_blocks) * kBlockSize, 0) {}
+      blocks_(geometry.num_blocks) {}
 
 void Disk::EnableIntegrity() {
   integrity_ = true;
@@ -69,15 +69,20 @@ void Disk::Restamp(BlockId b) {
   }
 }
 
-std::span<uint8_t> Disk::RawBlock(BlockId b) {
+std::span<const uint8_t> Disk::RawBlock(BlockId b) const {
+  static const Block kZeroBlock{};  // what every hole reads as
   EXO_CHECK_LT(b, geometry_.num_blocks);
-  return std::span<uint8_t>(store_.data() + static_cast<size_t>(b) * kBlockSize, kBlockSize);
+  const Block* block = blocks_[b].get();
+  return block != nullptr ? *block : kZeroBlock;
 }
 
-std::span<const uint8_t> Disk::RawBlock(BlockId b) const {
+std::span<uint8_t> Disk::MutableBlock(BlockId b) {
   EXO_CHECK_LT(b, geometry_.num_blocks);
-  return std::span<const uint8_t>(store_.data() + static_cast<size_t>(b) * kBlockSize,
-                                  kBlockSize);
+  std::unique_ptr<Block>& block = blocks_[b];
+  if (block == nullptr) {
+    block = std::make_unique<Block>();  // value-initialized: a hole reads as zeros
+  }
+  return *block;
 }
 
 void Disk::Submit(DiskRequest req) {
@@ -388,7 +393,7 @@ void Disk::Complete(DiskRequest req) {
             break;
         }
       }
-      std::memcpy(RawBlock(land).data(), frame.data(), kBlockSize);
+      std::memcpy(MutableBlock(land).data(), frame.data(), kBlockSize);
       latent_bad_.erase(land);  // rewriting remaps a latent-bad sector
       if (integrity_) {
         // The tag records where the controller *addressed* the data; a
@@ -419,7 +424,7 @@ void Disk::Complete(DiskRequest req) {
           case sim::FaultInjector::ReadFate::kRot: {
             // Silent bit rot surfacing at read time: the *media* byte flips,
             // persistently, before the DMA copies it out.
-            RawBlock(blk)[faults_->RotOffset()] ^= 0x20;
+            MutableBlock(blk)[faults_->RotOffset()] ^= 0x20;
             ++stats_.rotted_blocks;
             break;
           }

@@ -8,14 +8,19 @@
 //
 // The disk stores real bytes. DMA moves data directly between the block store and
 // physical-memory frames without charging CPU copy cost (the paper's "zero-touch"
-// property, Sec. 7.2).
+// property, Sec. 7.2). The host holds only blocks that were ever written; a hole
+// reads from one shared all-zero block. A simulated disk is hundreds of MB that
+// the workloads barely touch, so host memory and setup time follow the blocks
+// used, not the geometry.
 #ifndef EXO_HW_DISK_H_
 #define EXO_HW_DISK_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <map>
+#include <memory>
 #include <set>
 #include <span>
 #include <utility>
@@ -149,7 +154,7 @@ class Disk {
   BlockIntegrity CheckBlock(BlockId b) const;
 
   // Re-stamps the tag from the block's current media bytes and clears any
-  // latent-sector mark: the kernel-internal RawBlock write path (superblock,
+  // latent-sector mark: the kernel-internal MutableBlock write path (superblock,
   // catalogues, repair) calls this where DMA writes stamp implicitly.
   void Restamp(BlockId b);
 
@@ -171,9 +176,12 @@ class Disk {
   void PowerRestore();
   bool powered_off() const { return powered_off_; }
 
-  // Convenience for tests and kernel-internal metadata I/O.
-  std::span<uint8_t> RawBlock(BlockId b);
+  // Synchronous media access for tests and kernel-internal metadata I/O.
+  // RawBlock never allocates: a never-written block reads as one shared zero
+  // block, so a span taken of a hole does not see later writes to it.
+  // MutableBlock gives a block its own zeroed storage on first use.
   std::span<const uint8_t> RawBlock(BlockId b) const;
+  std::span<uint8_t> MutableBlock(BlockId b);
 
   const DiskGeometry& geometry() const { return geometry_; }
   const DiskStats& stats() const { return stats_; }
@@ -225,7 +233,9 @@ class Disk {
   PhysMem* mem_;
   DiskGeometry geometry_;
   uint32_t cpu_mhz_;
-  std::vector<uint8_t> store_;
+  // One owning pointer per block; null means never written.
+  using Block = std::array<uint8_t, kBlockSize>;
+  std::vector<std::unique_ptr<Block>> blocks_;
 
   std::list<QueuedRequest> queue_;
   BlockIndex by_start_;       // C-LOOK dispatch: all queued requests

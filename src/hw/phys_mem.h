@@ -1,14 +1,18 @@
 // Simulated physical memory: an array of 4-KB frames holding real bytes.
 //
 // PhysMem is "hardware": it provides storage and a free list but no protection.
-// Ownership, capabilities, and revocation policy are the kernel's job (xok/ or bsd/).
+// Ownership, capabilities, and revocation policy are the kernel's job (xok/).
 // Frame contents are real so that file systems, pipes, and network buffers move actual
-// data and correctness is testable end to end.
+// data and correctness is testable end to end. Frames are zero on demand: the host
+// backs a frame only once something touches it, so a 64-MB machine that uses a few
+// hundred frames costs the host a few hundred pages.
 #ifndef EXO_HW_PHYS_MEM_H_
 #define EXO_HW_PHYS_MEM_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,9 +27,13 @@ constexpr FrameId kInvalidFrame = 0xffffffff;
 
 class PhysMem {
  public:
+  // calloc, not a zero-filled vector: a large calloc maps fresh pages that the
+  // host zeroes on first touch, so frames start zeroed without the constructor
+  // writing (and faulting in) every byte up front.
   explicit PhysMem(uint32_t num_frames)
-      : data_(static_cast<size_t>(num_frames) * kPageSize, 0),
+      : data_(static_cast<uint8_t*>(std::calloc(num_frames, kPageSize))),
         refcount_(num_frames, 0) {
+    EXO_CHECK(data_ != nullptr || num_frames == 0);
     free_list_.reserve(num_frames);
     // Hand out low frames first so traces are stable.
     for (FrameId f = num_frames; f > 0; --f) {
@@ -67,11 +75,11 @@ class PhysMem {
 
   std::span<uint8_t> Data(FrameId f) {
     EXO_CHECK_LT(f, num_frames());
-    return std::span<uint8_t>(data_.data() + static_cast<size_t>(f) * kPageSize, kPageSize);
+    return std::span<uint8_t>(data_.get() + static_cast<size_t>(f) * kPageSize, kPageSize);
   }
   std::span<const uint8_t> Data(FrameId f) const {
     EXO_CHECK_LT(f, num_frames());
-    return std::span<const uint8_t>(data_.data() + static_cast<size_t>(f) * kPageSize,
+    return std::span<const uint8_t>(data_.get() + static_cast<size_t>(f) * kPageSize,
                                     kPageSize);
   }
 
@@ -81,7 +89,10 @@ class PhysMem {
   void ZeroFrame(FrameId f) { std::memset(Data(f).data(), 0, kPageSize); }
 
  private:
-  std::vector<uint8_t> data_;
+  struct Free {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t[], Free> data_;
   std::vector<uint32_t> refcount_;
   std::vector<FrameId> free_list_;
 };

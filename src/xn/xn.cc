@@ -199,7 +199,7 @@ void Xn::WriteSuperblock(bool clean) {
   c.PutU32(disk_->geometry().num_blocks);
   c.PutU32(first_data_block_);
   // Persist the free map alongside the clean flag (only trusted on clean detach).
-  auto block = disk_->RawBlock(0);
+  auto block = disk_->MutableBlock(0);
   std::memset(block.data(), 0, block.size());
   EXO_CHECK_LE(sb.size(), block.size());
   std::memcpy(block.data(), sb.data(), sb.size());
@@ -208,7 +208,7 @@ void Xn::WriteSuperblock(bool clean) {
   const uint32_t fm_start = 1 + kTemplBlocks + kRootBlocks;
   const uint32_t nblocks = disk_->geometry().num_blocks;
   for (uint32_t i = 0; i * hw::kBlockSize * 8 < nblocks; ++i) {
-    auto fm = disk_->RawBlock(fm_start + i);
+    auto fm = disk_->MutableBlock(fm_start + i);
     std::memset(fm.data(), 0, fm.size());
     for (uint32_t j = 0; j < hw::kBlockSize * 8; ++j) {
       uint32_t b = i * hw::kBlockSize * 8 + j;
@@ -241,7 +241,7 @@ void Xn::PersistCatalogues() {
   }
   EXO_CHECK_LE(tbuf.size(), static_cast<size_t>(kTemplBlocks) * hw::kBlockSize);
   for (uint32_t i = 0; i < kTemplBlocks; ++i) {
-    auto block = disk_->RawBlock(1 + i);
+    auto block = disk_->MutableBlock(1 + i);
     std::memset(block.data(), 0, block.size());
     size_t off = static_cast<size_t>(i) * hw::kBlockSize;
     if (off < tbuf.size()) {
@@ -267,7 +267,7 @@ void Xn::PersistCatalogues() {
   }
   EXO_CHECK_LE(rbuf.size(), static_cast<size_t>(kRootBlocks) * hw::kBlockSize);
   for (uint32_t i = 0; i < kRootBlocks; ++i) {
-    auto block = disk_->RawBlock(1 + kTemplBlocks + i);
+    auto block = disk_->MutableBlock(1 + kTemplBlocks + i);
     std::memset(block.data(), 0, block.size());
     size_t off = static_cast<size_t>(i) * hw::kBlockSize;
     if (off < rbuf.size()) {
@@ -1421,13 +1421,13 @@ Status Xn::TryRepair(hw::BlockId b) {
   }
   // Only a clean resident copy is trustworthy: it was itself verified when it
   // was read (or is the image of an acked write), and writing a *dirty* frame
-  // through RawBlock would bypass the taint/ordering rules entirely.
+  // through MutableBlock would bypass the taint/ordering rules entirely.
   const RegistryEntry* e = registry_.Lookup(b);
   if (e == nullptr || e->state != BufState::kResident || e->dirty) {
     return Status::kCorrupted;
   }
   auto bytes = FrameBytes(e->frame);
-  std::memcpy(disk_->RawBlock(b).data(), bytes.data(), hw::kBlockSize);
+  std::memcpy(disk_->MutableBlock(b).data(), bytes.data(), hw::kBlockSize);
   disk_->Restamp(b);
   expected_crc_[b] = hw::Crc32(bytes);
   quarantined_.erase(b);

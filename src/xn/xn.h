@@ -241,7 +241,7 @@ class Xn {
   // self-consistent tag cannot. Quarantines and returns kCorrupted on failure.
   Status CheckReadIntegrity(hw::BlockId b);
   void Quarantine(hw::BlockId b, const char* why);
-  // Restamps a system block the kernel just rewrote via RawBlock (superblock,
+  // Restamps a system block the kernel just rewrote via MutableBlock (superblock,
   // free map, catalogues) and clears any stale integrity verdict on it.
   void RestampSystemBlock(hw::BlockId b);
 

@@ -76,7 +76,7 @@ class Rig {
       if (xn_->IsAllocated(b)) {
         continue;
       }
-      auto img = machine_.disk().RawBlock(b);
+      auto img = machine_.disk().MutableBlock(b);
       for (size_t i = 0; i < img.size(); ++i) {
         img[i] = static_cast<uint8_t>(b * 37 + i * 11 + 0x5a);
       }

@@ -1,8 +1,13 @@
 // Unit tests for the hardware substrate: physical memory, disk model, NIC/link model.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <numeric>
+#include <span>
 
 #include "hw/disk.h"
 #include "hw/machine.h"
@@ -330,13 +335,13 @@ TEST_F(DiskTest, IntegrityTagCatchesScribbleAndRestampClears) {
   EXPECT_EQ(disk_.CheckBlock(40), BlockIntegrity::kOk);
 
   // Out-of-band scribble (modeling corruption): the tag disagrees.
-  disk_.RawBlock(40)[17] ^= 0xff;
+  disk_.MutableBlock(40)[17] ^= 0xff;
   EXPECT_EQ(disk_.CheckBlock(40), BlockIntegrity::kBadChecksum);
 
-  // A kernel-internal RawBlock writer re-stamps; a DMA write stamps implicitly.
+  // A kernel-internal MutableBlock writer re-stamps; a DMA write stamps implicitly.
   disk_.Restamp(40);
   EXPECT_EQ(disk_.CheckBlock(40), BlockIntegrity::kOk);
-  disk_.RawBlock(41)[0] = 1;
+  disk_.MutableBlock(41)[0] = 1;
   EXPECT_EQ(disk_.CheckBlock(41), BlockIntegrity::kBadChecksum);
   disk_.Submit({.write = true, .start = 41, .nblocks = 1, .frames = {f}, .done = {}});
   engine_.RunUntilIdle();
@@ -423,6 +428,75 @@ TEST_F(DiskTest, ScriptedRotFlipsMediaPersistently) {
   engine_.RunUntilIdle();
   EXPECT_EQ(got, Status::kOk);
   EXPECT_EQ(mem_.Data(dst)[9], 0x11 ^ 0x20);
+}
+
+// Resident set size of this process in bytes (second field of /proc/self/statm).
+size_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  size_t total_pages = 0;
+  size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
+
+bool AllZero(std::span<const uint8_t> bytes) {
+  return std::all_of(bytes.begin(), bytes.end(), [](uint8_t v) { return v == 0; });
+}
+
+// The host backs only what the simulation touches: a 1-GB disk and 1 GB of
+// frames cost a few MB of index and refcounts, and reading never-written
+// blocks allocates nothing.
+TEST(HwTest, UntouchedDiskAndMemoryCostNoHostMemory) {
+  const size_t before = ResidentBytes();
+  sim::Engine engine;
+  PhysMem mem(262144);
+  DiskGeometry geometry;
+  geometry.num_blocks = 262144;
+  Disk disk(&engine, &mem, geometry, 200);
+
+  FrameId f = *mem.Alloc();
+  for (BlockId b : {3u, 70001u, 150000u, 262143u}) {
+    std::memset(mem.Data(f).data(), 0xee, kPageSize);
+    Status got = Status::kIoError;
+    disk.Submit({.write = false, .start = b, .nblocks = 1, .frames = {f},
+                 .done = [&](Status s) { got = s; }});
+    engine.RunUntilIdle();
+    ASSERT_EQ(got, Status::kOk);
+    EXPECT_TRUE(AllZero(mem.Data(f))) << "block " << b;
+  }
+  EXPECT_LT(ResidentBytes(), before + (16u << 20));
+}
+
+// Rot on a hole gives that block its own storage: the flip persists across
+// reads, and every other hole still reads the shared zero block untouched.
+TEST(HwTest, RotOnNeverWrittenBlockIsPersistentAndLocal) {
+  sim::Engine engine;
+  PhysMem mem(4);
+  Disk disk(&engine, &mem, DiskGeometry{}, 200);
+  sim::FaultPlan plan;
+  plan.disk_script = {{1, 'r', 9}};
+  sim::FaultInjector faults(plan);
+  disk.SetFaultInjector(&faults);
+
+  FrameId dst = *mem.Alloc();
+  auto read = [&](BlockId b) {
+    Status got = Status::kIoError;
+    disk.Submit({.write = false, .start = b, .nblocks = 1, .frames = {dst},
+                 .done = [&](Status s) { got = s; }});
+    engine.RunUntilIdle();
+    return got;
+  };
+  ASSERT_EQ(read(90), Status::kOk);
+  EXPECT_EQ(mem.Data(dst)[9], 0x20);  // the flipped zero byte reached the caller
+  EXPECT_EQ(disk.stats().rotted_blocks, 1u);
+  ASSERT_EQ(read(90), Status::kOk);
+  EXPECT_EQ(mem.Data(dst)[9], 0x20);  // persistent media damage
+  EXPECT_EQ(disk.RawBlock(90)[9], 0x20);
+
+  ASSERT_EQ(read(91), Status::kOk);
+  EXPECT_TRUE(AllZero(mem.Data(dst)));
+  EXPECT_TRUE(AllZero(disk.RawBlock(91)));
+  disk.SetFaultInjector(nullptr);
 }
 
 TEST_F(DiskTest, LatentSectorPersistsAcrossPowerCycleAndDetachUntilRewritten) {

@@ -588,7 +588,7 @@ TEST_F(XnTest, CrashWithDirtyMetadataMatchesScratchTraversal) {
 //
 // Arming the integrity sidecar mid-session stamps the current media as the
 // trusted baseline; every DMA write after that re-stamps. These tests corrupt
-// the media directly through RawBlock (never Restamp) to model silent faults.
+// the media directly through MutableBlock (never Restamp) to model silent faults.
 
 TEST_F(XnTest, ScrubRepairsRotFromCleanResidentCopy) {
   machine_.disk().EnableIntegrity();
@@ -603,7 +603,7 @@ TEST_F(XnTest, ScrubRepairsRotFromCleanResidentCopy) {
   ASSERT_EQ(FlushAll({root}), Status::kOk);
 
   // Rot kids[0] on the platter; its clean resident cache copy stays authoritative.
-  machine_.disk().RawBlock(kids[0])[7] ^= 0x40;
+  machine_.disk().MutableBlock(kids[0])[7] ^= 0x40;
   ASSERT_EQ(machine_.disk().CheckBlock(kids[0]), hw::BlockIntegrity::kBadChecksum);
 
   EXPECT_GT(xn_.ScrubStep(xn_.NumBlocks()), 0u);
@@ -616,7 +616,7 @@ TEST_F(XnTest, ScrubRepairsRotFromCleanResidentCopy) {
   EXPECT_EQ(machine_.counters().Get("disk.repaired"), 1u);
 
   // Same fault again, this time found by the scheduled idle scrubber.
-  machine_.disk().RawBlock(kids[1])[9] ^= 0x01;
+  machine_.disk().MutableBlock(kids[1])[9] ^= 0x01;
   xn_.StartScrubber(/*interval=*/1000, /*budget=*/xn_.NumBlocks(), /*steps=*/4);
   engine_.RunUntilIdle();
   EXPECT_EQ(xn_.stats().repairs, 2u);
@@ -635,7 +635,7 @@ TEST_F(XnTest, ScrubQuarantinesWithoutCleanCopyUntilRewritten) {
   ASSERT_EQ(FlushAll({root}), Status::kOk);
   ASSERT_EQ(xn_.RemoveMapping(kids[0]), Status::kOk);  // no trustworthy copy remains
 
-  machine_.disk().RawBlock(kids[0])[100] ^= 0xff;
+  machine_.disk().MutableBlock(kids[0])[100] ^= 0xff;
   (void)xn_.ScrubStep(xn_.NumBlocks());
   EXPECT_TRUE(xn_.IsQuarantined(kids[0]));
   EXPECT_EQ(machine_.counters().Get("scrub.quarantined"), 1u);
@@ -721,7 +721,7 @@ TEST_F(XnTest, RecoveryFsckQuarantinesCorruptMetadataAndCollectsItsSubtree) {
 
   xn_.Crash();
   // Rot leaves[1] while the machine is down: its child pointers are now garbage.
-  machine_.disk().RawBlock(leaves[1])[2] ^= 0x04;
+  machine_.disk().MutableBlock(leaves[1])[2] ^= 0x04;
 
   Xn reborn(&machine_, &machine_.disk());
   const uint64_t fsck_before = machine_.counters().Get("xn.integrity_blocks_scanned");
