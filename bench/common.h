@@ -1,18 +1,26 @@
 // Shared bench harness pieces: machine construction, the Table 1 workload driver,
-// and table printing. Every bench binary regenerates one paper table/figure.
+// table printing, and the JSON report and gate. Every bench binary regenerates
+// one paper table/figure.
 #ifndef EXO_BENCH_COMMON_H_
 #define EXO_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/unix_apps.h"
 #include "apps/workload.h"
 #include "exos/system.h"
+#include "sim/check.h"
 #include "trace/trace.h"
 
 namespace exo::bench {
@@ -199,79 +207,189 @@ inline double WallNow() {
       .count();
 }
 
-// ---- --check support, shared by the gated benches ----
-//
-// A gated bench writes its own JSON report, then `--check BASELINE` holds a few
-// measured values to the bounds committed in a flat JSON baseline file
-// (bench/*_baseline.json). `fail` and `pass` are printf formats given
-// (measured, bound): the FAIL line's text and this bound's part of the
-// "baseline check passed (...)" summary.
-struct Bound {
-  enum Kind { kFloor, kCeiling };  // measured >= bound / measured <= bound
-  Kind kind;
-  const char* key;  // baseline key holding the bound
-  double measured;
-  const char* fail;
-  const char* pass;
-};
+// ---- The bench report: `--out` writes it, `--check` gates it ----
 
-// Pulls `"key": <number>` out of a flat JSON text without a JSON dependency.
-inline bool JsonNumber(const std::string& text, const char* key, double* out) {
-  const std::string needle = std::string("\"") + key + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
+// The argument after `flag` in argv, or `fallback` when the flag is absent.
+inline std::string FlagValue(int argc, char** argv, const char* flag,
+                             std::string fallback = "") {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      return argv[i + 1];
+    }
   }
-  const size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + colon + 1, nullptr);
-  return true;
+  return fallback;
 }
 
-// Returns the bench's exit code: 1 when the baseline cannot be read, lacks a
-// key, or any bound fails (each failing bound prints its FAIL line to stderr);
-// otherwise 0, after one summary line.
-inline int CheckBaseline(const std::string& path, const std::vector<Bound>& bounds) {
-  FILE* b = std::fopen(path.c_str(), "r");
-  if (b == nullptr) {
-    std::fprintf(stderr, "cannot read baseline %s\n", path.c_str());
-    return 1;
+// Every report-writing bench adds its named numbers in order and ends main
+// with `return report.Finish();`. Finish writes one flat JSON object to
+// `--out FILE` (default BENCH_<bench>.json): "bench" first, then each metric,
+// with dotted names for table rows ("http.20000.fleet.goodput").
+//
+// `--check BASELINE` then gates the report against a flat JSON baseline
+// (bench/<bench>_baseline.json): each `min_<metric>` key is a floor and each
+// `max_<metric>` key a ceiling on the metric of exactly that name, and string
+// values such as the `comment` are ignored. One ok:/FAIL:/skipped: line per
+// bound goes to stderr. Finish returns 1 when the baseline cannot be read,
+// holds no bound, holds a number that is not a bound, bounds a metric the
+// report lacks (so a renamed metric cannot drop its gate), or a bound is
+// broken; otherwise 0.
+class Report {
+ public:
+  Report(std::string bench, int argc, char** argv)
+      : bench_(std::move(bench)),
+        out_(FlagValue(argc, argv, "--out", "BENCH_" + bench_ + ".json")),
+        check_(FlagValue(argc, argv, "--check")) {}
+
+  void Add(std::string name, double value) {
+    EXO_CHECK(std::isfinite(value));
+    metrics_.push_back({std::move(name), value, {}});
   }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), b)) > 0) {
-    text.append(buf, n);
+
+  // A metric this host cannot measure: written as null, and a bound on it
+  // prints `skipped: <key> (<why>)` instead of failing.
+  void Skip(std::string name, std::string why) {
+    metrics_.push_back({std::move(name), std::nullopt, std::move(why)});
   }
-  std::fclose(b);
-  std::vector<double> limits(bounds.size());
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    if (!JsonNumber(text, bounds[i].key, &limits[i])) {
-      std::fprintf(stderr, "baseline %s missing required keys\n", path.c_str());
+
+  int Finish() const {
+    FILE* f = std::fopen(out_.c_str(), "w");
+    if (f == nullptr) {
+      std::fprintf(stderr, "cannot write %s\n", out_.c_str());
       return 1;
     }
-  }
-  bool ok = true;
-  std::string summary;
-  for (size_t i = 0; i < bounds.size(); ++i) {
-    const Bound& bd = bounds[i];
-    if (bd.kind == Bound::kFloor ? bd.measured < limits[i] : bd.measured > limits[i]) {
-      std::fprintf(stderr, ("FAIL: " + std::string(bd.fail) + "\n").c_str(), bd.measured,
-                   limits[i]);
-      ok = false;
+    std::fprintf(f, "{\n  \"bench\": \"%s\"", bench_.c_str());
+    for (const Metric& m : metrics_) {
+      if (m.value) {
+        std::fprintf(f, ",\n  \"%s\": %.15g", m.name.c_str(), *m.value);
+      } else {
+        std::fprintf(f, ",\n  \"%s\": null", m.name.c_str());
+      }
     }
-    char part[256];
-    std::snprintf(part, sizeof(part), bd.pass, bd.measured, limits[i]);
-    summary += (i == 0 ? "" : ", ") + std::string(part);
+    std::fprintf(f, "\n}\n");
+    std::fclose(f);
+    std::fprintf(stderr, "wrote %s\n", out_.c_str());
+    if (check_.empty()) {
+      return 0;
+    }
+
+    std::vector<std::pair<std::string, double>> bounds;
+    if (!ReadFlatNumbers(check_, &bounds)) {
+      std::fprintf(stderr, "cannot read baseline %s\n", check_.c_str());
+      return 1;
+    }
+    if (bounds.empty()) {
+      std::fprintf(stderr, "baseline %s holds no min_/max_ bound\n", check_.c_str());
+      return 1;
+    }
+    bool ok = true;
+    for (const auto& [key, bound] : bounds) {
+      const bool is_floor = key.rfind("min_", 0) == 0;
+      if (!is_floor && key.rfind("max_", 0) != 0) {
+        std::fprintf(stderr, "FAIL: baseline key %s is not a min_/max_ bound\n",
+                     key.c_str());
+        ok = false;
+        continue;
+      }
+      const std::string name = key.substr(4);
+      const auto m = std::find_if(metrics_.begin(), metrics_.end(),
+                                  [&](const Metric& x) { return x.name == name; });
+      if (m == metrics_.end()) {
+        std::fprintf(stderr, "FAIL: %s bounds no metric in this report\n", key.c_str());
+        ok = false;
+      } else if (!m->value) {
+        std::fprintf(stderr, "skipped: %s (%s)\n", key.c_str(), m->why.c_str());
+      } else if (is_floor ? *m->value < bound : *m->value > bound) {
+        std::fprintf(stderr, "FAIL: %s = %g, %s %g\n", name.c_str(), *m->value,
+                     is_floor ? "below floor" : "above ceiling", bound);
+        ok = false;
+      } else {
+        std::fprintf(stderr, "ok: %s = %g %s %g\n", name.c_str(), *m->value,
+                     is_floor ? ">=" : "<=", bound);
+      }
+    }
+    return ok ? 0 : 1;
   }
-  if (!ok) {
-    return 1;
+
+ private:
+  // Reads the number-valued keys of a flat JSON object in file order, skipping
+  // string values. False when the file cannot be read or holds anything else.
+  static bool ReadFlatNumbers(const std::string& path,
+                              std::vector<std::pair<std::string, double>>* out) {
+    FILE* f = std::fopen(path.c_str(), "r");
+    if (f == nullptr) {
+      return false;
+    }
+    std::string s;
+    char buf[4096];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      s.append(buf, n);
+    }
+    std::fclose(f);
+    size_t i = 0;
+    auto next = [&] {  // skips whitespace; '\0' at the end
+      while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) {
+        ++i;
+      }
+      return s[i];
+    };
+    auto quoted = [&](std::string* v) {  // from the opening quote
+      for (++i; i < s.size() && s[i] != '"'; ++i) {
+        if (s[i] == '\\') {
+          ++i;  // keep the escaped character
+        }
+        v->push_back(s[i]);
+      }
+      return i++ < s.size();
+    };
+    if (next() != '{') {
+      return false;
+    }
+    ++i;
+    if (next() == '}') {
+      return true;
+    }
+    for (;;) {
+      std::string key, ignored;
+      if (next() != '"' || !quoted(&key) || next() != ':') {
+        return false;
+      }
+      ++i;
+      if (next() == '"') {
+        if (!quoted(&ignored)) {
+          return false;
+        }
+      } else {
+        char* end = nullptr;
+        const double v = std::strtod(s.c_str() + i, &end);
+        if (end == s.c_str() + i || !std::isfinite(v)) {
+          return false;
+        }
+        i = static_cast<size_t>(end - s.c_str());
+        out->emplace_back(std::move(key), v);
+      }
+      const char c = next();
+      ++i;
+      if (c == '}') {
+        return true;
+      }
+      if (c != ',') {
+        return false;
+      }
+    }
   }
-  std::fprintf(stderr, "baseline check passed (%s)\n", summary.c_str());
-  return 0;
-}
+
+  struct Metric {
+    std::string name;
+    std::optional<double> value;  // nullopt: skipped
+    std::string why;
+  };
+
+  std::string bench_;
+  std::string out_;
+  std::string check_;  // empty: no gate
+  std::vector<Metric> metrics_;
+};
 
 }  // namespace exo::bench
 

@@ -11,7 +11,8 @@
 // post-reboot successes. Gates: worst-cycle goodput during the outage window
 // stays >= min_outage_goodput_frac of steady state, post-readmission goodput
 // recovers to >= min_recovered_goodput_frac, and p99 time-to-ejection /
-// time-to-readmission stay under their ceilings.
+// time-to-readmission stay under max_time_to_ejection_p99_ms /
+// max_time_to_readmission_p99_ms.
 //
 // Lane 2 (blackhole): same fleet, health checks DISABLED, one kill and no
 // reboot. Pinned flows keep routing to the dead backend and new pins
@@ -21,13 +22,12 @@
 // hazard the health checks exist to fix.
 //
 // Everything on stdout is simulated-metric only and bit-identical for any
-// --threads value (the cluster determinism contract); JSON goes to
-// BENCH_failover.json (--out), and --check FILE gates against the committed
-// baseline (bench/failover_baseline.json in CI).
+// --threads value (the cluster determinism contract); the JSON report goes to
+// BENCH_failover.json (--out), and `--check bench/failover_baseline.json`
+// gates it.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -298,18 +298,10 @@ BlackholeResult RunBlackhole(uint32_t threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_failover.json";
-  std::string check_path;
-  uint32_t threads = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
-      check_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<uint32_t>(std::atoi(argv[++i]));
-    }
-  }
+  bench::Report report("failover", argc, argv);
+  const auto threads =
+      static_cast<uint32_t>(std::atoi(bench::FlagValue(argc, argv, "--threads", "1").c_str()));
+  report.Add("threads", threads);
 
   bench::PrintHeader("fleet failover: kill/reboot under balancer health checks");
   std::printf("fleet: 1 balancer, %u Cheetah servers, %u clients, %.0f req/s offered\n",
@@ -337,50 +329,15 @@ int main(int argc, char** argv) {
               "(pinned flows blackhole)\n",
               bh.steady_rps, bh.blackhole_frac);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"failover\",\n");
-  std::fprintf(f, "  \"threads\": %u,\n", threads);
-  std::fprintf(f, "  \"steady_rps\": %.1f,\n", armed.steady_rps);
-  std::fprintf(f, "  \"worst_outage_goodput_frac\": %.3f,\n", armed.worst_outage_frac);
-  std::fprintf(f, "  \"worst_recovered_goodput_frac\": %.3f,\n",
-               armed.worst_recovered_frac);
-  std::fprintf(f, "  \"time_to_ejection_p99_ms\": %.2f,\n", armed.tte_p99_ms);
-  std::fprintf(f, "  \"time_to_readmission_p99_ms\": %.2f,\n", armed.ttr_p99_ms);
-  std::fprintf(f, "  \"ejections\": %llu,\n",
-               static_cast<unsigned long long>(armed.ejected));
-  std::fprintf(f, "  \"readmissions\": %llu,\n",
-               static_cast<unsigned long long>(armed.readmitted));
-  std::fprintf(f, "  \"pins_evicted\": %llu,\n",
-               static_cast<unsigned long long>(armed.pins_evicted));
-  std::fprintf(f, "  \"failover_reroutes\": %llu,\n",
-               static_cast<unsigned long long>(armed.reroutes));
-  std::fprintf(f, "  \"blackhole_goodput_frac\": %.3f\n", bh.blackhole_frac);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (check_path.empty()) {
-    return 0;
-  }
-  using bench::Bound;
-  return bench::CheckBaseline(
-      check_path,
-      {{Bound::kFloor, "min_steady_rps", armed.steady_rps,
-        "steady goodput %.0f below floor %.0f", "steady %.0f >= %.0f"},
-       {Bound::kFloor, "min_outage_goodput_frac", armed.worst_outage_frac,
-        "outage goodput frac %.2f below floor %.2f", "outage %.2f >= %.2f"},
-       {Bound::kFloor, "min_recovered_goodput_frac", armed.worst_recovered_frac,
-        "recovered goodput frac %.2f below floor %.2f", "recovered %.2f >= %.2f"},
-       {Bound::kCeiling, "max_time_to_ejection_ms", armed.tte_p99_ms,
-        "time-to-ejection p99 %.2f ms above ceiling %.2f", "tte %.2f <= %.2f ms"},
-       {Bound::kCeiling, "max_time_to_readmission_ms", armed.ttr_p99_ms,
-        "time-to-readmission p99 %.2f ms above ceiling %.2f", "ttr %.2f <= %.2f ms"},
-       {Bound::kCeiling, "max_blackhole_goodput_frac", bh.blackhole_frac,
-        "blackhole lane kept %.2f of steady goodput (ceiling %.2f) — the unhealthy "
-        "lane no longer demonstrates the hazard",
-        "blackhole %.2f <= %.2f"}});
+  report.Add("steady_rps", armed.steady_rps);
+  report.Add("outage_goodput_frac", armed.worst_outage_frac);
+  report.Add("recovered_goodput_frac", armed.worst_recovered_frac);
+  report.Add("time_to_ejection_p99_ms", armed.tte_p99_ms);
+  report.Add("time_to_readmission_p99_ms", armed.ttr_p99_ms);
+  report.Add("ejections", armed.ejected);
+  report.Add("readmissions", armed.readmitted);
+  report.Add("pins_evicted", armed.pins_evicted);
+  report.Add("failover_reroutes", armed.reroutes);
+  report.Add("blackhole_goodput_frac", bh.blackhole_frac);
+  return report.Finish();
 }

@@ -15,8 +15,8 @@
 // `run` spans are summed from the trace ring, the same attribution a
 // Perfetto view of the run shows.
 //
-// Stdout is the human-readable table (deterministic, golden-diffable). A JSON
-// dump goes to BENCH_noisy_neighbor.json (--out FILE overrides). With
+// Stdout is the human-readable table (deterministic, golden-diffable). The
+// JSON report goes to BENCH_noisy_neighbor.json (--out FILE overrides). With
 // `--check bench/noisy_neighbor_baseline.json` the binary exits nonzero
 // unless, under tenant tickets, victim goodput and p99 hold their committed
 // bounds while the equal-ticket lane still demonstrates the starvation that
@@ -273,16 +273,7 @@ TenantStats RunLane(bool equal_tickets) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_noisy_neighbor.json";
-  std::string check_path;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check_path = argv[i + 1];
-    }
-  }
-
+  bench::Report report("noisy_neighbor", argc, argv);
   bench::PrintHeader("noisy neighbor: per-tenant goodput/latency, tenant vs equal tickets");
   std::printf("victims %d x %u tickets, flooder %d x %u tickets (control: all %u), "
               "%llu epochs of %.1f ms\n\n",
@@ -295,51 +286,22 @@ int main(int argc, char** argv) {
 
   std::printf("%-12s %-9s %-8s %-8s %-11s %-10s %-8s\n", "scheduler", "goodput",
               "p50ms", "p99ms", "victim-cpu", "flood-cpu", "revokes");
-  auto row = [](const char* name, const TenantStats& s) {
+  auto row = [&report](const char* name, const std::string& lane, const TenantStats& s) {
     std::printf("%-12s %-9.3f %-8.2f %-8.2f %-11.2f %-10.2f %-8llu\n", name,
                 s.goodput_frac, s.p50_ms, s.p99_ms, s.victim_cpu_frac, s.flood_cpu_frac,
                 static_cast<unsigned long long>(s.pressure_revokes));
+    report.Add(lane + ".goodput_frac", s.goodput_frac);
+    report.Add(lane + ".p50_ms", s.p50_ms);
+    report.Add(lane + ".p99_ms", s.p99_ms);
+    report.Add(lane + ".victim_cpu_frac", s.victim_cpu_frac);
+    report.Add(lane + ".flood_cpu_frac", s.flood_cpu_frac);
+    report.Add(lane + ".pressure_revokes", s.pressure_revokes);
   };
-  row("stride", st);
-  row("equal-ticket", eq);
+  row("stride", "stride", st);
+  row("equal-ticket", "equal_tickets", eq);
   std::printf("\nvictim p99: %.2f ms under tenant tickets vs %.2f ms under equal tickets "
               "(%.0fx)\n",
               st.p99_ms, eq.p99_ms, eq.p99_ms / st.p99_ms);
 
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"noisy_neighbor\",\n");
-  std::fprintf(f,
-               "  \"stride\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, \"p99_ms\": "
-               "%.3f, \"victim_cpu_frac\": %.3f, \"flood_cpu_frac\": %.3f, "
-               "\"pressure_revokes\": %llu},\n",
-               st.goodput_frac, st.p50_ms, st.p99_ms, st.victim_cpu_frac,
-               st.flood_cpu_frac, static_cast<unsigned long long>(st.pressure_revokes));
-  std::fprintf(f,
-               "  \"equal_tickets\": {\"goodput_frac\": %.4f, \"p50_ms\": %.3f, "
-               "\"p99_ms\": %.3f, \"victim_cpu_frac\": %.3f, \"flood_cpu_frac\": %.3f, "
-               "\"pressure_revokes\": %llu}\n",
-               eq.goodput_frac, eq.p50_ms, eq.p99_ms, eq.victim_cpu_frac,
-               eq.flood_cpu_frac, static_cast<unsigned long long>(eq.pressure_revokes));
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (check_path.empty()) {
-    return 0;
-  }
-  using bench::Bound;
-  return bench::CheckBaseline(
-      check_path,
-      {{Bound::kFloor, "min_stride_goodput_frac", st.goodput_frac,
-        "stride goodput %.3f below baseline floor %.3f", "%.3f >= %.3f"},
-       {Bound::kCeiling, "max_stride_p99_ms", st.p99_ms,
-        "stride victim p99 %.2f ms above baseline cap %.2f ms", "%.2f <= %.2f"},
-       {Bound::kFloor, "min_equal_tickets_p99_ms", eq.p99_ms,
-        "equal-ticket victim p99 %.2f ms below %.2f ms: the control lane stopped "
-        "demonstrating the starvation per-tenant tickets exist to fix",
-        "%.2f >= %.2f"}});
+  return report.Finish();
 }

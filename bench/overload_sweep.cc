@@ -16,13 +16,12 @@
 // argument; Welsh & Culler, "Adaptive Overload Control for Busy Internet
 // Servers", USITS 2003).
 //
-// Stdout is the human-readable table (deterministic, golden-diffable). A JSON
-// dump goes to BENCH_overload.json (--out FILE overrides). With
-// `--check bench/overload_baseline.json` the binary exits nonzero unless the
-// with-shedding goodput at 2x capacity stays above the committed floor and the
-// unprotected server demonstrably collapses — the CI acceptance gate.
+// Stdout is the human-readable table (deterministic, golden-diffable). The
+// JSON report goes to BENCH_overload_sweep.json (--out FILE overrides). With
+// `--check bench/overload_sweep_baseline.json` the binary exits nonzero unless
+// the with-shedding goodput at 2x capacity stays above the committed floor and
+// the unprotected server demonstrably collapses — the ctest `gate` label.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -125,23 +124,23 @@ RunResult RunOffered(double offered_per_sec, double sim_seconds, bool shedding) 
   return r;
 }
 
+void AddRun(const std::string& row, const RunResult& r, bench::Report* report) {
+  report->Add(row + "goodput", r.goodput);
+  report->Add(row + "shed", r.shed);
+  report->Add(row + "failed", r.failed);
+  report->Add(row + "p50_ms", r.p50_ms);
+  report->Add(row + "p99_ms", r.p99_ms);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_overload.json";
-  std::string check_path;
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      out_path = argv[i + 1];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check_path = argv[i + 1];
-    }
-  }
-
+  bench::Report report("overload_sweep", argc, argv);
   bench::PrintHeader("overload sweep: offered load vs goodput, shedding off/on");
 
   const double sim_seconds = 4.0;
   const double capacity = MeasureCapacity(2.0);
+  report.Add("capacity_req_per_s", capacity);
   std::printf("peak capacity (closed-loop, %zu-byte doc): %.0f req/s\n\n", kDocBytes,
               capacity);
   std::printf("%-8s %-9s | %-31s | %-31s\n", "", "", "shedding off", "shedding on");
@@ -149,70 +148,29 @@ int main(int argc, char** argv) {
               "offered", "goodput", "fail/s", "p50ms", "p99ms", "goodput", "shed/s",
               "p50ms", "p99ms");
 
-  const double multiples[] = {0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0};
-  std::vector<double> mult_v;
-  std::vector<RunResult> off_v, on_v;
-  for (double m : multiples) {
+  // Acceptance quantities: goodput at 2x offered load as a fraction of peak.
+  double frac_on_2x = 0;
+  double frac_off_2x = 0;
+  for (double m : {0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0}) {
     const double offered = m * capacity;
     const RunResult off = RunOffered(offered, sim_seconds, /*shedding=*/false);
     const RunResult on = RunOffered(offered, sim_seconds, /*shedding=*/true);
     std::printf("%-8.2f %-9.0f | %-9.0f %-6.0f %-7.1f %-7.1f | %-9.0f %-6.0f %-7.1f %-7.1f\n",
                 m, offered, off.goodput, off.failed, off.p50_ms, off.p99_ms,
                 on.goodput, on.shed, on.p50_ms, on.p99_ms);
-    mult_v.push_back(m);
-    off_v.push_back(off);
-    on_v.push_back(on);
-  }
-
-  // Acceptance quantities: goodput at 2x offered load as a fraction of peak.
-  double frac_on_2x = 0;
-  double frac_off_2x = 0;
-  for (size_t i = 0; i < mult_v.size(); ++i) {
-    if (mult_v[i] == 2.0) {
-      frac_on_2x = on_v[i].goodput / capacity;
-      frac_off_2x = off_v[i].goodput / capacity;
+    char row[32];
+    std::snprintf(row, sizeof(row), "at_%.2fx.", m);
+    report.Add(std::string(row) + "offered", offered);
+    AddRun(std::string(row) + "off.", off, &report);
+    AddRun(std::string(row) + "on.", on, &report);
+    if (m == 2.0) {
+      frac_on_2x = on.goodput / capacity;
+      frac_off_2x = off.goodput / capacity;
     }
   }
   std::printf("\ngoodput at 2.0x capacity: %.0f%% of peak with shedding, %.0f%% without\n",
               frac_on_2x * 100, frac_off_2x * 100);
-
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"overload_sweep\",\n");
-  std::fprintf(f, "  \"capacity_req_per_s\": %.1f,\n", capacity);
-  std::fprintf(f, "  \"goodput_frac_at_2x_with_shedding\": %.4f,\n", frac_on_2x);
-  std::fprintf(f, "  \"goodput_frac_at_2x_without_shedding\": %.4f,\n", frac_off_2x);
-  std::fprintf(f, "  \"points\": [\n");
-  for (size_t i = 0; i < mult_v.size(); ++i) {
-    const RunResult& off = off_v[i];
-    const RunResult& on = on_v[i];
-    std::fprintf(f,
-                 "    {\"multiple\": %.2f, \"offered\": %.1f, "
-                 "\"off\": {\"goodput\": %.1f, \"failed\": %.1f, \"p50_ms\": %.2f, "
-                 "\"p99_ms\": %.2f}, "
-                 "\"on\": {\"goodput\": %.1f, \"shed\": %.1f, \"p50_ms\": %.2f, "
-                 "\"p99_ms\": %.2f}}%s\n",
-                 mult_v[i], mult_v[i] * capacity, off.goodput, off.failed, off.p50_ms,
-                 off.p99_ms, on.goodput, on.shed, on.p50_ms, on.p99_ms,
-                 i + 1 < mult_v.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-
-  if (check_path.empty()) {
-    return 0;
-  }
-  using bench::Bound;
-  return bench::CheckBaseline(
-      check_path,
-      {{Bound::kFloor, "min_goodput_frac_at_2x_with_shedding", frac_on_2x,
-        "goodput at 2x with shedding %.2f below baseline floor %.2f", "%.2f >= %.2f"},
-       {Bound::kCeiling, "max_goodput_frac_at_2x_without_shedding", frac_off_2x,
-        "unprotected server no longer collapses (%.2f > %.2f): the without-shedding "
-        "lane stopped demonstrating the failure mode",
-        "%.2f <= %.2f"}});
+  report.Add("goodput_frac_at_2x_with_shedding", frac_on_2x);
+  report.Add("goodput_frac_at_2x_without_shedding", frac_off_2x);
+  return report.Finish();
 }

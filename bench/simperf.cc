@@ -14,9 +14,9 @@
 //   global_fig4      a scaled-down Figure 4 job mix: the end-to-end sanity number
 //                    (simulated seconds per wall second)
 //
-// Results go to BENCH_simperf.json (override with --out FILE). SIMPERF_SCALE=<f>
-// scales workload sizes. See docs/PERFORMANCE.md for how to read the numbers.
-#include <cstdlib>
+// Results go to BENCH_simperf.json (--out FILE overrides), and
+// `--check bench/simperf_baseline.json` gates them (bench::Report). See
+// docs/PERFORMANCE.md for how to read the numbers.
 #include <cstring>
 #include <deque>
 #include <string>
@@ -366,13 +366,12 @@ struct ClusterScaleResult {
   uint32_t parallel_threads = 0;
   uint64_t cross_messages = 0;
   uint64_t rounds = 0;
-  bool equivalent = false;  // byte-identical merged counters across lanes
   // (threads, host microseconds per round) for 1, 2 and, when N > 2, N.
   std::vector<std::pair<uint32_t, double>> host_us_per_round;
 };
 
-ClusterScaleResult ClusterScale(double scale) {
-  const auto chain = static_cast<uint32_t>(64 * scale);
+ClusterScaleResult ClusterScale() {
+  const uint32_t chain = 64;
   const sim::Cycles sim_cycles = 20'000'000;  // 100 ms simulated
   const uint32_t hw_threads = std::max(1u, std::thread::hardware_concurrency());
   const uint32_t par = std::min(4u, hw_threads);
@@ -396,7 +395,6 @@ ClusterScaleResult ClusterScale(double scale) {
   r.parallel_threads = par;
   r.cross_messages = t1.cross_messages;
   r.rounds = t1.rounds;
-  r.equivalent = t1.counters == t2.counters && t1.counters == tn.counters;
   // Every lane runs the same rounds (checked above).
   const double rounds = static_cast<double>(std::max<uint64_t>(t1.rounds, 1));
   r.host_us_per_round = {{1, t1.wall_s * 1e6 / rounds}, {2, t2.wall_s * 1e6 / rounds}};
@@ -443,96 +441,63 @@ WorkloadResult GlobalFig4(int jobs, int conc) {
   return r;
 }
 
-void PrintResult(const WorkloadResult& r) {
+// Prints one workload's row and adds its metrics to the report.
+void Record(const WorkloadResult& r, bench::Report* report) {
+  const double per_sec = static_cast<double>(r.ops) / r.wall_s;
   std::printf("%-18s %12llu ops %9.3f s wall %12.0f ops/s %10.3f sim-s %8.2f sim-s/wall-s\n",
-              r.name.c_str(), static_cast<unsigned long long>(r.ops), r.wall_s,
-              static_cast<double>(r.ops) / r.wall_s, r.sim_s, r.sim_s / r.wall_s);
+              r.name.c_str(), static_cast<unsigned long long>(r.ops), r.wall_s, per_sec,
+              r.sim_s, r.sim_s / r.wall_s);
   if (r.predicate_evals + r.predicate_skips > 0) {
     std::printf("%-18s %12s evals=%llu skips=%llu\n", "", "",
                 static_cast<unsigned long long>(r.predicate_evals),
                 static_cast<unsigned long long>(r.predicate_skips));
   }
+  const std::string row = r.name + ".";
+  report->Add(row + "ops", r.ops);
+  report->Add(row + "wall_s", r.wall_s);
+  report->Add(row + "events_per_sec", per_sec);
+  report->Add(row + "sim_s", r.sim_s);
+  report->Add(row + "sim_s_per_wall_s", r.sim_s / r.wall_s);
+  report->Add(row + "predicate_evals", r.predicate_evals);
+  report->Add(row + "predicate_skips", r.predicate_skips);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_simperf.json";
-  for (int i = 1; i < argc - 1; ++i) {
-    if (std::string(argv[i]) == "--out") {
-      out_path = argv[i + 1];
-    }
-  }
-  double scale = 1.0;
-  if (const char* s = std::getenv("SIMPERF_SCALE")) {
-    scale = std::atof(s);
-    if (scale <= 0) {
-      scale = 1.0;
-    }
-  }
+  bench::Report report("simperf", argc, argv);
+  const uint32_t hw_threads = std::thread::hardware_concurrency();
+  report.Add("hw_threads", hw_threads);
 
-  exo::bench::PrintHeader("simperf: simulator hot-path wall-clock throughput");
-  std::printf("scale=%.2f\n\n", scale);
-
-  std::vector<WorkloadResult> results;
-  results.push_back(EventChurn(static_cast<uint64_t>(150000 * scale)));
-  PrintResult(results.back());
-  results.push_back(TraceOverhead(static_cast<uint64_t>(150000 * scale)));
-  PrintResult(results.back());
-  results.push_back(PredicateStorm(static_cast<uint32_t>(1000 * scale), 10));
-  PrintResult(results.back());
-  results.push_back(DiskDeepQueue(8, static_cast<uint32_t>(3000 * scale)));
-  PrintResult(results.back());
-  results.push_back(GlobalFig4(std::max(4, static_cast<int>(16 * scale)), 4));
-  PrintResult(results.back());
-  const ClusterScaleResult cs = ClusterScale(scale);
-  results.push_back(cs.serial);
-  PrintResult(results.back());
+  bench::PrintHeader("simperf: simulator hot-path wall-clock throughput");
+  std::printf("\n");
+  Record(EventChurn(150000), &report);
+  Record(TraceOverhead(150000), &report);
+  Record(PredicateStorm(1000, 10), &report);
+  Record(DiskDeepQueue(8, 3000), &report);
+  Record(GlobalFig4(16, 4), &report);
+  const ClusterScaleResult cs = ClusterScale();
+  Record(cs.serial, &report);
   std::printf("%-18s %12s threads=%u speedup=%.2fx speedup_at_2=%.2fx rounds=%llu "
-              "cross_msgs=%llu equivalent=%s hw_threads=%u\n",
+              "cross_msgs=%llu hw_threads=%u\n",
               "", "", cs.parallel_threads, cs.speedup, cs.speedup_at_2,
               static_cast<unsigned long long>(cs.rounds),
-              static_cast<unsigned long long>(cs.cross_messages),
-              cs.equivalent ? "yes" : "NO", std::thread::hardware_concurrency());
+              static_cast<unsigned long long>(cs.cross_messages), hw_threads);
+  report.Add("cluster_scale.rounds", cs.rounds);
+  report.Add("cluster_scale.cross_messages", cs.cross_messages);
+  report.Add("cluster_scale.speedup_at_2", cs.speedup_at_2);
+  if (cs.parallel_threads == 4) {
+    report.Add("cluster_scale.speedup_at_4", cs.speedup);
+  } else {
+    report.Skip("cluster_scale.speedup_at_4", "fewer than 4 hardware threads");
+  }
   std::printf("%-18s %12s host_us_per_round:", "", "");
   for (const auto& [threads, us] : cs.host_us_per_round) {
     std::printf(" threads=%u %.2f", threads, us);
+    std::string name = "cluster_scale.host_us_per_round.";
+    name += std::to_string(threads);
+    report.Add(std::move(name), us);
   }
   std::printf("\n");
-
-  FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"simperf\",\n  \"scale\": %.3f,\n", scale);
-  std::fprintf(f, "  \"hw_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"cluster\": {\"threads\": %u, \"speedup\": %.3f, "
-               "\"speedup_at_2\": %.3f, \"equivalent\": %s, \"rounds\": %llu, "
-               "\"cross_messages\": %llu, \"host_us_per_round\": {",
-               cs.parallel_threads, cs.speedup, cs.speedup_at_2,
-               cs.equivalent ? "true" : "false", static_cast<unsigned long long>(cs.rounds),
-               static_cast<unsigned long long>(cs.cross_messages));
-  for (size_t i = 0; i < cs.host_us_per_round.size(); ++i) {
-    std::fprintf(f, "%s\"%u\": %.3f", i > 0 ? ", " : "", cs.host_us_per_round[i].first,
-                 cs.host_us_per_round[i].second);
-  }
-  std::fprintf(f, "}},\n");
-  std::fprintf(f, "  \"workloads\": {\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const WorkloadResult& r = results[i];
-    std::fprintf(f,
-                 "    \"%s\": {\"ops\": %llu, \"wall_s\": %.6f, \"events_per_sec\": "
-                 "%.1f, \"sim_s\": %.6f, \"sim_s_per_wall_s\": %.3f, "
-                 "\"predicate_evals\": %llu, \"predicate_skips\": %llu}%s\n",
-                 r.name.c_str(), static_cast<unsigned long long>(r.ops), r.wall_s,
-                 static_cast<double>(r.ops) / r.wall_s, r.sim_s, r.sim_s / r.wall_s,
-                 static_cast<unsigned long long>(r.predicate_evals),
-                 static_cast<unsigned long long>(r.predicate_skips),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return report.Finish();
 }

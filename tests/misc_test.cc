@@ -1,7 +1,13 @@
 // Additional coverage: CpuMeter occupancy, kernel-backend cache eviction (the
-// OpenBSD small-cache behaviour), disk scheduling properties, and FFS specifics.
+// OpenBSD small-cache behaviour), disk scheduling properties, FFS specifics,
+// and the bench report and its baseline gate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "bench/common.h"
 #include "fs/ffs.h"
 #include "fs/kernel_backend.h"
 #include "hw/machine.h"
@@ -179,6 +185,104 @@ TEST_F(FfsTest, DataSeparatedFromInodeZone) {
   EXPECT_EQ(st->nblocks, 5u);
   // FFS places data far from the inode zone (no co-location) — the mechanism
   // behind its long seeks on small-file workloads.
+}
+
+// A scratch file path unique to the running test, so ctest -j cannot collide.
+std::string TempPath(const char* name) {
+  return ::testing::TempDir() + "bench_report_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::string text;
+  FILE* f = std::fopen(path.c_str(), "r");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    for (int c; (c = std::fgetc(f)) != EOF;) {
+      text.push_back(static_cast<char>(c));
+    }
+    std::fclose(f);
+  }
+  return text;
+}
+
+// Finish()'s exit code for a report holding x = 6 and a skipped metric s,
+// run with `flags` after the program name.
+int FinishReport(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& f : flags) {
+    argv.push_back(f.data());
+  }
+  bench::Report report("t", static_cast<int>(argv.size()), argv.data());
+  report.Add("x", 6);
+  report.Skip("s", "no such hardware");
+  return report.Finish();
+}
+
+// The same, gated against a baseline holding `baseline_text`.
+int Gate(const std::string& baseline_text) {
+  const std::string baseline = TempPath("baseline.json");
+  FILE* f = std::fopen(baseline.c_str(), "w");
+  EXPECT_NE(f, nullptr) << baseline;
+  if (f == nullptr) {
+    return -1;
+  }
+  std::fputs(baseline_text.c_str(), f);
+  std::fclose(f);
+  const std::string out = TempPath("report.json");
+  const int code = FinishReport({"--out", out, "--check", baseline});
+  std::remove(baseline.c_str());
+  std::remove(out.c_str());
+  return code;
+}
+
+TEST(BenchReportTest, FloorMetAndBroken) {
+  EXPECT_EQ(Gate(R"({"min_x": 6})"), 0);
+  EXPECT_EQ(Gate(R"({"min_x": 6.5})"), 1);
+}
+
+TEST(BenchReportTest, CeilingMetAndBroken) {
+  EXPECT_EQ(Gate(R"({"max_x": 6})"), 0);
+  EXPECT_EQ(Gate(R"({"max_x": 5.5})"), 1);
+}
+
+TEST(BenchReportTest, BoundOnMissingMetricFails) {
+  EXPECT_EQ(Gate(R"({"min_x": 1, "max_y": 1})"), 1);
+}
+
+TEST(BenchReportTest, BoundOnSkippedMetricPasses) {
+  EXPECT_EQ(Gate(R"({"min_x": 1, "min_s": 1e9})"), 0);
+}
+
+TEST(BenchReportTest, UnreadableBaselineFails) {
+  const std::string out = TempPath("report.json");
+  EXPECT_EQ(FinishReport({"--out", out, "--check", TempPath("missing.json")}), 1);
+  std::remove(out.c_str());
+  EXPECT_EQ(Gate(R"({"x": {"min_x": 1}})"), 1);  // not flat
+  EXPECT_EQ(Gate(R"({"min_x": 1)"), 1);          // truncated
+  EXPECT_EQ(Gate(R"({"max_x": nan})"), 1);       // not a JSON number
+}
+
+TEST(BenchReportTest, BaselineWithoutBoundFails) {
+  EXPECT_EQ(Gate(R"({"comment": "no bounds here"})"), 1);
+  EXPECT_EQ(Gate(R"({"min_x": 1, "x": 6})"), 1);  // a number that bounds nothing
+}
+
+TEST(BenchReportTest, CommentIsIgnored) {
+  EXPECT_EQ(Gate(R"({
+    "bench": "t",
+    "comment": "strings are not bounds: \"min_x\": 100, {}",
+    "min_x": 1
+  })"),
+            0);
+}
+
+TEST(BenchReportTest, OutGetsOneFlatObject) {
+  const std::string out = TempPath("report.json");
+  EXPECT_EQ(FinishReport({"--out", out}), 0);
+  EXPECT_EQ(ReadFile(out), "{\n  \"bench\": \"t\",\n  \"x\": 6,\n  \"s\": null\n}\n");
+  std::remove(out.c_str());
 }
 
 }  // namespace
