@@ -100,7 +100,7 @@ void BuildServer(Fleet& f, uint32_t k) {
 }
 
 Fleet BuildFleet(bool health_checks, bool client_retry, uint32_t threads,
-                 const std::vector<sim::MachineEvent>& schedule,
+                 const std::vector<sim::FaultEvent>& schedule,
                  sim::Cycles horizon) {
   Fleet f;
   cluster::TopologyConfig tc;
@@ -182,13 +182,13 @@ struct ArmedResult {
 };
 
 ArmedResult RunArmed(uint32_t threads) {
-  std::vector<sim::MachineEvent> schedule;
+  std::vector<sim::FaultEvent> schedule;
   std::vector<uint32_t> victims;
   for (int i = 0; i < kCycles; ++i) {
     const uint32_t victim = 1 + (static_cast<uint32_t>(i) % kServers);  // server_id
     const sim::Cycles kill = kWarmup + static_cast<sim::Cycles>(i) * kCyclePeriod;
-    schedule.push_back({kill, 'k', victim});
-    schedule.push_back({kill + kOutage, 'b', victim});
+    schedule.push_back({'k', kill, victim});
+    schedule.push_back({'b', kill + kOutage, victim});
     victims.push_back(victim);
   }
   const sim::Cycles horizon =
@@ -267,7 +267,7 @@ BlackholeResult RunBlackhole(uint32_t threads) {
   // flows pinned to the dead backend stay pinned (nothing evicts them) and
   // route into the void forever — the stale-pin hazard the health checks and
   // eviction exist to fix. Roughly half the fleet's goodput vanishes.
-  std::vector<sim::MachineEvent> schedule = {{kWarmup, 'k', 1}};
+  std::vector<sim::FaultEvent> schedule = {{'k', kWarmup, 1}};
   const sim::Cycles horizon = kWarmup + 2 * kCyclePeriod;
   Fleet f = BuildFleet(/*health_checks=*/false, /*client_retry=*/false, threads,
                        schedule, horizon);

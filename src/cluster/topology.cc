@@ -375,26 +375,29 @@ void Topology::Readmit(uint32_t backend) {
   }
 }
 
-sim::FaultInjector* Topology::MachineFaultInjector(uint32_t id) {
-  auto& slot = machine_faults_[id];
-  if (slot == nullptr) {
-    sim::FaultPlan plan;
-    plan.seed = cluster_.DeriveSeed(20'000 + id);
-    slot = std::make_unique<sim::FaultInjector>(plan);
-    slot->AttachCounters(&machine(id).counters());
-    slot->AttachTracer(&machine(id).tracer(), &engine_of(id));
-  }
-  return slot.get();
-}
-
-void Topology::ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedule) {
-  for (const sim::MachineEvent& e : schedule) {
-    EXO_CHECK(e.machine < machines_.size());
-    sim::FaultInjector* inj = MachineFaultInjector(static_cast<uint32_t>(e.machine));
-    engine_of(static_cast<uint32_t>(e.machine)).ScheduleAt(e.time, [this, e, inj] {
-      const uint32_t id = static_cast<uint32_t>(e.machine);
-      inj->RecordMachine(e);
-      if (e.kind == 'k') {
+void Topology::ApplyMachineSchedule(const std::vector<sim::FaultEvent>& schedule) {
+  sim::RequireFaultSchedule(schedule, "kb", "Topology::ApplyMachineSchedule");
+  for (const sim::FaultEvent& e : schedule) {
+    EXO_CHECK(e.arg < machines_.size());
+    const uint32_t id = static_cast<uint32_t>(e.arg);
+    // Both counters and the track exist from the victim's first event on.
+    sim::Counters::Slot* kills = machine(id).counters().Handle("fault.machine_kills");
+    sim::Counters::Slot* reboots = machine(id).counters().Handle("fault.machine_reboots");
+    auto [track, first] = victim_fault_tracks_.try_emplace(id, 0);
+    if (first) {
+      track->second = machine(id).tracer().NewTrack("faults");
+    }
+    const bool kill = e.kind == 'k';
+    sim::Counters::Slot* count = kill ? kills : reboots;
+    const uint32_t trace_track = track->second;
+    engine_of(id).ScheduleAt(e.index, [this, id, kill, count, trace_track] {
+      ++*count;
+      trace::Tracer& t = machine(id).tracer();
+      if (t.enabled(trace::Category::kFault)) {
+        t.Instant(trace::Category::kFault, trace_track,
+                  kill ? "machine_kill" : "machine_reboot", engine_of(id).now(), id);
+      }
+      if (kill) {
         machine(id).Kill();
       } else {
         machine(id).Reboot();

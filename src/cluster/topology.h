@@ -129,17 +129,21 @@ class Topology {
   // exactly like dead hardware. Requires front_end_lb.
   void ArmHealthChecks(sim::Cycles until);
 
-  // Schedules the machine kill/reboot events (sim::ParseMachineSchedule
-  // grammar: "k@<t>:<m>,b@<t>:<m>") on each victim's shard engine. Kills run
-  // hw::Machine::Kill (NICs down, disks power-cut, kill listeners) and reboots
-  // hw::Machine::Reboot (reboot listeners): software that must die or come
-  // back with the machine registers there (Machine::AddKillListener /
-  // AddRebootListener). Both are recorded through a per-victim
-  // sim::FaultInjector (fault.machine_kills / fault.machine_reboots counters
-  // and machine_kill/machine_reboot trace instants on the victim's timeline).
-  // All state touched is machine-local, so schedules replay bit-identically at
-  // any thread count. Call before Run; may be called multiple times.
-  void ApplyMachineSchedule(const std::vector<sim::MachineEvent>& schedule);
+  // Schedules machine kill (k) and reboot (b) events on each victim's shard
+  // engine: the index is the cycle and the arg the machine id, so
+  // sim::ParseFaultSchedule reads a schedule as "k@<t>:<m> b@<t>:<m>"
+  // (space-separated). Aborts unless sim::CheckFaultSchedule passes and every
+  // kind is k or b. Kills run hw::Machine::Kill (NICs down, disks power-cut,
+  // kill listeners) and reboots hw::Machine::Reboot (reboot listeners):
+  // software that must die or come back with the machine registers there
+  // (Machine::AddKillListener / AddRebootListener). Each event bumps the
+  // victim's fault.machine_kills or fault.machine_reboots counter and emits a
+  // machine_kill or machine_reboot instant on the victim's `faults` trace
+  // track; both counters and the track are made when the victim's first event
+  // is applied. All state touched is machine-local, so schedules replay
+  // bit-identically at any thread count. Call before Run; may be called
+  // multiple times.
+  void ApplyMachineSchedule(const std::vector<sim::FaultEvent>& schedule);
 
   // Health-check observability for benches: current ejection state and the
   // last ejection/readmission timestamps per backend (0 = never).
@@ -201,7 +205,6 @@ class Topology {
   void OnProbeMiss(uint32_t backend);
   void Eject(uint32_t backend);
   void Readmit(uint32_t backend);
-  sim::FaultInjector* MachineFaultInjector(uint32_t id);
 
   TopologyConfig config_;
   Cluster cluster_;
@@ -226,9 +229,9 @@ class Topology {
   // Flows evicted by an ejection; counted into lb.failover_reroutes when the
   // flow re-pins to a surviving backend.
   std::set<uint64_t> pending_reroute_;
-  // Machine-fault recording: one injector per victim machine, touched only by
-  // that machine's shard thread.
-  std::map<uint32_t, std::unique_ptr<sim::FaultInjector>> machine_faults_;
+  // Each machine-fault victim's `faults` trace track, by machine id. Touched
+  // only by ApplyMachineSchedule, before Run.
+  std::map<uint32_t, uint32_t> victim_fault_tracks_;
 };
 
 }  // namespace exo::cluster

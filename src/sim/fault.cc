@@ -2,6 +2,10 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
+#include <string_view>
+#include <tuple>
 
 namespace exo::sim {
 
@@ -13,18 +17,79 @@ std::string Format(const char* fmt, uint64_t a, uint64_t b) {
   return buf;
 }
 
-// ---- Strict schedule tokenizer ----
+// ---- The schedule grammar ----
 //
-// Grammar (shared by all three codecs): tokens separated by one or more spaces,
-// each `kind@index` or `kind@index:arg`. Hand-parsed so overflow is an error,
-// not a wrap; any malformed byte rejects the whole schedule.
-
-struct SchedToken {
-  char kind = 0;
-  uint64_t index = 0;
-  bool has_arg = false;
-  uint64_t arg = 0;
+// The one table of kinds: the stream each kind's index counts in, and whether
+// it carries an arg.
+enum Stream { kWireFrames, kBlockWrites, kBlockReads, kMachineCycles };
+struct KindRule {
+  char kind;
+  Stream stream;
+  bool has_arg;
 };
+constexpr KindRule kKindRules[] = {
+    {'d', kWireFrames, false},  {'c', kWireFrames, true},     {'u', kWireFrames, false},
+    {'w', kBlockWrites, false}, {'m', kBlockWrites, true},    {'l', kBlockReads, false},
+    {'r', kBlockReads, true},   {'k', kMachineCycles, true},  {'b', kMachineCycles, true},
+};
+
+const KindRule* FindKind(char kind) {
+  for (const KindRule& rule : kKindRules) {
+    if (rule.kind == kind) {
+      return &rule;
+    }
+  }
+  return nullptr;
+}
+
+std::string KindName(char kind) {
+  if (std::isprint(static_cast<unsigned char>(kind))) {
+    return std::string("'") + kind + "'";
+  }
+  char buf[8];
+  std::snprintf(buf, sizeof(buf), "\\x%02x", static_cast<unsigned char>(kind));
+  return buf;
+}
+
+// CheckFaultSchedule's rules, with diagnostics prefixed `<unit> N:` — the
+// parser reports in tokens, every other caller in events.
+std::string CheckEvents(const std::vector<FaultEvent>& events, const char* unit) {
+  auto fail = [unit](size_t i, const std::string& why) {
+    return std::string(unit) + " " + std::to_string(i + 1) + ": " + why;
+  };
+  // Two events on one consultation index of one stream are ambiguous (the
+  // script would silently keep one). Machine kinds key on (cycle, machine):
+  // two machines may die on one cycle; one machine killed and rebooted on one
+  // cycle has no defined order.
+  std::map<std::tuple<Stream, uint64_t, uint64_t>, size_t> seen;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const FaultEvent& e = events[i];
+    const KindRule* rule = FindKind(e.kind);
+    if (rule == nullptr) {
+      return fail(i, "unknown kind " + KindName(e.kind));
+    }
+    if (e.index == 0) {
+      return fail(i, "index must be >= 1 (indices are 1-based)");
+    }
+    if (!rule->has_arg && e.arg != 0) {
+      return fail(i, "kind " + KindName(e.kind) + " takes no arg");
+    }
+    const uint64_t machine = rule->stream == kMachineCycles ? e.arg : 0;
+    auto [it, inserted] = seen.emplace(std::make_tuple(rule->stream, e.index, machine), i);
+    if (!inserted) {
+      return fail(i, "duplicate index " + std::to_string(e.index) + " (clashes with " +
+                         unit + " " + std::to_string(it->second + 1) + ")");
+    }
+  }
+  return "";
+}
+
+// ---- Strict tokenizer ----
+//
+// Tokens separated by one or more spaces, each `kind@index` or
+// `kind@index:arg`. Hand-parsed so overflow is an error, not a wrap; any
+// malformed byte rejects the whole schedule. Kinds and indices are left to
+// CheckEvents; the tokenizer enforces only what the text alone can show.
 
 bool ParseU64(const std::string& text, size_t* pos, uint64_t* out) {
   if (*pos >= text.size() || !std::isdigit(static_cast<unsigned char>(text[*pos]))) {
@@ -43,19 +108,13 @@ bool ParseU64(const std::string& text, size_t* pos, uint64_t* out) {
   return true;
 }
 
-void SetError(std::string* error, size_t token, const std::string& why) {
-  if (error != nullptr) {
-    *error = "token " + std::to_string(token) + ": " + why;
-  }
-}
-
-// `needs_arg` maps each allowed kind letter to whether :arg is mandatory
-// (it is always forbidden otherwise).
-bool TokenizeSchedule(const std::string& text, const std::string& allowed,
-                      const std::string& needs_arg, std::vector<SchedToken>* out,
-                      std::string* error) {
+// Returns "" and fills `out`, or "token N: <why>".
+std::string Tokenize(const std::string& text, std::vector<FaultEvent>* out) {
   size_t pos = 0;
   size_t token = 0;
+  auto fail = [&token](const std::string& why) {
+    return "token " + std::to_string(token) + ": " + why;
+  };
   while (pos < text.size()) {
     while (pos < text.size() && text[pos] == ' ') {
       ++pos;
@@ -64,147 +123,160 @@ bool TokenizeSchedule(const std::string& text, const std::string& allowed,
       break;
     }
     ++token;
-    SchedToken t;
-    t.kind = text[pos];
-    const size_t ki = allowed.find(t.kind);
-    if (ki == std::string::npos) {
-      SetError(error, token, std::string("unknown kind '") + t.kind + "'");
-      return false;
-    }
+    FaultEvent e;
+    e.kind = text[pos];
     ++pos;
     if (pos >= text.size() || text[pos] != '@') {
-      SetError(error, token, "expected '@' after kind");
-      return false;
+      return fail("expected '@' after kind");
     }
     ++pos;
-    if (!ParseU64(text, &pos, &t.index)) {
-      SetError(error, token, "bad or overflowing index");
-      return false;
+    if (!ParseU64(text, &pos, &e.index)) {
+      return fail("bad or overflowing index");
     }
-    if (t.index == 0) {
-      SetError(error, token, "index must be >= 1 (consultation indices are 1-based)");
-      return false;
-    }
+    bool has_arg = false;
     if (pos < text.size() && text[pos] == ':') {
       ++pos;
-      if (!ParseU64(text, &pos, &t.arg)) {
-        SetError(error, token, "bad or overflowing arg");
-        return false;
+      if (!ParseU64(text, &pos, &e.arg)) {
+        return fail("bad or overflowing arg");
       }
-      t.has_arg = true;
+      has_arg = true;
     }
     if (pos < text.size() && text[pos] != ' ') {
-      SetError(error, token, "trailing garbage in token");
-      return false;
+      return fail("trailing garbage in token");
     }
-    const bool want_arg = needs_arg[ki] == '1';
-    if (want_arg && !t.has_arg) {
-      SetError(error, token, std::string("kind '") + t.kind + "' requires :arg");
-      return false;
+    // A kind that takes an arg must spell it, even as :0; one that takes
+    // none must not spell one.
+    const KindRule* rule = FindKind(e.kind);
+    if (rule != nullptr && rule->has_arg && !has_arg) {
+      return fail("kind " + KindName(e.kind) + " requires :arg");
     }
-    if (!want_arg && t.has_arg) {
-      SetError(error, token, std::string("kind '") + t.kind + "' forbids :arg");
-      return false;
+    if (rule != nullptr && !rule->has_arg && has_arg) {
+      return fail("kind " + KindName(e.kind) + " forbids :arg");
     }
-    out->push_back(t);
+    out->push_back(e);
   }
-  return true;
+  return "";
 }
 
-// Rejects two events aimed at the same consultation index of the same stream:
-// `stream_of` maps a kind letter to an arbitrary stream id; duplicates within
-// one stream are ambiguous (the script map would silently last-win). Machine
-// kinds key on (index, arg) instead of index alone: their index is a *time*,
-// and two machines may legitimately die on the same cycle — only two events
-// for the same machine at the same cycle are ambiguous.
-bool CheckDuplicates(const std::vector<SchedToken>& tokens, int (*stream_of)(char),
-                     std::string* error) {
-  std::map<std::tuple<int, uint64_t, uint64_t>, size_t> seen;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    const uint64_t sub = IsMachineFaultKind(tokens[i].kind) ? tokens[i].arg : 0;
-    const auto key = std::make_tuple(stream_of(tokens[i].kind), tokens[i].index, sub);
-    auto [it, inserted] = seen.emplace(key, i);
-    if (!inserted) {
-      SetError(error, i + 1,
-               "duplicate index " + std::to_string(tokens[i].index) +
-                   " (clashes with token " + std::to_string(it->second + 1) + ")");
-      return false;
-    }
-  }
-  return true;
-}
-
-int WireStream(char) { return 0; }
-int DiskStream(char k) { return (k == 'w' || k == 'm') ? 1 : 2; }
-// 'k' and 'b' share one stream so kill+reboot of one machine on one cycle —
-// whose order would be ambiguous — is rejected as a duplicate.
-int MachineStream(char) { return 3; }
-int CombinedStream(char k) {
-  if (IsWireFaultKind(k)) {
-    return 0;
-  }
-  return IsMachineFaultKind(k) ? MachineStream(k) : DiskStream(k);
-}
-
-void AppendToken(std::string* out, char kind, uint64_t index, bool has_arg,
-                 uint64_t arg) {
-  if (!out->empty()) {
-    *out += ' ';
-  }
-  char buf[64];
-  if (has_arg) {
-    std::snprintf(buf, sizeof(buf), "%c@%llu:%llu", kind,
-                  static_cast<unsigned long long>(index),
-                  static_cast<unsigned long long>(arg));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%c@%llu", kind,
-                  static_cast<unsigned long long>(index));
-  }
-  *out += buf;
-}
-
-bool KindCarriesArg(char k) {
-  return k == 'c' || k == 'r' || k == 'm' || IsMachineFaultKind(k);
-}
+// What each FaultInjector::Fault updates, indexed by Fault.
+struct FaultSurface {
+  uint64_t FaultStats::*stat;
+  const char* counter;
+  const char* trace_name;
+};
+constexpr FaultSurface kFaultSurfaces[] = {
+    {&FaultStats::disk_io_errors, "fault.disk_io_errors", "disk_error"},
+    {&FaultStats::power_cuts, "fault.power_cuts", "power_cut"},
+    {&FaultStats::disk_lost_writes, "fault.disk_lost_writes", "disk_lost_write"},
+    {&FaultStats::disk_misdirects, "fault.disk_misdirects", "disk_misdirect"},
+    {&FaultStats::disk_rot, "fault.disk_rot", "disk_rot"},
+    {&FaultStats::disk_latent, "fault.disk_latent", "disk_latent"},
+    {&FaultStats::net_drops, "fault.net_drops", "net_drop"},
+    {&FaultStats::net_corruptions, "fault.net_corruptions", "net_corrupt"},
+    {&FaultStats::net_duplicates, "fault.net_duplicates", "net_duplicate"},
+};
 }  // namespace
+
+std::string CheckFaultSchedule(const std::vector<FaultEvent>& events) {
+  return CheckEvents(events, "event");
+}
+
+void RequireFaultSchedule(const std::vector<FaultEvent>& events, const char* kinds,
+                          const char* who) {
+  std::string why = CheckFaultSchedule(events);
+  for (size_t i = 0; why.empty() && i < events.size(); ++i) {
+    if (std::string_view(kinds).find(events[i].kind) == std::string_view::npos) {
+      why = "event " + std::to_string(i + 1) + ": kind " + KindName(events[i].kind) +
+            " is not one of " + kinds;
+    }
+  }
+  if (!why.empty()) {
+    std::fprintf(stderr, "%s: bad fault schedule: %s\n", who, why.c_str());
+    std::abort();
+  }
+}
+
+std::string FormatFaultSchedule(const std::vector<FaultEvent>& events) {
+  std::string out;
+  for (const FaultEvent& e : events) {
+    const KindRule* rule = FindKind(e.kind);
+    char buf[64];
+    if (rule != nullptr && rule->has_arg) {
+      std::snprintf(buf, sizeof(buf), "%c@%llu:%llu", e.kind,
+                    static_cast<unsigned long long>(e.index),
+                    static_cast<unsigned long long>(e.arg));
+    } else {
+      std::snprintf(buf, sizeof(buf), "%c@%llu", e.kind,
+                    static_cast<unsigned long long>(e.index));
+    }
+    if (!out.empty()) {
+      out += ' ';
+    }
+    out += buf;
+  }
+  return out;
+}
+
+std::vector<FaultEvent> ParseFaultSchedule(const std::string& text, std::string* error) {
+  std::vector<FaultEvent> events;
+  std::string why = Tokenize(text, &events);
+  if (why.empty()) {
+    why = CheckEvents(events, "token");
+  }
+  if (error != nullptr) {
+    *error = why;
+  }
+  if (!why.empty()) {
+    return {};
+  }
+  return events;
+}
+
+FaultInjector::FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {
+  RequireFaultSchedule(plan_.script, "dcuwmlr", "FaultPlan::script");
+  for (const FaultEvent& e : plan_.script) {
+    const Stream stream = FindKind(e.kind)->stream;
+    if (stream == kWireFrames) {
+      wire_script_[e.index] = e;
+    } else if (stream == kBlockWrites) {
+      write_script_[e.index] = e;
+    } else {
+      read_script_[e.index] = e;
+    }
+  }
+  disk_scripted_ = !write_script_.empty() || !read_script_.empty();
+}
+
+void FaultInjector::Record(Fault fault, const std::optional<FaultEvent>& event,
+                           std::string line, uint64_t trace_arg) {
+  const FaultSurface& surface = kFaultSurfaces[fault];
+  ++(stats_.*surface.stat);
+  if (counters_[fault] != nullptr) {
+    ++*counters_[fault];
+  }
+  if (event.has_value()) {
+    events_.push_back(*event);
+  }
+  log_.push_back(std::move(line));
+  if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFault)) {
+    tracer_->Instant(trace::Category::kFault, trace_track_, surface.trace_name,
+                     engine_ != nullptr ? engine_->now() : 0, trace_arg);
+  }
+}
 
 void FaultInjector::AttachCounters(Counters* counters) {
   if (counters == nullptr) {
     counters_attached_ = false;
-    c_disk_io_errors_ = c_power_cuts_ = c_lost_writes_ = c_misdirects_ = c_rot_ =
-        c_latent_ = c_net_drops_ = c_net_corruptions_ = c_net_duplicates_ =
-            c_machine_kills_ = c_machine_reboots_ = nullptr;
+    counters_.fill(nullptr);
     return;
   }
   if (counters_attached_) {
     return;
   }
   counters_attached_ = true;
-  c_disk_io_errors_ = counters->Handle("fault.disk_io_errors");
-  c_power_cuts_ = counters->Handle("fault.power_cuts");
-  c_lost_writes_ = counters->Handle("fault.disk_lost_writes");
-  c_misdirects_ = counters->Handle("fault.disk_misdirects");
-  c_rot_ = counters->Handle("fault.disk_rot");
-  c_latent_ = counters->Handle("fault.disk_latent");
-  c_net_drops_ = counters->Handle("fault.net_drops");
-  c_net_corruptions_ = counters->Handle("fault.net_corruptions");
-  c_net_duplicates_ = counters->Handle("fault.net_duplicates");
-  c_machine_kills_ = counters->Handle("fault.machine_kills");
-  c_machine_reboots_ = counters->Handle("fault.machine_reboots");
-}
-
-void FaultInjector::RecordMachine(const MachineEvent& e) {
-  machine_events_.push_back(e);
-  if (e.kind == 'k') {
-    ++stats_.machine_kills;
-    Count(c_machine_kills_);
-    Log(Format("machine-kill t=%llu m=%llu", e.time, e.machine));
-    TraceFault("machine_kill", e.machine);
-  } else {
-    ++stats_.machine_reboots;
-    Count(c_machine_reboots_);
-    Log(Format("machine-reboot t=%llu m=%llu", e.time, e.machine));
-    TraceFault("machine_reboot", e.machine);
+  static_assert(std::size(kFaultSurfaces) == kNumFaults);
+  for (size_t f = 0; f < kNumFaults; ++f) {
+    counters_[f] = counters->Handle(kFaultSurfaces[f].counter);
   }
 }
 
@@ -216,10 +288,8 @@ bool FaultInjector::NextDiskRequestFails(uint64_t start_block, uint32_t nblocks)
   if (rng_.NextDouble() >= plan_.disk_error_rate) {
     return false;
   }
-  ++stats_.disk_io_errors;
-  Count(c_disk_io_errors_);
-  Log(Format("disk-error block=%llu n=%llu", start_block, nblocks));
-  TraceFault("disk_error", start_block);
+  Record(kDiskError, std::nullopt,
+         Format("disk-error block=%llu n=%llu", start_block, nblocks), start_block);
   return true;
 }
 
@@ -229,10 +299,9 @@ bool FaultInjector::OnBlockWritten(uint64_t block) {
       stats_.disk_blocks_written != plan_.power_cut_after_blocks) {
     return false;
   }
-  ++stats_.power_cuts;
-  Count(c_power_cuts_);
-  Log(Format("power-cut after-block=%llu writes=%llu", block, stats_.disk_blocks_written));
-  TraceFault("power_cut", block);
+  Record(kPowerCut, std::nullopt,
+         Format("power-cut after-block=%llu writes=%llu", block, stats_.disk_blocks_written),
+         block);
   return true;
 }
 
@@ -241,20 +310,14 @@ FaultInjector::WriteFate FaultInjector::NextWriteFate(uint64_t block,
   const uint64_t seq = ++stats_.media_writes_seen;
 
   auto lost = [&]() {
-    ++stats_.disk_lost_writes;
-    Count(c_lost_writes_);
-    RecordDisk(DiskEvent{seq, 'w', 0});
-    Log(Format("disk-lost-write block=%llu seq=%llu", block, seq));
-    TraceFault("disk_lost_write", block);
+    Record(kLostWrite, FaultEvent{'w', seq, 0},
+           Format("disk-lost-write block=%llu seq=%llu", block, seq), block);
     return WriteFate::kLost;
   };
   auto misdirect = [&](uint64_t target) {
     misdirect_target_ = target;
-    ++stats_.disk_misdirects;
-    Count(c_misdirects_);
-    RecordDisk(DiskEvent{seq, 'm', target});
-    Log(Format("disk-misdirect block=%llu to=%llu", block, target));
-    TraceFault("disk_misdirect", block);
+    Record(kMisdirect, FaultEvent{'m', seq, target},
+           Format("disk-misdirect block=%llu to=%llu", block, target), block);
     return WriteFate::kMisdirect;
   };
 
@@ -263,7 +326,7 @@ FaultInjector::WriteFate FaultInjector::NextWriteFate(uint64_t block,
     if (it == write_script_.end()) {
       return WriteFate::kDurable;
     }
-    const DiskEvent ev = it->second;
+    const FaultEvent ev = it->second;
     if (ev.kind == 'm' && num_blocks != 0 && ev.arg < num_blocks) {
       return misdirect(ev.arg);
     }
@@ -290,20 +353,14 @@ FaultInjector::ReadFate FaultInjector::NextReadFate(uint64_t block,
   const uint64_t seq = ++stats_.disk_blocks_read;
 
   auto latent = [&]() {
-    ++stats_.disk_latent;
-    Count(c_latent_);
-    RecordDisk(DiskEvent{seq, 'l', 0});
-    Log(Format("disk-latent block=%llu seq=%llu", block, seq));
-    TraceFault("disk_latent", block);
+    Record(kLatent, FaultEvent{'l', seq, 0},
+           Format("disk-latent block=%llu seq=%llu", block, seq), block);
     return ReadFate::kLatent;
   };
   auto rot = [&](uint64_t offset) {
     rot_offset_ = offset;
-    ++stats_.disk_rot;
-    Count(c_rot_);
-    RecordDisk(DiskEvent{seq, 'r', offset});
-    Log(Format("disk-rot block=%llu off=%llu", block, offset));
-    TraceFault("disk_rot", block);
+    Record(kRot, FaultEvent{'r', seq, offset},
+           Format("disk-rot block=%llu off=%llu", block, offset), block);
     return ReadFate::kRot;
   };
 
@@ -312,7 +369,7 @@ FaultInjector::ReadFate FaultInjector::NextReadFate(uint64_t block,
     if (it == read_script_.end()) {
       return ReadFate::kClean;
     }
-    const DiskEvent ev = it->second;
+    const FaultEvent ev = it->second;
     if (ev.kind == 'r') {
       // Clamp the offset into the block so the recorded (effective) event
       // replays identically.
@@ -336,42 +393,41 @@ FaultInjector::ReadFate FaultInjector::NextReadFate(uint64_t block,
 }
 
 FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
-  ++stats_.frames_seen;
+  const uint64_t seq = ++stats_.frames_seen;
+
+  auto drop = [&](const char* fmt) {
+    Record(kNetDrop, FaultEvent{'d', seq, 0}, Format(fmt, frame_bytes, seq), frame_bytes);
+    return WireFate::kDrop;
+  };
+  auto corrupt = [&](uint64_t offset) {
+    corrupt_offset_ = offset;
+    Record(kNetCorrupt, FaultEvent{'c', seq, offset},
+           Format("net-corrupt bytes=%llu off=%llu", frame_bytes, offset), offset);
+    return WireFate::kCorrupt;
+  };
+  auto duplicate = [&]() {
+    Record(kNetDuplicate, FaultEvent{'u', seq, 0},
+           Format("net-dup bytes=%llu seq=%llu", frame_bytes, seq), frame_bytes);
+    return WireFate::kDuplicate;
+  };
 
   // Scripted mode: explicit fates by consultation index, zero RNG draws. The
   // short-corrupt → drop demotion matches rate mode so a recorded schedule
   // replays to the identical outcome.
-  if (!script_.empty()) {
-    auto it = script_.find(stats_.frames_seen);
-    if (it == script_.end()) {
+  if (!wire_script_.empty()) {
+    auto it = wire_script_.find(seq);
+    if (it == wire_script_.end()) {
       return WireFate::kDeliver;
     }
-    WireEvent ev = it->second;
+    const FaultEvent ev = it->second;
     if (ev.kind == 'c' && frame_bytes > plan_.net_corrupt_min_offset &&
-        ev.corrupt_offset >= plan_.net_corrupt_min_offset &&
-        ev.corrupt_offset < frame_bytes) {
-      corrupt_offset_ = ev.corrupt_offset;
-      ++stats_.net_corruptions;
-      Count(c_net_corruptions_);
-      RecordWire(ev);
-      Log(Format("net-corrupt bytes=%llu off=%llu", frame_bytes, corrupt_offset_));
-      TraceFault("net_corrupt", corrupt_offset_);
-      return WireFate::kCorrupt;
+        ev.arg >= plan_.net_corrupt_min_offset && ev.arg < frame_bytes) {
+      return corrupt(ev.arg);
     }
     if (ev.kind == 'u') {
-      ++stats_.net_duplicates;
-      Count(c_net_duplicates_);
-      RecordWire(ev);
-      Log(Format("net-dup bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
-      TraceFault("net_duplicate", frame_bytes);
-      return WireFate::kDuplicate;
+      return duplicate();
     }
-    ++stats_.net_drops;
-    Count(c_net_drops_);
-    RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
-    Log(Format("net-drop bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
-    TraceFault("net_drop", frame_bytes);
-    return WireFate::kDrop;
+    return drop("net-drop bytes=%llu seq=%llu");
   }
 
   const bool any = plan_.net_drop_rate > 0.0 || plan_.net_corrupt_rate > 0.0 ||
@@ -382,167 +438,20 @@ FaultInjector::WireFate FaultInjector::NextWireFate(uint64_t frame_bytes) {
   // One draw decides the fate; the rates partition [0, 1).
   const double roll = rng_.NextDouble();
   if (roll < plan_.net_drop_rate) {
-    ++stats_.net_drops;
-    Count(c_net_drops_);
-    RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
-    Log(Format("net-drop bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
-    TraceFault("net_drop", frame_bytes);
-    return WireFate::kDrop;
+    return drop("net-drop bytes=%llu seq=%llu");
   }
   if (roll < plan_.net_drop_rate + plan_.net_corrupt_rate) {
     if (frame_bytes <= plan_.net_corrupt_min_offset) {
       // Nothing detectably corruptible: model the damaged frame as lost instead.
-      ++stats_.net_drops;
-      Count(c_net_drops_);
-      RecordWire(WireEvent{stats_.frames_seen, 'd', 0});
-      Log(Format("net-drop(short-corrupt) bytes=%llu seq=%llu", frame_bytes,
-                 stats_.frames_seen));
-      TraceFault("net_drop", frame_bytes);
-      return WireFate::kDrop;
+      return drop("net-drop(short-corrupt) bytes=%llu seq=%llu");
     }
-    corrupt_offset_ =
-        plan_.net_corrupt_min_offset +
-        rng_.Below(frame_bytes - plan_.net_corrupt_min_offset);
-    ++stats_.net_corruptions;
-    Count(c_net_corruptions_);
-    RecordWire(WireEvent{stats_.frames_seen, 'c', corrupt_offset_});
-    Log(Format("net-corrupt bytes=%llu off=%llu", frame_bytes, corrupt_offset_));
-    TraceFault("net_corrupt", corrupt_offset_);
-    return WireFate::kCorrupt;
+    return corrupt(plan_.net_corrupt_min_offset +
+                   rng_.Below(frame_bytes - plan_.net_corrupt_min_offset));
   }
   if (roll < plan_.net_drop_rate + plan_.net_corrupt_rate + plan_.net_duplicate_rate) {
-    ++stats_.net_duplicates;
-    Count(c_net_duplicates_);
-    RecordWire(WireEvent{stats_.frames_seen, 'u', 0});
-    Log(Format("net-dup bytes=%llu seq=%llu", frame_bytes, stats_.frames_seen));
-    TraceFault("net_duplicate", frame_bytes);
-    return WireFate::kDuplicate;
+    return duplicate();
   }
   return WireFate::kDeliver;
-}
-
-std::string FormatWireSchedule(const std::vector<WireEvent>& events) {
-  std::string out;
-  for (const WireEvent& e : events) {
-    AppendToken(&out, e.kind, e.frame_index, e.kind == 'c', e.corrupt_offset);
-  }
-  return out;
-}
-
-std::vector<WireEvent> ParseWireSchedule(const std::string& text, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  std::vector<SchedToken> tokens;
-  if (!TokenizeSchedule(text, "dcu", "010", &tokens, error) ||
-      !CheckDuplicates(tokens, WireStream, error)) {
-    return {};
-  }
-  std::vector<WireEvent> out;
-  out.reserve(tokens.size());
-  for (const SchedToken& t : tokens) {
-    out.push_back(WireEvent{t.index, t.kind, t.arg});
-  }
-  return out;
-}
-
-std::string FormatDiskSchedule(const std::vector<DiskEvent>& events) {
-  std::string out;
-  for (const DiskEvent& e : events) {
-    AppendToken(&out, e.kind, e.index, KindCarriesArg(e.kind), e.arg);
-  }
-  return out;
-}
-
-std::vector<DiskEvent> ParseDiskSchedule(const std::string& text, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  std::vector<SchedToken> tokens;
-  if (!TokenizeSchedule(text, "wmlr", "0101", &tokens, error) ||
-      !CheckDuplicates(tokens, DiskStream, error)) {
-    return {};
-  }
-  std::vector<DiskEvent> out;
-  out.reserve(tokens.size());
-  for (const SchedToken& t : tokens) {
-    out.push_back(DiskEvent{t.index, t.kind, t.arg});
-  }
-  return out;
-}
-
-std::string FormatMachineSchedule(const std::vector<MachineEvent>& events) {
-  std::string out;
-  for (const MachineEvent& e : events) {
-    AppendToken(&out, e.kind, e.time, true, e.machine);
-  }
-  return out;
-}
-
-std::vector<MachineEvent> ParseMachineSchedule(const std::string& text,
-                                               std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  std::vector<SchedToken> tokens;
-  if (!TokenizeSchedule(text, "kb", "11", &tokens, error) ||
-      !CheckDuplicates(tokens, MachineStream, error)) {
-    return {};
-  }
-  std::vector<MachineEvent> out;
-  out.reserve(tokens.size());
-  for (const SchedToken& t : tokens) {
-    out.push_back(MachineEvent{t.index, t.kind, t.arg});
-  }
-  return out;
-}
-
-std::string FormatFaultSchedule(const std::vector<FaultEvent>& events) {
-  std::string out;
-  for (const FaultEvent& e : events) {
-    AppendToken(&out, e.kind, e.index, KindCarriesArg(e.kind), e.arg);
-  }
-  return out;
-}
-
-std::vector<FaultEvent> ParseFaultSchedule(const std::string& text, std::string* error) {
-  if (error != nullptr) {
-    error->clear();
-  }
-  std::vector<SchedToken> tokens;
-  if (!TokenizeSchedule(text, "dcuwmlrkb", "010010111", &tokens, error) ||
-      !CheckDuplicates(tokens, CombinedStream, error)) {
-    return {};
-  }
-  std::vector<FaultEvent> out;
-  out.reserve(tokens.size());
-  for (const SchedToken& t : tokens) {
-    out.push_back(FaultEvent{t.kind, t.index, t.arg});
-  }
-  return out;
-}
-
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk) {
-  SplitFaultSchedule(events, wire, disk, nullptr);
-}
-
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk,
-                        std::vector<MachineEvent>* machine) {
-  for (const FaultEvent& e : events) {
-    if (IsWireFaultKind(e.kind)) {
-      if (wire != nullptr) {
-        wire->push_back(WireEvent{e.index, e.kind, e.arg});
-      }
-    } else if (IsMachineFaultKind(e.kind)) {
-      if (machine != nullptr) {
-        machine->push_back(MachineEvent{e.index, e.kind, e.arg});
-      }
-    } else if (disk != nullptr) {
-      disk->push_back(DiskEvent{e.index, e.kind, e.arg});
-    }
-  }
 }
 
 }  // namespace exo::sim

@@ -20,8 +20,10 @@
 #ifndef EXO_SIM_FAULT_H_
 #define EXO_SIM_FAULT_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,96 +34,53 @@
 
 namespace exo::sim {
 
-// One wire fault, keyed by consultation index: the `frame_index`-th frame to
-// enter any link sharing the injector (1-based — the same count rate-mode log
-// lines print as `seq=`). This is the replayable unit: the schedule a run
-// *executed* (wire_events()) can be fed back verbatim via FaultPlan::wire_script
-// and hits the identical frames, because consultation order is deterministic.
-struct WireEvent {
-  uint64_t frame_index = 0;
-  char kind = 'd';              // 'd' drop, 'c' corrupt, 'u' duplicate
-  uint64_t corrupt_offset = 0;  // byte to flip, kind == 'c' only
-
-  bool operator==(const WireEvent&) const = default;
-};
-
-// One media fault, keyed by consultation index within its *direction* stream.
-// Write kinds index the Nth block-write consultation; read kinds index the Nth
-// block-read consultation (both 1-based, counted across every request the
-// injector sees). Like WireEvent, the schedule a run executed (disk_events())
-// replays verbatim through FaultPlan::disk_script.
-struct DiskEvent {
-  uint64_t index = 0;
-  char kind = 'w';   // 'w' lost write, 'm' misdirected write, 'l' latent sector, 'r' bit rot
-  uint64_t arg = 0;  // 'm': absolute target LBA; 'r': byte offset to flip; else unused
-
-  bool operator==(const DiskEvent&) const = default;
-};
-
-// One whole-machine fault, keyed by *absolute simulated time* (cycles) rather
-// than a consultation index: machine death is an external event, not a fate
-// drawn on a device's consultation stream. The schedule is applied up front
-// (cluster::Topology::ApplyMachineSchedule), so it is ddmin-shrinkable exactly
-// like the wire/disk scripts — every subset replays deterministically.
-struct MachineEvent {
-  uint64_t time = 0;     // engine cycles on the victim machine's shard clock
-  char kind = 'k';       // 'k' kill, 'b' reboot
-  uint64_t machine = 0;  // cluster-wide machine id
-
-  bool operator==(const MachineEvent&) const = default;
-};
-
-// A wire, disk, or machine fault in one combined stream. The kind letters of
-// the layers are disjoint (d/c/u vs w/m/l/r vs k/b), so a single token
-// grammar — and a single ddmin pass — covers all of them.
+// One fault in a schedule: the replayable unit for wire, disk and machine
+// faults alike. `kind` names the stream `index` counts in (1-based):
+//
+//   d c u  frames entering the links that share the injector (the count
+//          rate-mode log lines print as `seq=`): drop, corrupt, duplicate
+//   w m    block-write consultations: lost write, misdirected write
+//   l r    block-read consultations: latent sector, bit rot
+//   k b    the engine cycle on the victim's shard clock: machine kill, reboot
+//
+// `arg` is the byte to flip for c and r, the target LBA for m, the machine id
+// for k and b, and 0 for d u w l. The schedule a run executed
+// (FaultInjector::events()) feeds back through FaultPlan::script and hits the
+// same consultations, because consultation order is deterministic.
 struct FaultEvent {
   char kind = 'd';
-  uint64_t index = 0;  // per-layer, per-direction consultation index (or time)
+  uint64_t index = 0;
   uint64_t arg = 0;
 
   bool operator==(const FaultEvent&) const = default;
 };
 
-inline bool IsWireFaultKind(char k) { return k == 'd' || k == 'c' || k == 'u'; }
-inline bool IsMachineFaultKind(char k) { return k == 'k' || k == 'b'; }
+// "" when `events` is a well-formed schedule, else "event N: <why>" for the
+// first bad event (N is 1-based). Rejects an unknown kind, index 0, a nonzero
+// arg on a kind that takes none, and two events on one index of one stream —
+// for k and b, one machine on one cycle, whose order would be ambiguous.
+std::string CheckFaultSchedule(const std::vector<FaultEvent>& events);
 
-// Compact one-line codecs: "d@3 c@15:7 u@20" (wire), "w@9 m@5:917 l@2 r@7:128"
-// (disk), and the union grammar for combined schedules. kinds 'c'/'r'/'m' carry
-// a mandatory :arg; the others forbid one. Parsers are strict: any garbage
-// token, overflow, zero index, or duplicate index within a stream yields an
-// empty schedule, with a diagnostic in *error when supplied — never a silent
-// misparse.
-std::string FormatWireSchedule(const std::vector<WireEvent>& events);
-std::vector<WireEvent> ParseWireSchedule(const std::string& text,
-                                         std::string* error = nullptr);
-std::string FormatDiskSchedule(const std::vector<DiskEvent>& events);
-std::vector<DiskEvent> ParseDiskSchedule(const std::string& text,
-                                         std::string* error = nullptr);
+// Aborts, naming `who` and the reason, unless CheckFaultSchedule(events)
+// passes and every kind is one of `kinds`. Every consumer of a schedule
+// calls it first, so a schedule it would misread never runs.
+void RequireFaultSchedule(const std::vector<FaultEvent>& events, const char* kinds,
+                          const char* who);
+
+// The one-line codec: "d@3 c@15:58 w@9 m@5:917 r@7:128 k@5000:1", tokens
+// separated by spaces, each `kind@index` or `kind@index:arg`. c, m, r, k and
+// b carry a mandatory :arg; the others forbid one. The parser is strict: a
+// malformed token, or a schedule CheckFaultSchedule rejects, yields an empty
+// schedule with a "token N: <why>" diagnostic in *error when supplied — never
+// a silent misparse.
 std::string FormatFaultSchedule(const std::vector<FaultEvent>& events);
 std::vector<FaultEvent> ParseFaultSchedule(const std::string& text,
                                            std::string* error = nullptr);
 
-// Machine schedule codec: "k@5000:1 b@90000:1" kills machine 1 at cycle 5000
-// and reboots it at cycle 90000. Both kinds carry a mandatory :machine arg.
-// Two events for the *same machine* at the same cycle are rejected (ambiguous
-// order); events for different machines may share a cycle.
-std::string FormatMachineSchedule(const std::vector<MachineEvent>& events);
-std::vector<MachineEvent> ParseMachineSchedule(const std::string& text,
-                                               std::string* error = nullptr);
-
-// Splits a combined schedule into its per-layer scripts. Sound because indices
-// are per-stream. The two-argument form ignores machine events; pass `machine`
-// to collect them.
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk);
-void SplitFaultSchedule(const std::vector<FaultEvent>& events,
-                        std::vector<WireEvent>* wire, std::vector<DiskEvent>* disk,
-                        std::vector<MachineEvent>* machine);
-
 // Declarative description of the faults to inject. Rates are per-consultation
 // probabilities in [0, 1]; 0 disables the corresponding fault class. The
-// script vectors carry explicit `{}` initializers so a designated initializer
-// that omits them (FaultPlan{.seed = 3}) stays clean under GCC 12's
+// script carries an explicit `{}` initializer so a designated initializer
+// that omits it (FaultPlan{.seed = 3}) stays clean under GCC 12's
 // -Wmissing-field-initializers.
 struct FaultPlan {
   uint64_t seed = 1;
@@ -148,10 +107,6 @@ struct FaultPlan {
   // Per-block-read probability that the sector goes latent-bad: this and every
   // later read of it fails with kIoError until the block is rewritten.
   double disk_latent_rate = 0.0;
-  // Scripted media mode: when non-empty, media-fault fates come from this
-  // explicit schedule instead of the four rates above — no RNG is consulted for
-  // the media at all.
-  std::vector<DiskEvent> disk_script{};
 
   // ---- Wire ----
   double net_drop_rate = 0.0;       // frame vanishes
@@ -162,11 +117,15 @@ struct FaultPlan {
   // fault the receiver cannot detect). Frames too short to corrupt are dropped
   // instead, which the receiver treats identically (a timeout).
   uint32_t net_corrupt_min_offset = 0;
-  // Scripted wire mode: when non-empty, wire fates come from this explicit
-  // schedule instead of the rates above — no RNG is consulted for the wire at
-  // all. Used to replay (and delta-minimize) a schedule recorded by a previous
-  // rate-mode run.
-  std::vector<WireEvent> wire_script{};
+
+  // ---- Scripted mode ----
+  // A layer is scripted when this schedule holds one of its kinds (d c u for
+  // the wire, w m l r for the media): its fates then come from the schedule
+  // instead of its rates, and no RNG is consulted for it at all. Used to replay
+  // (and delta-minimize) the schedule a previous run recorded in events().
+  // Machine kinds (k, b) belong to cluster::Topology::ApplyMachineSchedule: the
+  // injector aborts on them, and on any schedule CheckFaultSchedule rejects.
+  std::vector<FaultEvent> script{};
 };
 
 struct FaultStats {
@@ -184,25 +143,11 @@ struct FaultStats {
   uint64_t net_drops = 0;
   uint64_t net_corruptions = 0;
   uint64_t net_duplicates = 0;
-  uint64_t machine_kills = 0;
-  uint64_t machine_reboots = 0;
 };
 
 class FaultInjector {
  public:
-  explicit FaultInjector(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {
-    for (const WireEvent& e : plan_.wire_script) {
-      script_[e.frame_index] = e;
-    }
-    disk_scripted_ = !plan_.disk_script.empty();
-    for (const DiskEvent& e : plan_.disk_script) {
-      if (e.kind == 'w' || e.kind == 'm') {
-        write_script_[e.index] = e;
-      } else {
-        read_script_[e.index] = e;
-      }
-    }
-  }
+  explicit FaultInjector(const FaultPlan& plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -214,22 +159,11 @@ class FaultInjector {
   // with the same seed and workload must produce identical logs.
   const std::vector<std::string>& log() const { return log_; }
 
-  // The wire faults actually executed, in consultation order, in the replayable
-  // form: feed them back through FaultPlan::wire_script (whole or ddmin-pruned —
-  // sim::Shrinker) to re-run or minimize the schedule.
-  const std::vector<WireEvent>& wire_events() const { return wire_events_; }
-
-  // Same for media faults: replay through FaultPlan::disk_script.
-  const std::vector<DiskEvent>& disk_events() const { return disk_events_; }
-
-  // Machine kill/reboot events actually executed, in firing order: replay
-  // through cluster::Topology::ApplyMachineSchedule.
-  const std::vector<MachineEvent>& machine_events() const { return machine_events_; }
-
-  // Called by the cluster layer when a scheduled machine event fires (machine
-  // death is not a per-device fate, so the injector never schedules one), so
-  // whole-machine faults join the injector's log / trace / counter surface.
-  void RecordMachine(const MachineEvent& e);
+  // The wire and media faults actually executed, in consultation order, with
+  // their effective values (a clamped rot offset, a corrupt demoted to a drop).
+  // Fed back through FaultPlan::script, whole or ddmin-pruned (sim::Shrinker),
+  // it re-runs or minimizes the schedule of both layers.
+  const std::vector<FaultEvent>& events() const { return events_; }
 
   // Mirrors every injected fault into the tracer's `fault` category as an
   // instant event, stamped with the engine clock, so a failing crash-test
@@ -303,21 +237,26 @@ class FaultInjector {
   uint64_t CorruptionOffset() const { return corrupt_offset_; }
 
  private:
-  void Log(std::string line) { log_.push_back(std::move(line)); }
-  // Emits a `fault` instant if a tracer is attached and the category armed.
-  void TraceFault(const char* name, uint64_t arg) {
-    if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFault)) {
-      tracer_->Instant(trace::Category::kFault, trace_track_, name,
-                       engine_ != nullptr ? engine_->now() : 0, arg);
-    }
-  }
-  void Count(Counters::Slot* slot) {
-    if (slot != nullptr) {
-      ++*slot;
-    }
-  }
-  void RecordWire(const WireEvent& e) { wire_events_.push_back(e); }
-  void RecordDisk(const DiskEvent& e) { disk_events_.push_back(e); }
+  // The faults the injector draws, in the order of fault.cc's table of their
+  // FaultStats fields, fault.* counters and trace instant names.
+  enum Fault : uint8_t {
+    kDiskError,
+    kPowerCut,
+    kLostWrite,
+    kMisdirect,
+    kRot,
+    kLatent,
+    kNetDrop,
+    kNetCorrupt,
+    kNetDuplicate,
+    kNumFaults
+  };
+
+  // Records one injected fault on all five surfaces: its FaultStats field, its
+  // fault.* counter, events() (when it is replayable), log() and the `fault`
+  // trace instant, whose arg is `trace_arg`.
+  void Record(Fault fault, const std::optional<FaultEvent>& event, std::string line,
+              uint64_t trace_arg);
 
   FaultPlan plan_;
   Rng rng_;
@@ -325,28 +264,17 @@ class FaultInjector {
   uint64_t corrupt_offset_ = 0;
   uint64_t misdirect_target_ = 0;
   uint64_t rot_offset_ = 0;
-  bool disk_scripted_ = false;
   std::vector<std::string> log_;
-  std::vector<WireEvent> wire_events_;
-  std::vector<DiskEvent> disk_events_;
-  std::vector<MachineEvent> machine_events_;
-  std::map<uint64_t, WireEvent> script_;        // wire_script indexed by frame_index
-  std::map<uint64_t, DiskEvent> write_script_;  // disk_script, write-stream kinds
-  std::map<uint64_t, DiskEvent> read_script_;   // disk_script, read-stream kinds
+  std::vector<FaultEvent> events_;
+  // FaultPlan::script split by stream, each keyed by consultation index.
+  std::map<uint64_t, FaultEvent> wire_script_;
+  std::map<uint64_t, FaultEvent> write_script_;
+  std::map<uint64_t, FaultEvent> read_script_;
+  bool disk_scripted_ = false;
   trace::Tracer* tracer_ = nullptr;
   const Engine* engine_ = nullptr;
   uint32_t trace_track_ = 0;
-  Counters::Slot* c_disk_io_errors_ = nullptr;
-  Counters::Slot* c_power_cuts_ = nullptr;
-  Counters::Slot* c_lost_writes_ = nullptr;
-  Counters::Slot* c_misdirects_ = nullptr;
-  Counters::Slot* c_rot_ = nullptr;
-  Counters::Slot* c_latent_ = nullptr;
-  Counters::Slot* c_net_drops_ = nullptr;
-  Counters::Slot* c_net_corruptions_ = nullptr;
-  Counters::Slot* c_net_duplicates_ = nullptr;
-  Counters::Slot* c_machine_kills_ = nullptr;
-  Counters::Slot* c_machine_reboots_ = nullptr;
+  std::array<Counters::Slot*, kNumFaults> counters_{};  // by Fault; null: detached
   bool counters_attached_ = false;
 };
 

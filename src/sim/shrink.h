@@ -4,16 +4,15 @@
 // a reproducer that size is useless for debugging. BasicShrinker implements
 // ddmin (Zeller & Hildebrandt, "Simplifying and Isolating Failure-Inducing
 // Input"): given a failing schedule and a predicate that re-runs the
-// deterministic simulation under a candidate subset (FaultPlan::wire_script /
-// disk_script), it returns a 1-minimal subsequence — removing any single
-// remaining event makes the failure vanish. Every probe is a full deterministic
-// re-run, so the result replays byte-for-byte from its printed seed line
-// (sim::FormatWireSchedule / FormatDiskSchedule / FormatFaultSchedule).
+// deterministic simulation under a candidate subset (FaultPlan::script, or
+// cluster::Topology::ApplyMachineSchedule for machine faults), it returns a
+// 1-minimal subsequence — removing any single remaining event makes the
+// failure vanish. Every probe is a full deterministic re-run, so the result
+// replays byte-for-byte from its printed seed line (sim::FormatFaultSchedule).
 //
-// The event type is a template parameter so wire, disk, and combined
-// schedules all minimize through the same machinery: BasicShrinker<WireEvent>
-// (aliased to Shrinker for the common case), BasicShrinker<DiskEvent>,
-// BasicShrinker<FaultEvent>.
+// Shrinker minimizes fault schedules of every layer; the event type stays a
+// template parameter so other replayable scripts (the noisy-neighbor soak's
+// flood ops) minimize through the same machinery.
 #ifndef EXO_SIM_SHRINK_H_
 #define EXO_SIM_SHRINK_H_
 
@@ -117,7 +116,7 @@ class BasicShrinker {
   uint64_t probes_ = 0;
 };
 
-using Shrinker = BasicShrinker<WireEvent>;
+using Shrinker = BasicShrinker<FaultEvent>;
 
 }  // namespace exo::sim
 

@@ -465,8 +465,8 @@ ScriptedBurst RunScriptedBurst(hw::Link* link, hw::Nic& a, hw::Nic& b,
                                const sim::Engine& b_clock,
                                const std::function<void()>& run) {
   sim::FaultPlan plan;
-  plan.wire_script = sim::ParseWireSchedule("d@1 c@2:3 u@3");
-  EXPECT_EQ(plan.wire_script.size(), 3u);
+  plan.script = sim::ParseFaultSchedule("d@1 c@2:3 u@3");
+  EXPECT_EQ(plan.script.size(), 3u);
   sim::FaultInjector faults(plan);
   trace::Tracer tracer;
   tracer.Enable();
@@ -490,7 +490,7 @@ ScriptedBurst RunScriptedBurst(hw::Link* link, hw::Nic& a, hw::Nic& b,
   run();
 
   r.stats = faults.stats();
-  r.executed = sim::FormatWireSchedule(faults.wire_events());
+  r.executed = sim::FormatFaultSchedule(faults.events());
   r.fault_log = faults.log();
   for (const trace::Record& rec : tracer.Records()) {
     const std::string name = rec.name;
@@ -664,7 +664,7 @@ std::string RunFailoverWorkload(uint32_t threads, uint64_t* echoed, uint64_t* ro
 
   // Server 0 is machine 1: killed a third of the way in, rebooted at 1.5M.
   std::string err;
-  const auto schedule = sim::ParseMachineSchedule("k@600000:1 b@1500000:1", &err);
+  const auto schedule = sim::ParseFaultSchedule("k@600000:1 b@1500000:1", &err);
   EXO_CHECK(err.empty());
   topo.ApplyMachineSchedule(schedule);
   topo.Run();
@@ -819,8 +819,8 @@ TEST(ClusterTest, RebootedServerFsckQuarantinesPreKillDiskCorruption) {
   // byte of the block it touches. A raw controller read of kids[0] (below
   // XN's checking) plants the corruption without anything noticing.
   sim::FaultPlan dplan;
-  dplan.disk_script = sim::ParseDiskSchedule("r@1:9");
-  ASSERT_EQ(dplan.disk_script.size(), 1u);
+  dplan.script = sim::ParseFaultSchedule("r@1:9");
+  ASSERT_EQ(dplan.script.size(), 1u);
   sim::FaultInjector disk_faults(dplan);
   srv.disk().SetFaultInjector(&disk_faults);
   auto scratch = srv.mem().Alloc();
@@ -871,8 +871,8 @@ TEST(ClusterTest, RebootedServerFsckQuarantinesPreKillDiskCorruption) {
                  Status::kOk);
   });
   const sim::Cycles t_kill = eng.now() + 50'000;
-  topo.ApplyMachineSchedule({{t_kill, 'k', topo.server_id(0)},
-                             {t_kill + 100'000, 'b', topo.server_id(0)}});
+  topo.ApplyMachineSchedule({{'k', t_kill, topo.server_id(0)},
+                             {'b', t_kill + 100'000, topo.server_id(0)}});
   eng.RunUntilIdle();
 
   ASSERT_NE(reborn, nullptr);

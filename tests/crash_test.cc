@@ -514,7 +514,7 @@ TEST(CrashSweep, SameSeedYieldsIdenticalFaultSchedule) {
 struct TrialOutcome {
   bool detected = false;                 // a fault was caught and reported
   std::string err;                       // non-empty: an invariant was violated
-  std::vector<sim::DiskEvent> executed;  // the media schedule actually run
+  std::vector<sim::FaultEvent> executed;  // the media schedule actually run
   std::vector<std::string> log;          // injector log, for replay comparison
 };
 
@@ -659,7 +659,7 @@ TrialOutcome MediaTrial(const sim::FaultPlan& plan, bool detach_before_verify) {
   }
   auto finish = [&]() {
     rig.disk().SetFaultInjector(nullptr);
-    out.executed = faults.disk_events();
+    out.executed = faults.events();
     out.log = faults.log();
   };
   if (auto e = rig.Recover(/*keep_injector=*/true); !e.empty()) {
@@ -678,7 +678,7 @@ TrialOutcome MediaTrial(const sim::FaultPlan& plan, bool detach_before_verify) {
     rig.disk().SetFaultInjector(nullptr);
   }
   bool lossy = plan.disk_lost_rate > 0 || plan.disk_misdirect_rate > 0;
-  for (const auto& e : plan.disk_script) {
+  for (const auto& e : plan.script) {
     lossy = lossy || e.kind == 'w' || e.kind == 'm';
   }
   bool detected = false;
@@ -727,8 +727,8 @@ TEST(CrashCorruptionMatrix, RecoversOrReportsNeverLies) {
       plan.seed = 1;
       plan.power_cut_after_blocks = k;
       std::string perr;
-      plan.disk_script = sim::ParseDiskSchedule(sched, &perr);
-      ASSERT_TRUE(std::string(sched).empty() || !plan.disk_script.empty()) << perr;
+      plan.script = sim::ParseFaultSchedule(sched, &perr);
+      ASSERT_TRUE(std::string(sched).empty() || !plan.script.empty()) << perr;
       TrialOutcome out = MediaTrial(plan, /*detach_before_verify=*/false);
       EXPECT_EQ(out.err, "") << "cut=" << k << " schedule=\"" << sched << "\"";
     }
@@ -737,7 +737,7 @@ TEST(CrashCorruptionMatrix, RecoversOrReportsNeverLies) {
 
 // The debugging contract for media faults, end to end: a rate-drawn schedule
 // that provokes a detection is recorded, ddmin-minimized as a scripted
-// DiskEvent sequence, round-tripped through the one-line codec, and replayed
+// FaultEvent sequence, round-tripped through the one-line codec, and replayed
 // byte-for-byte — the printed DISK-REPRO line alone reproduces the failure.
 TEST(CrashCorruptionMatrix, FailingScheduleShrinksToReplayableRepro) {
   sim::FaultPlan base;
@@ -746,7 +746,7 @@ TEST(CrashCorruptionMatrix, FailingScheduleShrinksToReplayableRepro) {
   base.disk_lost_rate = 0.05;
   base.disk_rot_rate = 0.05;
 
-  std::vector<sim::DiskEvent> recorded;
+  std::vector<sim::FaultEvent> recorded;
   uint64_t seed = 0;
   for (uint64_t s = 1; s <= 40 && recorded.empty(); ++s) {
     sim::FaultPlan plan = base;
@@ -762,15 +762,15 @@ TEST(CrashCorruptionMatrix, FailingScheduleShrinksToReplayableRepro) {
 
   // The predicate replays a *scripted* candidate — no RNG — and asks whether
   // corruption is still detected. Scripted mode makes every probe exact.
-  auto still_fails = [&](const std::vector<sim::DiskEvent>& subset) {
+  auto still_fails = [&](const std::vector<sim::FaultEvent>& subset) {
     sim::FaultPlan plan = base;  // same cut point; rates ignored once scripted
-    plan.disk_script = subset;
+    plan.script = subset;
     TrialOutcome out = MediaTrial(plan, /*detach_before_verify=*/true);
     return out.err.empty() && out.detected;
   };
   ASSERT_TRUE(still_fails(recorded)) << "recorded schedule does not replay";
 
-  sim::BasicShrinker<sim::DiskEvent> shrinker(still_fails);
+  sim::Shrinker shrinker(still_fails);
   auto minimal = shrinker.Minimize(recorded);
   ASSERT_FALSE(minimal.empty());
   EXPECT_LE(minimal.size(), 10u);
@@ -778,11 +778,11 @@ TEST(CrashCorruptionMatrix, FailingScheduleShrinksToReplayableRepro) {
   // Round-trip through the codec, then replay twice: identical injector logs,
   // and the executed schedule is exactly the script (1-minimality means every
   // surviving event fires).
-  const std::string line = sim::FormatDiskSchedule(minimal);
+  const std::string line = sim::FormatFaultSchedule(minimal);
   std::string perr;
-  EXPECT_EQ(sim::ParseDiskSchedule(line, &perr), minimal) << perr;
+  EXPECT_EQ(sim::ParseFaultSchedule(line, &perr), minimal) << perr;
   sim::FaultPlan replay = base;
-  replay.disk_script = minimal;
+  replay.script = minimal;
   TrialOutcome a = MediaTrial(replay, /*detach_before_verify=*/true);
   TrialOutcome b = MediaTrial(replay, /*detach_before_verify=*/true);
   EXPECT_TRUE(a.detected);

@@ -8,6 +8,9 @@
 #include <fstream>
 #include <numeric>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hw/disk.h"
 #include "hw/machine.h"
@@ -351,7 +354,7 @@ TEST_F(DiskTest, IntegrityTagCatchesScribbleAndRestampClears) {
 TEST_F(DiskTest, ScriptedLostWriteAcksButNeverLands) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'w', 0}};
+  plan.script = {{'w', 1, 0}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 
@@ -376,7 +379,7 @@ TEST_F(DiskTest, ScriptedLostWriteAcksButNeverLands) {
 TEST_F(DiskTest, ScriptedMisdirectLandsAtVictimWithWrongIntendedTag) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'm', 777}};
+  plan.script = {{'m', 1, 777}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
   sim::Counters counters;
@@ -405,7 +408,7 @@ TEST_F(DiskTest, ScriptedRotFlipsMediaPersistently) {
   disk_.EnableIntegrity();
 
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'r', 9}};
+  plan.script = {{'r', 1, 9}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 
@@ -474,7 +477,7 @@ TEST(HwTest, RotOnNeverWrittenBlockIsPersistentAndLocal) {
   PhysMem mem(4);
   Disk disk(&engine, &mem, DiskGeometry{}, 200);
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'r', 9}};
+  plan.script = {{'r', 1, 9}};
   sim::FaultInjector faults(plan);
   disk.SetFaultInjector(&faults);
 
@@ -502,7 +505,7 @@ TEST(HwTest, RotOnNeverWrittenBlockIsPersistentAndLocal) {
 TEST_F(DiskTest, LatentSectorPersistsAcrossPowerCycleAndDetachUntilRewritten) {
   disk_.EnableIntegrity();
   sim::FaultPlan plan;
-  plan.disk_script = {{1, 'l', 0}};
+  plan.script = {{'l', 1, 0}};
   sim::FaultInjector faults(plan);
   disk_.SetFaultInjector(&faults);
 
@@ -570,6 +573,64 @@ TEST_F(DiskTest, RateModeMediaFaultScheduleIsSeedDeterministic) {
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// One rate-mode injector shared by a disk and a link records the faults of
+// both layers in one list, and that list, fed back as the plan's script,
+// replays both layers exactly: the same events and the same log.
+TEST(HwTest, SharedInjectorReplaysWireAndDiskFromOneScript) {
+  auto run = [](const sim::FaultPlan& plan) {
+    sim::Engine engine;
+    PhysMem mem(64);
+    Disk disk(&engine, &mem, DiskGeometry{}, 200);
+    Nic a(0);
+    Nic b(1);
+    Link link(&engine, 100.0, 0.0, 200);
+    link.Connect(&a, &b);
+    b.SetReceiveHandler([](Packet) {});
+    sim::FaultInjector faults(plan);
+    disk.SetFaultInjector(&faults);
+    link.SetFaultInjector(&faults);
+    FrameId f = *mem.Alloc();
+    for (uint32_t i = 0; i < 32; ++i) {
+      disk.Submit({.write = true, .start = 100 + i, .nblocks = 1, .frames = {f},
+                   .done = {}});
+      a.Transmit({.bytes = std::vector<uint8_t>(100, 0x42)});
+      engine.RunUntilIdle();
+      disk.Submit({.write = false, .start = 100 + i, .nblocks = 1, .frames = {f},
+                   .done = [](Status) {}});
+      a.Transmit({.bytes = std::vector<uint8_t>(100, 0x42)});
+      engine.RunUntilIdle();
+    }
+    disk.SetFaultInjector(nullptr);
+    link.SetFaultInjector(nullptr);
+    return std::make_pair(faults.events(), faults.log());
+  };
+  sim::FaultPlan plan;
+  plan.seed = 5;
+  plan.disk_lost_rate = 0.1;
+  plan.disk_misdirect_rate = 0.1;
+  plan.disk_rot_rate = 0.1;
+  plan.disk_latent_rate = 0.1;
+  plan.net_drop_rate = 0.1;
+  plan.net_corrupt_rate = 0.1;
+  plan.net_duplicate_rate = 0.1;
+  plan.net_corrupt_min_offset = 8;
+  const auto [events, log] = run(plan);
+  std::string kinds;
+  for (const sim::FaultEvent& e : events) {
+    if (kinds.find(e.kind) == std::string::npos) {
+      kinds += e.kind;
+    }
+  }
+  std::sort(kinds.begin(), kinds.end());
+  EXPECT_EQ(kinds, "cdlmruw") << sim::FormatFaultSchedule(events);
+
+  sim::FaultPlan replay = plan;  // rates ignored: both layers are scripted
+  replay.script = events;
+  const auto [replayed, replay_log] = run(replay);
+  EXPECT_EQ(replayed, events);
+  EXPECT_EQ(replay_log, log);
 }
 
 TEST(NicTest, PacketDeliveredWithWireDelay) {

@@ -675,10 +675,10 @@ TEST_F(NetTest, HalfOpenConnsFromLostFinalAcksAreReaped) {
   // side can never complete. It must burn its retry budget, then reap the
   // half-open PCB instead of leaking it — the SYN-flood survival property.
   sim::FaultInjector faults({.seed = 1,
-                             .wire_script = {{3, 'd', 0},
-                                             {5, 'd', 0},
-                                             {7, 'd', 0},
-                                             {9, 'd', 0}}});
+                             .script = {{'d', 3, 0},
+                                        {'d', 5, 0},
+                                        {'d', 7, 0},
+                                        {'d', 9, 0}}});
   link_.SetFaultInjector(&faults);
   TcpProfile sp = XokSocketProfile();
   sp.max_retransmits = 3;

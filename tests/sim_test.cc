@@ -4,8 +4,10 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/topology.h"
 #include "sim/cost_model.h"
 #include "sim/counters.h"
 #include "sim/engine.h"
@@ -337,62 +339,77 @@ TEST(StatusTest, NamesAreDistinct) {
 
 // ---- Fault-schedule codec hardening ----
 //
-// The parsers are the trust boundary for replayed reproducers (CI artifacts,
+// The parser is the trust boundary for replayed reproducers (CI artifacts,
 // bug reports, hand-edited seed lines): any malformed token must yield an
 // empty schedule plus a diagnostic — never a silent best-effort misparse that
 // would replay the WRONG schedule and "not reproduce".
 
 TEST(FaultCodecTest, MalformedInputsRejectLoudly) {
-  const char* bad_wire[] = {
+  const char* bad[] = {
       "x@1",           // unknown kind
-      "w@1",           // disk kind in the wire grammar
       "d@0",           // indices are 1-based
       "d@",            // missing index
       "@3",            // missing kind
       "d3",            // missing '@'
-      "c@5",           // 'c' requires :arg
+      "c@5",           // 'c' requires :arg (the byte to flip)
+      "m@4",           // 'm' requires :arg (the target LBA)
+      "r@4",           // 'r' requires :arg (the byte offset)
+      "k@5",           // 'k' requires :arg (the machine id)
+      "b@5",           // 'b' requires :arg (the machine id)
       "d@3:1",         // 'd' forbids :arg
+      "w@2:7",         // 'w' forbids :arg
+      "l@2:7",         // 'l' forbids :arg
       "c@5:",          // empty arg
       "c@5:9x",        // trailing garbage in arg
       "d@18446744073709551616",  // 2^64: overflow
       "d@3 d@3",       // duplicate consultation index
-      "d@3 c@3:7",     // duplicate index across kinds of the same stream
+      "d@3 c@3:7",     // duplicate index across kinds of the wire stream
+      "w@3 m@3:9",     // duplicate within the write stream
+      "l@2 r@2:1",     // duplicate within the read stream
+      "k@5:1 b@5:1",   // one machine killed and rebooted on one cycle
       "d@1 oops",      // valid token then garbage
+      "d@1,w@2",       // a comma is not a separator
   };
-  for (const char* text : bad_wire) {
+  for (const char* text : bad) {
     std::string err;
-    EXPECT_TRUE(ParseWireSchedule(text, &err).empty()) << text;
+    EXPECT_TRUE(ParseFaultSchedule(text, &err).empty()) << text;
     EXPECT_NE(err.find("token"), std::string::npos) << text << " -> " << err;
   }
 
-  const char* bad_disk[] = {
-      "d@1",      // wire kind in the disk grammar
-      "w@0",      // zero index
-      "m@4",      // 'm' requires :arg (the victim LBA)
-      "r@4",      // 'r' requires :arg (the byte offset)
-      "w@2:7",    // 'w' forbids :arg
-      "l@2:7",    // 'l' forbids :arg
-      "w@3 m@3:9",  // duplicate within the write stream
-      "l@2 r@2:1",  // duplicate within the read stream
-  };
-  for (const char* text : bad_disk) {
-    std::string err;
-    EXPECT_TRUE(ParseDiskSchedule(text, &err).empty()) << text;
-    EXPECT_NE(err.find("token"), std::string::npos) << text << " -> " << err;
-  }
-
-  // The combined grammar accepts both alphabets but keeps per-stream
-  // duplicate rejection: w@3/l@3 are different streams, w@3/m@3 are not.
+  // Duplicates are per stream: w@3/l@3 are different streams, and two
+  // machines may die on one cycle.
   std::string err;
   EXPECT_EQ(ParseFaultSchedule("d@3 w@3 l@3", &err).size(), 3u) << err;
-  EXPECT_TRUE(ParseFaultSchedule("w@3 m@3:5", &err).empty());
-  EXPECT_NE(err.find("token"), std::string::npos);
+  EXPECT_EQ(ParseFaultSchedule("k@5:1 k@5:2", &err).size(), 2u) << err;
 
   // Whitespace-only input is a valid empty schedule, not an error: the
   // diagnostic out-param is cleared, not populated.
   err = "sentinel";
-  EXPECT_TRUE(ParseWireSchedule("   ", &err).empty());
+  EXPECT_TRUE(ParseFaultSchedule("   ", &err).empty());
   EXPECT_EQ(err, "");
+}
+
+// The reproducer lines the harnesses print keep their exact text.
+TEST(FaultCodecTest, ReproLinesRoundTripExactly) {
+  const std::vector<std::pair<std::vector<FaultEvent>, std::string>> cases = {
+      {{{'d', 3, 0}, {'c', 15, 58}, {'u', 20, 0}, {'d', 901, 0}},
+       "d@3 c@15:58 u@20 d@901"},
+      {{{'d', 3, 0},
+        {'w', 1, 0},
+        {'c', 15, 58},
+        {'r', 7, 128},
+        {'m', 5, 917},
+        {'l', 2, 0},
+        {'u', 20, 0}},
+       "d@3 w@1 c@15:58 r@7:128 m@5:917 l@2 u@20"},
+      {{{'k', 1000, 2}, {'b', 6000, 2}, {'k', 6000, 3}}, "k@1000:2 b@6000:2 k@6000:3"},
+      {{}, ""},
+  };
+  for (const auto& [events, text] : cases) {
+    EXPECT_EQ(FormatFaultSchedule(events), text);
+    std::string err;
+    EXPECT_TRUE(ParseFaultSchedule(text, &err) == events) << text << " -> " << err;
+  }
 }
 
 // Fuzz the round-trip: any valid schedule survives Format -> Parse unchanged.
@@ -405,89 +422,70 @@ TEST(FaultCodecTest, FuzzedSchedulesRoundTrip) {
     uint64_t wire_idx = 0;
     uint64_t write_idx = 0;
     uint64_t read_idx = 0;
+    uint64_t cycle = 0;
     const uint32_t n = rng.Below(12);
     for (uint32_t i = 0; i < n; ++i) {
-      static constexpr char kKinds[] = {'d', 'c', 'u', 'w', 'm', 'l', 'r'};
-      const char kind = kKinds[rng.Below(7)];
-      uint64_t* stream = IsWireFaultKind(kind) ? &wire_idx
-                         : (kind == 'w' || kind == 'm') ? &write_idx
-                                                        : &read_idx;
+      static constexpr char kKinds[] = {'d', 'c', 'u', 'w', 'm', 'l', 'r', 'k', 'b'};
+      const char kind = kKinds[rng.Below(9)];
+      uint64_t* stream = (kind == 'd' || kind == 'c' || kind == 'u') ? &wire_idx
+                         : (kind == 'w' || kind == 'm')              ? &write_idx
+                         : (kind == 'l' || kind == 'r')              ? &read_idx
+                                                                     : &cycle;
       *stream += 1 + rng.Below(1000);
-      const bool has_arg = kind == 'c' || kind == 'm' || kind == 'r';
+      const bool has_arg = kind != 'd' && kind != 'u' && kind != 'w' && kind != 'l';
       events.push_back(FaultEvent{kind, *stream, has_arg ? rng.Below(1 << 20) : 0});
     }
+    EXPECT_EQ(CheckFaultSchedule(events), "");
     const std::string line = FormatFaultSchedule(events);
     std::string err;
     const auto parsed = ParseFaultSchedule(line, &err);
     ASSERT_TRUE(parsed == events) << "iter " << iter << ": \"" << line << "\" -> " << err;
-
-    // The split-by-layer views round-trip through their own codecs too.
-    std::vector<WireEvent> wire;
-    std::vector<DiskEvent> disk;
-    SplitFaultSchedule(events, &wire, &disk);
-    EXPECT_TRUE(ParseWireSchedule(FormatWireSchedule(wire), &err) == wire);
-    EXPECT_TRUE(ParseDiskSchedule(FormatDiskSchedule(disk), &err) == disk);
   }
 }
 
-// Machine kill/reboot schedule grammar: k@<cycle>:<machine> / b@<cycle>:<machine>,
-// keyed by absolute time rather than consultation index.
-TEST(FaultCodecTest, MachineScheduleRoundTripAndDuplicateRules) {
-  std::string err;
-  const auto sched = ParseMachineSchedule("k@1000:2 b@6000:2 k@6000:3", &err);
-  ASSERT_EQ(sched.size(), 3u) << err;
-  EXPECT_EQ(sched[0].kind, 'k');
-  EXPECT_EQ(sched[0].time, 1000u);
-  EXPECT_EQ(sched[0].machine, 2u);
-  EXPECT_EQ(sched[2].kind, 'k');
-  EXPECT_EQ(sched[2].machine, 3u);
-  EXPECT_TRUE(ParseMachineSchedule(FormatMachineSchedule(sched), &err) == sched);
-
-  // Same machine, same cycle: ambiguous order, rejected. Different machines
-  // may share a cycle (the arg disambiguates the shared stream).
-  EXPECT_TRUE(ParseMachineSchedule("k@5:1 b@5:1", &err).empty());
-  EXPECT_NE(err.find("token"), std::string::npos);
-  EXPECT_EQ(ParseMachineSchedule("k@5:1 k@5:2", &err).size(), 2u) << err;
-  // The :machine arg is mandatory for both kinds.
-  EXPECT_TRUE(ParseMachineSchedule("k@5", &err).empty());
-  EXPECT_TRUE(ParseMachineSchedule("b@5", &err).empty());
-
-  // The combined grammar accepts machine kinds; the 3-way split routes them
-  // to the machine vector and the legacy 2-way split ignores them.
-  const auto combined = ParseFaultSchedule("d@1 w@3 k@100:0 b@200:0", &err);
-  ASSERT_EQ(combined.size(), 4u) << err;
-  std::vector<WireEvent> wire;
-  std::vector<DiskEvent> disk;
-  std::vector<MachineEvent> machines;
-  SplitFaultSchedule(combined, &wire, &disk, &machines);
-  EXPECT_EQ(wire.size(), 1u);
-  EXPECT_EQ(disk.size(), 1u);
-  ASSERT_EQ(machines.size(), 2u);
-  EXPECT_EQ(machines[0].kind, 'k');
-  EXPECT_EQ(machines[1].time, 200u);
-  wire.clear();
-  disk.clear();
-  SplitFaultSchedule(combined, &wire, &disk);
-  EXPECT_EQ(wire.size(), 1u);
-  EXPECT_EQ(disk.size(), 1u);
+// The check behind every boundary names the first bad event and why.
+TEST(FaultCodecTest, CheckNamesTheFirstBadEvent) {
+  const std::vector<std::pair<std::vector<FaultEvent>, std::string>> cases = {
+      {{{'x', 1, 0}}, "event 1: unknown kind 'x'"},
+      // Index first, kind second: the constant 1 compiles as kind '\x01'.
+      {{{1, 'w', 0}}, "event 1: unknown kind \\x01"},
+      {{{'d', 1, 0}, {'d', 0, 0}}, "event 2: index must be >= 1 (indices are 1-based)"},
+      {{{'l', 2, 7}}, "event 1: kind 'l' takes no arg"},
+      {{{'w', 3, 0}, {'m', 3, 9}}, "event 2: duplicate index 3 (clashes with event 1)"},
+      {{{'k', 5, 1}, {'b', 5, 1}}, "event 2: duplicate index 5 (clashes with event 1)"},
+      {{{'d', 1, 0},
+        {'w', 1, 0},
+        {'l', 1, 0},
+        {'c', 2, 40},
+        {'r', 2, 9},
+        {'m', 2, 7},
+        {'k', 1, 1},
+        {'k', 1, 2},
+        {'b', 2, 1}},
+       ""},
+  };
+  for (const auto& [events, why] : cases) {
+    EXPECT_EQ(CheckFaultSchedule(events), why) << FormatFaultSchedule(events);
+  }
 }
 
-// RecordMachine lands machine faults on the same stats/counter/replay surface
-// as every other injected fault.
-TEST(FaultInjectorTest, RecordMachineCountsAndReplays) {
-  FaultPlan plan;
-  FaultInjector faults(plan);
-  Counters counters;
-  faults.AttachCounters(&counters);
-  faults.RecordMachine(MachineEvent{1000, 'k', 2});
-  faults.RecordMachine(MachineEvent{2000, 'b', 2});
-  EXPECT_EQ(faults.stats().machine_kills, 1u);
-  EXPECT_EQ(faults.stats().machine_reboots, 1u);
-  EXPECT_EQ(counters.Get("fault.machine_kills"), 1u);
-  EXPECT_EQ(counters.Get("fault.machine_reboots"), 1u);
-  ASSERT_EQ(faults.machine_events().size(), 2u);
-  EXPECT_EQ(FormatMachineSchedule(faults.machine_events()), "k@1000:2 b@2000:2");
-  ASSERT_EQ(faults.log().size(), 2u);
+// Every consumer of a schedule aborts on one it would misread, printing the
+// check's reason: the injector on a bad or machine kind, the topology on a
+// wire kind.
+TEST(FaultScheduleDeathTest, EveryBoundaryAbortsOnABadSchedule) {
+  EXPECT_DEATH(FaultInjector(FaultPlan{.script = {{'x', 1, 0}}}),
+               "event 1: unknown kind 'x'");
+  EXPECT_DEATH(FaultInjector(FaultPlan{.script = {{'d', 1, 0}, {'k', 5, 1}}}),
+               "event 2: kind 'k' is not one of dcuwmlr");
+  EXPECT_DEATH(
+      {
+        cluster::TopologyConfig tc;
+        tc.servers = 1;
+        tc.clients = 1;
+        cluster::Topology topo(tc);
+        topo.ApplyMachineSchedule({{'d', 1, 0}});
+      },
+      "event 1: kind 'd' is not one of kb");
 }
 
 // ---- Injector attachment and cut-point bookkeeping ----
@@ -515,8 +513,7 @@ TEST(FaultInjectorTest, AttachTracerFirstWinsAndReattaches) {
 // Counters follow the same contract, and injected faults land in fault.*.
 TEST(FaultInjectorTest, AttachCountersFirstWinsAndCounts) {
   FaultPlan plan;
-  plan.wire_script = {{1, 'd', 0}};
-  plan.disk_script = {{1, 'w', 0}, {1, 'l', 0}};
+  plan.script = {{'d', 1, 0}, {'w', 1, 0}, {'l', 1, 0}};
   FaultInjector faults(plan);
   Counters c1;
   Counters c2;

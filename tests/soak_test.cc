@@ -9,7 +9,7 @@
 //
 // On an invariant violation the test prints one line —
 //   SOAK-REPRO seed=<seed> schedule="d@12 c@31:58 ..."
-// — whose schedule replays byte-for-byte through FaultPlan::wire_script
+// — whose schedule replays byte-for-byte through FaultPlan::script
 // (docs/OVERLOAD.md walks through replaying one).
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/http.h"
@@ -41,11 +42,25 @@ uint64_t EnvOr(const char* name, uint64_t fallback) {
   return v != nullptr && *v != '\0' ? std::strtoull(v, nullptr, 0) : fallback;
 }
 
+// The seed block a sweep runs: `<lo>:<hi>` (or a lone `<lo>`) from the
+// environment variable `name`, 1:3 when unset.
+std::pair<uint64_t, uint64_t> SeedBlock(const char* name) {
+  const char* block = std::getenv(name);
+  if (block == nullptr) {
+    return {1, 3};
+  }
+  char* colon = nullptr;
+  const uint64_t lo = std::strtoull(block, &colon, 0);
+  const uint64_t hi =
+      (colon != nullptr && *colon == ':') ? std::strtoull(colon + 1, nullptr, 0) : lo;
+  return {lo, hi};
+}
+
 constexpr sim::Cycles kEpoch = 2'000'000;  // 10 ms at 200 MHz
 
 struct SoakResult {
   std::string failure;                  // first violated invariant ("" = clean)
-  std::vector<sim::WireEvent> events;   // executed wire faults, replayable
+  std::vector<sim::FaultEvent> events;  // executed wire faults, replayable
   std::vector<std::string> fault_log;   // injector log, for byte-exactness checks
   uint64_t closed_completed = 0;
   uint64_t open_completed = 0;
@@ -199,7 +214,7 @@ SoakResult RunSoak(const sim::FaultPlan& plan, uint64_t epochs) {
     }
   }
 
-  r.events = faults.wire_events();
+  r.events = faults.events();
   r.fault_log = faults.log();
   r.closed_completed = closed_client.completed();
   r.open_completed = open_client.completed();
@@ -214,10 +229,10 @@ SoakResult RunSoak(const sim::FaultPlan& plan, uint64_t epochs) {
 
 // Re-runs the identical workload under an explicit schedule (no RNG on the
 // wire) — the replay/shrink harness for a failure found by the rate-mode sweep.
-SoakResult ReplaySoak(const std::vector<sim::WireEvent>& schedule, uint64_t epochs) {
+SoakResult ReplaySoak(const std::vector<sim::FaultEvent>& schedule, uint64_t epochs) {
   sim::FaultPlan plan;
   plan.net_corrupt_min_offset = net::kIpHeaderBytes + net::kTcpHeaderBytes;
-  plan.wire_script = schedule;
+  plan.script = schedule;
   return RunSoak(plan, epochs);
 }
 
@@ -225,14 +240,7 @@ SoakResult ReplaySoak(const std::vector<sim::WireEvent>& schedule, uint64_t epoc
 // here is a real bug; the printed SOAK-REPRO line is its minimized, replayable
 // form (docs/OVERLOAD.md describes the triage workflow).
 TEST(Soak, MultiTenantRandomFaultSweep) {
-  uint64_t lo = 1;
-  uint64_t hi = 3;
-  if (const char* block = std::getenv("SOAK_SEEDS")) {
-    char* colon = nullptr;
-    lo = std::strtoull(block, &colon, 0);
-    hi = (colon != nullptr && *colon == ':') ? std::strtoull(colon + 1, nullptr, 0)
-                                             : lo;
-  }
+  const auto [lo, hi] = SeedBlock("SOAK_SEEDS");
   const uint64_t epochs = EnvOr("SOAK_EPOCHS", 5);
 
   for (uint64_t seed = lo; seed <= hi; ++seed) {
@@ -247,19 +255,19 @@ TEST(Soak, MultiTenantRandomFaultSweep) {
     if (!r.failure.empty()) {
       // Minimize before reporting: the reproducer is the deliverable.
       const std::string failure = r.failure;
-      sim::Shrinker shrinker([&](const std::vector<sim::WireEvent>& candidate) {
+      sim::Shrinker shrinker([&](const std::vector<sim::FaultEvent>& candidate) {
         return ReplaySoak(candidate, epochs).failure == failure;
       });
-      std::vector<sim::WireEvent> minimal = r.events;
+      std::vector<sim::FaultEvent> minimal = r.events;
       if (ReplaySoak(minimal, epochs).failure == failure) {
         minimal = shrinker.Minimize(minimal);
       }
       std::printf("SOAK-REPRO seed=%llu schedule=\"%s\"\n",
                   static_cast<unsigned long long>(seed),
-                  sim::FormatWireSchedule(minimal).c_str());
+                  sim::FormatFaultSchedule(minimal).c_str());
       ADD_FAILURE() << "seed " << seed << ": " << failure
                     << "\nminimized schedule (" << minimal.size()
-                    << " events): " << sim::FormatWireSchedule(minimal);
+                    << " events): " << sim::FormatFaultSchedule(minimal);
       continue;
     }
     // The sweep must actually exercise the machinery, not idle through it.
@@ -269,9 +277,10 @@ TEST(Soak, MultiTenantRandomFaultSweep) {
   }
 }
 
-// A recorded rate-mode schedule, replayed through wire_script, must re-execute
-// the identical faults against the identical frames: same event stream, same
-// outcome counters, same final clock — byte-for-byte determinism across modes.
+// A recorded rate-mode schedule, replayed through FaultPlan::script, must
+// re-execute the identical faults against the identical frames: same event
+// stream, same outcome counters, same final clock — byte-for-byte determinism
+// across modes.
 TEST(Soak, RecordedScheduleReplaysByteExact) {
   sim::FaultPlan plan;
   plan.seed = 99;
@@ -307,12 +316,12 @@ TEST(Soak, RecordedScheduleReplaysByteExact) {
 
 // The schedule codec round-trips the printed seed line.
 TEST(Soak, WireScheduleCodecRoundTrips) {
-  std::vector<sim::WireEvent> events = {
-      {3, 'd', 0}, {15, 'c', 58}, {20, 'u', 0}, {901, 'd', 0}};
-  const std::string text = sim::FormatWireSchedule(events);
+  std::vector<sim::FaultEvent> events = {
+      {'d', 3, 0}, {'c', 15, 58}, {'u', 20, 0}, {'d', 901, 0}};
+  const std::string text = sim::FormatFaultSchedule(events);
   EXPECT_EQ(text, "d@3 c@15:58 u@20 d@901");
-  EXPECT_TRUE(sim::ParseWireSchedule(text) == events);
-  EXPECT_TRUE(sim::ParseWireSchedule("").empty());
+  EXPECT_TRUE(sim::ParseFaultSchedule(text) == events);
+  EXPECT_TRUE(sim::ParseFaultSchedule("").empty());
 }
 
 // ---- Shrinker acceptance: a soak-style failure minimizes to a <=10-event
@@ -324,7 +333,7 @@ TEST(Soak, WireScheduleCodecRoundTrips) {
 // 1..4, since nothing else crosses the wire until the handshake succeeds.
 // When `recorded` is non-null the executed wire schedule is copied out.
 bool FragileFetchFails(const sim::FaultPlan& plan,
-                       std::vector<sim::WireEvent>* recorded = nullptr) {
+                       std::vector<sim::FaultEvent>* recorded = nullptr) {
   sim::Engine engine;
   sim::CostModel cost = sim::CostModel::PentiumPro200();
   sim::FaultInjector faults(plan);
@@ -371,7 +380,7 @@ bool FragileFetchFails(const sim::FaultPlan& plan,
   });
   engine.RunUntilIdle();
   if (recorded != nullptr) {
-    *recorded = faults.wire_events();
+    *recorded = faults.events();
   }
   return got < 2000;  // the fetch never completed: the failure being shrunk
 }
@@ -380,7 +389,7 @@ bool FragileFetchFails(const sim::FaultPlan& plan,
 // and prove the printed seed line replays the failure byte-for-byte.
 TEST(Soak, ShrinkerMinimizesFailureToReplayableSeedLine) {
   uint64_t failing_seed = 0;
-  std::vector<sim::WireEvent> recorded;
+  std::vector<sim::FaultEvent> recorded;
   for (uint64_t seed = 1; seed <= 50 && failing_seed == 0; ++seed) {
     sim::FaultPlan plan;
     plan.seed = seed;
@@ -393,36 +402,36 @@ TEST(Soak, ShrinkerMinimizesFailureToReplayableSeedLine) {
   ASSERT_FALSE(recorded.empty());
 
   // Predicate: does a scripted candidate still reproduce the failure?
-  auto still_fails = [](const std::vector<sim::WireEvent>& candidate) {
+  auto still_fails = [](const std::vector<sim::FaultEvent>& candidate) {
     sim::FaultPlan plan;
-    plan.wire_script = candidate;
+    plan.script = candidate;
     return FragileFetchFails(plan);
   };
   ASSERT_TRUE(still_fails(recorded)) << "recorded schedule must replay the failure";
 
   sim::Shrinker shrinker(still_fails);
-  const std::vector<sim::WireEvent> minimal = shrinker.Minimize(recorded);
+  const std::vector<sim::FaultEvent> minimal = shrinker.Minimize(recorded);
 
   // The acceptance bar: a small (<=10 events) reproducer...
   EXPECT_LE(minimal.size(), 10u);
   ASSERT_TRUE(still_fails(minimal));
   // ...that is 1-minimal: removing any single event loses the failure.
   for (size_t i = 0; i < minimal.size(); ++i) {
-    std::vector<sim::WireEvent> weaker = minimal;
+    std::vector<sim::FaultEvent> weaker = minimal;
     weaker.erase(weaker.begin() + static_cast<long>(i));
     EXPECT_FALSE(still_fails(weaker)) << "not 1-minimal at event " << i;
   }
 
   // The printed seed line replays byte-for-byte: format, parse, run twice,
   // identical executed schedule both times.
-  const std::string line = sim::FormatWireSchedule(minimal);
+  const std::string line = sim::FormatFaultSchedule(minimal);
   std::printf("SOAK-REPRO seed=%llu schedule=\"%s\"\n",
               static_cast<unsigned long long>(failing_seed), line.c_str());
-  std::vector<sim::WireEvent> parsed = sim::ParseWireSchedule(line);
+  std::vector<sim::FaultEvent> parsed = sim::ParseFaultSchedule(line);
   ASSERT_TRUE(parsed == minimal);
-  std::vector<sim::WireEvent> executed1, executed2;
+  std::vector<sim::FaultEvent> executed1, executed2;
   sim::FaultPlan replay;
-  replay.wire_script = parsed;
+  replay.script = parsed;
   EXPECT_TRUE(FragileFetchFails(replay, &executed1));
   EXPECT_TRUE(FragileFetchFails(replay, &executed2));
   EXPECT_TRUE(executed1 == executed2);
@@ -432,30 +441,30 @@ TEST(Soak, ShrinkerMinimizesFailureToReplayableSeedLine) {
 // handshake plus noise events on frames that never occur once the connection
 // aborts — must minimize to exactly the four necessary drops.
 TEST(Soak, ShrinkerPrunesPlantedScheduleToNecessaryDrops) {
-  std::vector<sim::WireEvent> planted = {
-      {1, 'd', 0}, {2, 'd', 0}, {3, 'd', 0}, {4, 'd', 0},
-      {6, 'd', 0}, {9, 'c', 40}, {11, 'u', 0}, {100, 'd', 0}};
-  auto still_fails = [](const std::vector<sim::WireEvent>& candidate) {
+  std::vector<sim::FaultEvent> planted = {
+      {'d', 1, 0}, {'d', 2, 0}, {'d', 3, 0}, {'d', 4, 0},
+      {'d', 6, 0}, {'c', 9, 40}, {'u', 11, 0}, {'d', 100, 0}};
+  auto still_fails = [](const std::vector<sim::FaultEvent>& candidate) {
     sim::FaultPlan plan;
-    plan.wire_script = candidate;
+    plan.script = candidate;
     return FragileFetchFails(plan);
   };
   ASSERT_TRUE(still_fails(planted));
 
   sim::Shrinker shrinker(still_fails);
-  const std::vector<sim::WireEvent> minimal = shrinker.Minimize(planted);
+  const std::vector<sim::FaultEvent> minimal = shrinker.Minimize(planted);
   ASSERT_EQ(minimal.size(), 4u);
   for (size_t i = 0; i < minimal.size(); ++i) {
     EXPECT_EQ(minimal[i].kind, 'd');
-    EXPECT_EQ(minimal[i].frame_index, i + 1);
+    EXPECT_EQ(minimal[i].index, i + 1);
   }
   EXPECT_GT(shrinker.probes(), 0u);
 }
 
 // ---- Combined wire + disk schedules: one stream, one ddmin, one repro line ----
 
-// The combined codec covers both layers (kind letters are disjoint) and splits
-// back into the per-layer scripts losslessly.
+// The codec covers both layers in one line (kind letters are disjoint), and
+// each layer's events, filtered out by kind, still format as that layer's line.
 TEST(Soak, CombinedScheduleCodecRoundTrips) {
   std::vector<sim::FaultEvent> events = {{'d', 3, 0},   {'w', 1, 0},  {'c', 15, 58},
                                          {'r', 7, 128}, {'m', 5, 917}, {'l', 2, 0},
@@ -464,14 +473,17 @@ TEST(Soak, CombinedScheduleCodecRoundTrips) {
   EXPECT_EQ(text, "d@3 w@1 c@15:58 r@7:128 m@5:917 l@2 u@20");
   EXPECT_TRUE(sim::ParseFaultSchedule(text) == events);
   EXPECT_TRUE(sim::ParseFaultSchedule("").empty());
+  EXPECT_EQ(sim::CheckFaultSchedule(events), "");
 
-  std::vector<sim::WireEvent> wire;
-  std::vector<sim::DiskEvent> disk;
-  sim::SplitFaultSchedule(events, &wire, &disk);
+  std::vector<sim::FaultEvent> wire;
+  std::vector<sim::FaultEvent> disk;
+  for (const sim::FaultEvent& e : events) {
+    (e.kind == 'd' || e.kind == 'c' || e.kind == 'u' ? wire : disk).push_back(e);
+  }
   ASSERT_EQ(wire.size(), 3u);
   ASSERT_EQ(disk.size(), 4u);
-  EXPECT_EQ(sim::FormatWireSchedule(wire), "d@3 c@15:58 u@20");
-  EXPECT_EQ(sim::FormatDiskSchedule(disk), "w@1 r@7:128 m@5:917 l@2");
+  EXPECT_EQ(sim::FormatFaultSchedule(wire), "d@3 c@15:58 u@20");
+  EXPECT_EQ(sim::FormatFaultSchedule(disk), "w@1 r@7:128 m@5:917 l@2");
 }
 
 // Disk leg of a combined failure: DMA-write one block, read it back. A lost
@@ -513,26 +525,22 @@ bool FragileWriteFails(const sim::FaultPlan& plan) {
 // A failure that needs BOTH layers reproduces through one ddmin pass over the
 // merged stream: the four handshake-killing drops and the one lost write
 // survive; noise on both layers (events whose consultation index is never
-// reached, plus redundant wire faults) is pruned. The printed line is a single
-// combined SOAK-REPRO reproducer.
+// reached, plus redundant wire faults) is pruned. Each candidate arms both rigs
+// as one script, and the printed line is a single combined SOAK-REPRO
+// reproducer.
 TEST(Soak, CombinedWireDiskScheduleMinimizesToOneReproLine) {
   std::vector<sim::FaultEvent> planted = {
       {'d', 1, 0}, {'w', 1, 0}, {'d', 2, 0}, {'m', 9, 3},  // write 9 never happens
       {'d', 3, 0}, {'l', 7, 0},                            // read 7 never happens
       {'d', 4, 0}, {'d', 6, 0}, {'c', 9, 40}, {'u', 11, 0}};
   auto still_fails = [](const std::vector<sim::FaultEvent>& candidate) {
-    std::vector<sim::WireEvent> wire;
-    std::vector<sim::DiskEvent> disk;
-    sim::SplitFaultSchedule(candidate, &wire, &disk);
-    sim::FaultPlan wire_plan;
-    wire_plan.wire_script = wire;
-    sim::FaultPlan disk_plan;
-    disk_plan.disk_script = disk;
-    return FragileFetchFails(wire_plan) && FragileWriteFails(disk_plan);
+    sim::FaultPlan plan;
+    plan.script = candidate;
+    return FragileFetchFails(plan) && FragileWriteFails(plan);
   };
   ASSERT_TRUE(still_fails(planted));
 
-  sim::BasicShrinker<sim::FaultEvent> shrinker(still_fails);
+  sim::Shrinker shrinker(still_fails);
   const std::vector<sim::FaultEvent> minimal = shrinker.Minimize(planted);
   const std::string line = sim::FormatFaultSchedule(minimal);
   ASSERT_EQ(minimal.size(), 5u) << line;
@@ -921,14 +929,7 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
 // is minimized over the flood script and printed as a replayable SOAK-REPRO
 // line (replay by passing the parsed script through NoisyConfig::replay).
 TEST(NoisySoak, VictimSlosHoldUnderFloodSweep) {
-  uint64_t lo = 1;
-  uint64_t hi = 3;
-  if (const char* block = std::getenv("NOISY_SEEDS")) {
-    char* colon = nullptr;
-    lo = std::strtoull(block, &colon, 0);
-    hi = (colon != nullptr && *colon == ':') ? std::strtoull(colon + 1, nullptr, 0)
-                                             : lo;
-  }
+  const auto [lo, hi] = SeedBlock("NOISY_SEEDS");
   const uint64_t epochs = EnvOr("NOISY_EPOCHS", 8);
 
   uint64_t total_revokes = 0;
@@ -1038,14 +1039,14 @@ TEST(NoisySoak, FloodScheduleCodecRoundTrips) {
 // Fleet soak: whole-machine kill/reboot chaos over a balanced cluster.
 //
 // A health-checked front-end balancer fronts two echo backends; machines die
-// and reboot on a scripted sim::MachineEvent schedule. The invariants are the
+// and reboot on a scripted k/b sim::FaultEvent schedule. The invariants are the
 // fleet-level ones from docs/CLUSTER.md: the merged counter+trace dump is a
 // pure function of (config, schedule) at ANY thread count, the balancer never
 // readmits more backends than it ejected, and traffic keeps flowing whenever
 // at least one backend is alive. A violating schedule is ddmin-minimized
-// (sim::BasicShrinker<sim::MachineEvent>) and printed as one replayable line:
+// (sim::Shrinker) and printed as one replayable line:
 //   FLEET-REPRO seed=<seed> schedule="k@350000:1 b@900000:1 ..."
-// which feeds straight back through sim::ParseMachineSchedule +
+// which feeds straight back through sim::ParseFaultSchedule +
 // cluster::Topology::ApplyMachineSchedule.
 
 constexpr uint32_t kFleetServers = 2;
@@ -1077,7 +1078,7 @@ hw::Packet FleetFrame(uint32_t src_ip, uint16_t src_port) {
   return p;
 }
 
-FleetResult RunFleet(const std::vector<sim::MachineEvent>& schedule,
+FleetResult RunFleet(const std::vector<sim::FaultEvent>& schedule,
                      uint32_t threads) {
   cluster::TopologyConfig tc;
   tc.servers = kFleetServers;
@@ -1151,17 +1152,17 @@ FleetResult RunFleet(const std::vector<sim::MachineEvent>& schedule,
 // pairs over the non-balancer machines (servers m1..m2, clients m3..m4), each
 // reboot 60k..660k cycles after its kill. Same-machine same-cycle collisions
 // are nudged forward so the formatted line always re-parses.
-std::vector<sim::MachineEvent> RandomFleetSchedule(uint64_t seed) {
+std::vector<sim::FaultEvent> RandomFleetSchedule(uint64_t seed) {
   sim::Rng rng(seed);
-  std::vector<sim::MachineEvent> sched;
+  std::vector<sim::FaultEvent> sched;
   auto push_unique = [&sched](uint64_t t, char kind, uint64_t machine) {
     for (size_t i = 0; i < sched.size(); ++i) {
-      if (sched[i].machine == machine && sched[i].time == t) {
+      if (sched[i].arg == machine && sched[i].index == t) {
         ++t;
         i = static_cast<size_t>(-1);  // rescan with the nudged time
       }
     }
-    sched.push_back({t, kind, machine});
+    sched.push_back({kind, t, machine});
   };
   const uint32_t pairs = 2 + static_cast<uint32_t>(rng.Below(3));
   for (uint32_t i = 0; i < pairs; ++i) {
@@ -1172,10 +1173,10 @@ std::vector<sim::MachineEvent> RandomFleetSchedule(uint64_t seed) {
     push_unique(t_boot, 'b', machine);
   }
   std::sort(sched.begin(), sched.end(),
-            [](const sim::MachineEvent& a, const sim::MachineEvent& b) {
-              return a.time != b.time     ? a.time < b.time
-                     : a.machine != b.machine ? a.machine < b.machine
-                                              : a.kind < b.kind;
+            [](const sim::FaultEvent& a, const sim::FaultEvent& b) {
+              return a.index != b.index ? a.index < b.index
+                     : a.arg != b.arg   ? a.arg < b.arg
+                                        : a.kind < b.kind;
             });
   return sched;
 }
@@ -1185,35 +1186,28 @@ std::vector<sim::MachineEvent> RandomFleetSchedule(uint64_t seed) {
 // 1 and 4 threads. A failure ddmins over the machine schedule and prints a
 // FLEET-REPRO line.
 TEST(FleetSoak, RandomKillRebootSchedulesHoldInvariantsAcrossThreads) {
-  uint64_t lo = 1;
-  uint64_t hi = 3;
-  if (const char* block = std::getenv("FLEET_SEEDS")) {
-    char* colon = nullptr;
-    lo = std::strtoull(block, &colon, 0);
-    hi = (colon != nullptr && *colon == ':') ? std::strtoull(colon + 1, nullptr, 0)
-                                             : lo;
-  }
+  const auto [lo, hi] = SeedBlock("FLEET_SEEDS");
   for (uint64_t seed = lo; seed <= hi; ++seed) {
-    const std::vector<sim::MachineEvent> schedule = RandomFleetSchedule(seed);
+    const std::vector<sim::FaultEvent> schedule = RandomFleetSchedule(seed);
     FleetResult one = RunFleet(schedule, 1);
     FleetResult four = RunFleet(schedule, 4);
     const bool bad = !one.failure.empty() || one.dump != four.dump;
     if (bad) {
-      auto still_fails = [](const std::vector<sim::MachineEvent>& candidate) {
+      auto still_fails = [](const std::vector<sim::FaultEvent>& candidate) {
         FleetResult a = RunFleet(candidate, 1);
         FleetResult b = RunFleet(candidate, 4);
         return !a.failure.empty() || a.dump != b.dump;
       };
-      sim::BasicShrinker<sim::MachineEvent> shrinker(still_fails);
-      const std::vector<sim::MachineEvent> minimal = shrinker.Minimize(schedule);
+      sim::Shrinker shrinker(still_fails);
+      const std::vector<sim::FaultEvent> minimal = shrinker.Minimize(schedule);
       std::printf("FLEET-REPRO seed=%llu schedule=\"%s\"\n",
                   static_cast<unsigned long long>(seed),
-                  sim::FormatMachineSchedule(minimal).c_str());
+                  sim::FormatFaultSchedule(minimal).c_str());
       ADD_FAILURE() << "seed " << seed << ": "
                     << (one.failure.empty() ? "thread-count dump divergence"
                                             : one.failure)
                     << "\nminimized schedule (" << minimal.size()
-                    << " events): " << sim::FormatMachineSchedule(minimal);
+                    << " events): " << sim::FormatFaultSchedule(minimal);
       continue;
     }
     // The sweep must exercise the machinery, not idle through it.
@@ -1232,33 +1226,33 @@ TEST(FleetSoak, RandomKillRebootSchedulesHoldInvariantsAcrossThreads) {
 // 4 threads.
 TEST(FleetSoak, PlantedBlackholeShrinksToReplayableFleetRepro) {
   std::string err;
-  const std::vector<sim::MachineEvent> planted = sim::ParseMachineSchedule(
+  const std::vector<sim::FaultEvent> planted = sim::ParseFaultSchedule(
       "k@350000:1 k@400000:2 k@500000:3 b@600000:3 k@700000:4 b@800000:4 "
       "b@1600000:1 b@1700000:2",
       &err);
   ASSERT_TRUE(err.empty()) << err;
   ASSERT_EQ(planted.size(), 8u);
 
-  auto blackholes = [](const std::vector<sim::MachineEvent>& candidate) {
+  auto blackholes = [](const std::vector<sim::FaultEvent>& candidate) {
     return RunFleet(candidate, 1).no_route > 0;
   };
   ASSERT_TRUE(blackholes(planted));
 
-  sim::BasicShrinker<sim::MachineEvent> shrinker(blackholes);
-  std::vector<sim::MachineEvent> minimal = shrinker.Minimize(planted);
+  sim::Shrinker shrinker(blackholes);
+  std::vector<sim::FaultEvent> minimal = shrinker.Minimize(planted);
   EXPECT_LE(minimal.size(), 10u);
   ASSERT_EQ(minimal.size(), 2u);
-  const std::string line = sim::FormatMachineSchedule(minimal);
+  const std::string line = sim::FormatFaultSchedule(minimal);
   EXPECT_EQ(line, "k@350000:1 k@400000:2");
   // 1-minimal: drop either kill and the survivor absorbs the flows.
   for (size_t i = 0; i < minimal.size(); ++i) {
-    std::vector<sim::MachineEvent> cand = minimal;
+    std::vector<sim::FaultEvent> cand = minimal;
     cand.erase(cand.begin() + static_cast<long>(i));
     EXPECT_FALSE(blackholes(cand)) << "not 1-minimal at event " << i;
   }
 
   std::printf("FLEET-REPRO seed=planted schedule=\"%s\"\n", line.c_str());
-  const std::vector<sim::MachineEvent> replay = sim::ParseMachineSchedule(line, &err);
+  const std::vector<sim::FaultEvent> replay = sim::ParseFaultSchedule(line, &err);
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_TRUE(replay == minimal);
   FleetResult first = RunFleet(replay, 1);

@@ -673,7 +673,7 @@ TEST_F(XnTest, LostWriteCaughtOnReReadByExpectedCrc) {
   // injector arms: the ack (and expected_crc_) say 0x22, the platter says 0x11
   // under a perfectly self-consistent stale tag.
   sim::FaultPlan plan;
-  plan.disk_script = sim::ParseDiskSchedule("w@1");
+  plan.script = sim::ParseFaultSchedule("w@1");
   sim::FaultInjector faults(plan);
   machine_.disk().SetFaultInjector(&faults);
   FrameId nf = NewFrame();
