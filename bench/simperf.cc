@@ -2,23 +2,31 @@
 //
 // Every other bench in this directory reports *simulated* seconds; this one reports
 // how fast the simulator itself chews through its hot loops, so engine/scheduler/
-// disk-queue optimizations (and regressions) are visible. Four synthetic workloads:
+// disk-queue optimizations (and regressions) are visible. Seven workloads:
 //
 //   event_churn      raw sim::Engine schedule/cancel/fire churn shaped like the TCP
 //                    timer pattern (arm, re-arm, cancel-after-fire)
+//   trace_overhead   the event_churn loop with a tracer attached but disabled
 //   predicate_storm  N blocked envs with downloaded wakeup predicates; a producer
 //                    pokes one region at a time, so almost every predicate the
 //                    scheduler could evaluate per decision is a waste
 //   disk_deep_queue  thousands of queued requests exercising merge lookup and
 //                    C-LOOK dispatch
-//   global_fig4      a scaled-down Figure 4 job mix: the end-to-end sanity number
-//                    (simulated seconds per wall second)
+//   global_fig4      a scaled-down Figure 4 job mix (grep, wc, cksum, sor on one
+//                    machine): the end-to-end sanity number (simulated seconds per
+//                    wall second)
+//   fs_write         a 3-MB file written, gzipped, gunzipped and synced on C-FFS
+//                    over XN: block allocation under owns-udf checks, and LZ
+//   cluster_scale    an 8-machine balancer fleet on the parallel cluster engine at
+//                    1, 2 and 4 threads: speedup and host time per round
 //
 // Results go to BENCH_simperf.json (--out FILE overrides), and
 // `--check bench/simperf_baseline.json` gates them (bench::Report). See
 // docs/PERFORMANCE.md for how to read the numbers.
+#include <algorithm>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -441,6 +449,54 @@ WorkloadResult GlobalFig4(int jobs, int conc) {
   return r;
 }
 
+// ---- Workload 6: fs_write — the file-system write path ----
+//
+// One Xok/ExOS system writes a `kb`-KB source file in kIoChunk writes, gzips it,
+// gunzips it, checks the round trip and syncs. Every block a file grows by runs
+// the owning metadata block's owns-udf three times (XN's before/after check in
+// Alloc, then InsertMapping), and gzip runs the LZ match table. ops is the file
+// size in KB.
+WorkloadResult FsWrite(uint32_t kb) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, bench::PaperMachine(256));
+  os::System sys(&machine, os::Flavor::kXokExos);
+  EXO_CHECK_EQ(sys.Boot(), Status::kOk);
+  const std::vector<uint8_t> content =
+      apps::FileContent({.path = "fs_write", .size = kb * 1024, .seed = 5});
+
+  double t0 = 0;
+  double t1 = 0;
+  sim::Cycles sim0 = 0;
+  sim::Cycles sim1 = 0;
+  sys.SpawnInit("sh", [&](os::UnixEnv& env) {
+    t0 = WallNow();
+    sim0 = env.Now();
+    auto fd = env.Open("/f.txt", /*create=*/true);
+    EXO_CHECK(fd.ok());
+    const std::span<const uint8_t> data(content);
+    for (size_t off = 0; off < data.size(); off += apps::kIoChunk) {
+      const size_t n = std::min(apps::kIoChunk, data.size() - off);
+      EXO_CHECK(env.Write(*fd, data.subspan(off, n)).ok());
+    }
+    EXO_CHECK_EQ(env.Close(*fd), Status::kOk);
+    EXO_CHECK_EQ(apps::Gzip(env, "/f.txt", "/f.gz"), Status::kOk);
+    EXO_CHECK_EQ(apps::Gunzip(env, "/f.gz", "/f.out"), Status::kOk);
+    const Result<int> diff = apps::DiffFile(env, "/f.txt", "/f.out");
+    EXO_CHECK(diff.ok() && *diff == 0);
+    EXO_CHECK_EQ(env.Sync(), Status::kOk);
+    sim1 = env.Now();
+    t1 = WallNow();
+  });
+  sys.Run();
+
+  WorkloadResult r;
+  r.name = "fs_write";
+  r.ops = kb;
+  r.wall_s = t1 - t0;
+  r.sim_s = bench::Secs(sim1 - sim0);
+  return r;
+}
+
 // Prints one workload's row and adds its metrics to the report.
 void Record(const WorkloadResult& r, bench::Report* report) {
   const double per_sec = static_cast<double>(r.ops) / r.wall_s;
@@ -476,6 +532,7 @@ int main(int argc, char** argv) {
   Record(PredicateStorm(1000, 10), &report);
   Record(DiskDeepQueue(8, 3000), &report);
   Record(GlobalFig4(16, 4), &report);
+  Record(FsWrite(3072), &report);
   const ClusterScaleResult cs = ClusterScale();
   Record(cs.serial, &report);
   std::printf("%-18s %12s threads=%u speedup=%.2fx speedup_at_2=%.2fx rounds=%llu "

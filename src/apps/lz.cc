@@ -1,7 +1,7 @@
 #include "apps/lz.h"
 
+#include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 namespace exo::apps {
 
@@ -13,6 +13,9 @@ constexpr uint32_t kMaxMatch = 255;
 constexpr uint8_t kBlockCompressed = 1;
 constexpr uint8_t kBlockStored = 0;
 constexpr uint32_t kBlockSize = 65536;
+// Match-table slots: twice the most positions one block can record.
+constexpr uint32_t kTableSlots = 2 * kBlockSize;
+constexpr uint16_t kEmptySlot = 0xFFFF;
 
 void PutU32(std::vector<uint8_t>& out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -26,16 +29,30 @@ uint32_t GetU32(std::span<const uint8_t> in, size_t off) {
          (static_cast<uint32_t>(in[off + 3]) << 24);
 }
 
-// Compresses one block; returns the token stream (without header).
-std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
+uint32_t Load4(std::span<const uint8_t> in, size_t i) {
+  uint32_t v;
+  std::memcpy(&v, in.data() + i, 4);
+  return v;
+}
+
+// Compresses one block; returns the token stream (without header). `table` is
+// scratch space of kTableSlots entries.
+std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in, std::span<uint16_t> table) {
   std::vector<uint8_t> out;
   out.reserve(in.size());
-  // Hash chain over 4-byte prefixes.
-  std::unordered_map<uint32_t, uint32_t> head;  // hash -> last position
-  auto hash4 = [&](size_t i) {
-    uint32_t v;
-    std::memcpy(&v, in.data() + i, 4);
-    return v * 2654435761u;
+  // The match table maps each 4-byte value seen in this block to the last
+  // position it was recorded at. It is open-addressed by the value's top 17
+  // hash bits and probes linearly; a slot holds only a position, and it holds
+  // `v` when the 4 bytes there equal `v`. Every recorded position p has
+  // p + 4 <= kBlockSize, so kEmptySlot is never one, and at most 65,533
+  // positions keep the table at most half full.
+  std::fill(table.begin(), table.end(), kEmptySlot);
+  auto slot_of = [&](uint32_t v) -> uint16_t& {
+    uint32_t s = (v * 2654435761u) >> 15;
+    while (table[s] != kEmptySlot && Load4(in, table[s]) != v) {
+      s = (s + 1) & (kTableSlots - 1);
+    }
+    return table[s];
   };
   size_t i = 0;
   std::vector<uint8_t> literals;
@@ -54,9 +71,9 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
     uint32_t best_len = 0;
     uint32_t best_dist = 0;
     if (i + kMinMatch <= in.size()) {
-      auto it = head.find(hash4(i));
-      if (it != head.end()) {
-        uint32_t cand = it->second;
+      uint16_t& slot = slot_of(Load4(in, i));
+      if (slot != kEmptySlot) {
+        uint32_t cand = slot;
         if (cand < i && i - cand <= kWindow) {
           uint32_t len = 0;
           uint32_t max = static_cast<uint32_t>(std::min<size_t>(in.size() - i, kMaxMatch));
@@ -69,7 +86,7 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
           }
         }
       }
-      head[hash4(i)] = static_cast<uint32_t>(i);
+      slot = static_cast<uint16_t>(i);
     }
     if (best_len >= kMinMatch) {
       flush_literals();
@@ -78,7 +95,7 @@ std::vector<uint8_t> CompressBlock(std::span<const uint8_t> in) {
       out.push_back(static_cast<uint8_t>(best_dist));
       out.push_back(static_cast<uint8_t>(best_dist >> 8));
       for (uint32_t k = 1; k < best_len && i + k + kMinMatch <= in.size(); k += 3) {
-        head[hash4(i + k)] = static_cast<uint32_t>(i + k);
+        slot_of(Load4(in, i + k)) = static_cast<uint16_t>(i + k);
       }
       i += best_len;
     } else {
@@ -96,13 +113,11 @@ std::vector<uint8_t> LzCompress(std::span<const uint8_t> input) {
   std::vector<uint8_t> out;
   out.reserve(input.size() / 2 + 64);
   PutU32(out, static_cast<uint32_t>(input.size()));
-  for (size_t off = 0; off < input.size() || (input.empty() && off == 0); off += kBlockSize) {
-    if (input.empty()) {
-      break;
-    }
+  std::vector<uint16_t> table(kTableSlots);
+  for (size_t off = 0; off < input.size(); off += kBlockSize) {
     size_t n = std::min<size_t>(kBlockSize, input.size() - off);
     auto block = input.subspan(off, n);
-    auto packed = CompressBlock(block);
+    auto packed = CompressBlock(block, table);
     if (packed.size() < n) {
       out.push_back(kBlockCompressed);
       PutU32(out, static_cast<uint32_t>(packed.size()));

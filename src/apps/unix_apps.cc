@@ -11,8 +11,6 @@ namespace exo::apps {
 
 namespace {
 
-constexpr size_t kIoChunk = 64 * 1024;
-
 Result<std::vector<uint8_t>> ReadWhole(os::UnixEnv& env, const std::string& path) {
   auto fd = env.Open(path, false);
   if (!fd.ok()) {

@@ -5,11 +5,15 @@
 #ifndef EXO_APPS_UNIX_APPS_H_
 #define EXO_APPS_UNIX_APPS_H_
 
+#include <cstddef>
 #include <string>
 
 #include "exos/unix_env.h"
 
 namespace exo::apps {
+
+// The size of every read and write these programs make.
+constexpr size_t kIoChunk = 64 * 1024;
 
 // cp src dst (single file).
 Status Cp(os::UnixEnv& env, const std::string& src, const std::string& dst);

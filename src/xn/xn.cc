@@ -88,6 +88,38 @@ class Cursor {
   bool ok_ = true;
 };
 
+// An ownership set entry: a block and its template. Sets are sorted by block.
+using OwnedBlock = std::pair<hw::BlockId, TemplateId>;
+
+bool BlockLess(const OwnedBlock& o, hw::BlockId b) { return o.first < b; }
+
+// The template `set` gives block `b`, or nullptr when `set` does not own `b`.
+const TemplateId* FindOwned(std::span<const OwnedBlock> set, hw::BlockId b) {
+  auto it = std::lower_bound(set.begin(), set.end(), b, BlockLess);
+  return it != set.end() && it->first == b ? &it->second : nullptr;
+}
+
+// Adds (b, tmpl) to the sorted `set`; false when `set` already holds `b`.
+bool InsertOwned(std::vector<OwnedBlock>* set, hw::BlockId b, TemplateId tmpl) {
+  auto it = std::lower_bound(set->begin(), set->end(), b, BlockLess);
+  if (it != set->end() && it->first == b) {
+    return false;
+  }
+  set->emplace(it, b, tmpl);
+  return true;
+}
+
+// How many blocks `extents` claim, summed without overflow. Each in-range block
+// can be claimed once, so a set claiming more than the disk holds repeats a
+// block or names one past the end: callers refuse it before expanding it.
+uint64_t ClaimedBlocks(std::span<const udf::Extent> extents) {
+  uint64_t n = 0;
+  for (const udf::Extent& e : extents) {
+    n += e.count;
+  }
+  return n;
+}
+
 }  // namespace
 
 Xn::Xn(hw::Machine* machine, hw::Disk* disk) : machine_(machine), disk_(disk) {
@@ -125,17 +157,26 @@ Result<Xn::OwnsSet> Xn::RunOwns(const Template& t, std::span<const uint8_t> imag
   machine_->Charge(machine_->cost().udf_setup +
                    out.insns * machine_->cost().downloaded_insn);
   ++stats_.udf_runs;
-  if (!out.ok) {
+  const uint64_t claimed = ClaimedBlocks(out.emitted);
+  if (!out.ok || claimed > disk_->geometry().num_blocks) {
     return Status::kBadMetadata;
   }
   OwnsSet set;
+  set.reserve(claimed);
+  bool sorted = true;
   for (const udf::Extent& e : out.emitted) {
     for (uint32_t i = 0; i < e.count; ++i) {
-      hw::BlockId b = e.start + i;
-      auto [it, inserted] = set.emplace(b, e.type);
-      if (!inserted) {
-        return Status::kBadMetadata;  // a block claimed twice is malformed metadata
-      }
+      const hw::BlockId b = e.start + i;
+      sorted = sorted && (set.empty() || set.back().first < b);
+      set.emplace_back(b, e.type);
+    }
+  }
+  // C-FFS's directory owns-udf emits slot by slot, out of block order.
+  if (!sorted) {
+    std::sort(set.begin(), set.end());
+    auto same_block = [](const OwnedBlock& x, const OwnedBlock& y) { return x.first == y.first; };
+    if (std::adjacent_find(set.begin(), set.end(), same_block) != set.end()) {
+      return Status::kBadMetadata;  // a block claimed twice is malformed metadata
     }
   }
   return set;
@@ -475,8 +516,9 @@ void Xn::TraverseForRecovery(hw::BlockId block, TemplateId tmpl,
   if (!owns.ok()) {
     return;  // malformed on-disk metadata: its subtree stays unreferenced (freed)
   }
-  on_disk_owns_[block] = *owns;
-  for (const auto& [child, child_tmpl] : *owns) {
+  // The recursion never revisits `block`, and std::map keeps the reference valid.
+  const OwnsSet& children = on_disk_owns_[block] = std::move(*owns);
+  for (const auto& [child, child_tmpl] : children) {
     parent_of_[child] = block;
     TraverseForRecovery(child, child_tmpl, seen);
   }
@@ -642,10 +684,10 @@ Status Xn::LoadRoot(const std::string& name, hw::FrameId frame, const Caps& cred
                      if (const Template* t = FindTemplate(tmpl); t != nullptr && t->is_metadata) {
                        auto owns = RunOwns(*t, FrameBytes(e->frame));
                        if (owns.ok()) {
-                         on_disk_owns_[block] = *owns;
                          for (const auto& [child, ct] : *owns) {
                            parent_of_[child] = block;
                          }
+                         on_disk_owns_[block] = std::move(*owns);
                        }
                      }
                    }
@@ -681,8 +723,7 @@ Status Xn::ReadAndInsert(hw::BlockId parent, std::span<const hw::BlockId> blocks
 
   // Validate every block before touching the registry.
   for (hw::BlockId b : blocks) {
-    auto it = owns->find(b);
-    if (it == owns->end()) {
+    if (FindOwned(*owns, b) == nullptr) {
       return Status::kPermissionDenied;  // parent does not own the block
     }
     if (!RunAcl(*pt, FrameBytes(pe->frame), SerializeAccess(AccessIntent::kReadChild, b),
@@ -715,7 +756,7 @@ Status Xn::ReadAndInsert(hw::BlockId parent, std::span<const hw::BlockId> blocks
     RegistryEntry e;
     e.block = b;
     e.parent = parent;
-    e.tmpl = owns->at(b);
+    e.tmpl = *FindOwned(*owns, b);  // validated above
     e.frame = frames[i];
     e.state = BufState::kInTransit;
     e.lru_stamp = ++lru_clock_;
@@ -776,7 +817,7 @@ Status Xn::ReadAndInsert(hw::BlockId parent, std::span<const hw::BlockId> blocks
                if (t != nullptr && t->is_metadata) {
                  auto owns = RunOwns(*t, FrameBytes(e->frame));
                  if (owns.ok()) {
-                   on_disk_owns_[b] = *owns;
+                   on_disk_owns_[b] = std::move(*owns);
                  }
                }
              }
@@ -810,8 +851,8 @@ Status Xn::InsertMapping(hw::BlockId block, hw::BlockId parent, hw::FrameId fram
   if (!owns.ok()) {
     return owns.status();
   }
-  auto it = owns->find(block);
-  if (it == owns->end()) {
+  const TemplateId* tmpl = FindOwned(*owns, block);
+  if (tmpl == nullptr) {
     return Status::kPermissionDenied;
   }
   // Direct installs require write access: otherwise a reader could install a bogus
@@ -826,7 +867,7 @@ Status Xn::InsertMapping(hw::BlockId block, hw::BlockId parent, hw::FrameId fram
   RegistryEntry e;
   e.block = block;
   e.parent = parent;
-  e.tmpl = it->second;
+  e.tmpl = *tmpl;
   e.frame = frame;
   e.state = BufState::kResident;
   e.dirty = dirty;
@@ -904,22 +945,22 @@ Status Xn::BindToParent(hw::BlockId parent, hw::BlockId block, const Caps& creds
   if (!owns.ok()) {
     return owns.status();
   }
-  auto it = owns->find(block);
-  if (it == owns->end()) {
+  const TemplateId* tmpl = FindOwned(*owns, block);
+  if (tmpl == nullptr) {
     return Status::kPermissionDenied;
   }
   if (!RunAcl(*pt, FrameBytes(pe->frame), SerializeAccess(AccessIntent::kReadChild, block),
               creds)) {
     return Status::kPermissionDenied;
   }
-  e->tmpl = it->second;
+  e->tmpl = *tmpl;
   e->parent = parent;
   parent_of_[block] = parent;
   const Template* t = FindTemplate(e->tmpl);
   if (t != nullptr && t->is_metadata) {
     auto child_owns = RunOwns(*t, FrameBytes(e->frame));
     if (child_owns.ok()) {
-      on_disk_owns_[block] = *child_owns;
+      on_disk_owns_[block] = std::move(*child_owns);
     }
   }
   return Status::kOk;
@@ -1027,20 +1068,22 @@ Status Xn::GuardedModify(hw::BlockId meta, const Mods& mods, const Caps& creds,
   }
 
   // The ownership delta must be exactly what the caller claimed (Sec. 4.1: "verifies
-  // that the new result is equal to the old result plus b").
+  // that the new result is equal to the old result plus b"). Both sets are sorted,
+  // so one merge walk finds it.
   OwnsSet added;
   OwnsSet removed;
-  for (const auto& [b, tmpl] : *after) {
-    auto it = before->find(b);
-    if (it == before->end()) {
-      added[b] = tmpl;
-    } else if (it->second != tmpl) {
+  auto bi = before->begin();
+  auto ai = after->begin();
+  while (bi != before->end() || ai != after->end()) {
+    if (ai == after->end() || (bi != before->end() && bi->first < ai->first)) {
+      removed.push_back(*bi++);
+    } else if (bi == before->end() || ai->first < bi->first) {
+      added.push_back(*ai++);
+    } else if (ai->second != bi->second) {
       return Status::kBadMetadata;  // retyping a block in place is not allowed
-    }
-  }
-  for (const auto& [b, tmpl] : *before) {
-    if (after->find(b) == after->end()) {
-      removed[b] = tmpl;
+    } else {
+      ++ai;
+      ++bi;
     }
   }
   if (added != require_added || removed != require_removed) {
@@ -1072,7 +1115,7 @@ Status Xn::Alloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Extent
       if (b < first_data_block_ || b >= disk_->geometry().num_blocks || !free_map_[b]) {
         return Status::kOutOfResources;  // not free (possibly on the will-free list)
       }
-      if (!requested.emplace(b, ext.type).second) {
+      if (!InsertOwned(&requested, b, ext.type)) {
         return Status::kInvalidArgument;
       }
     }
@@ -1097,10 +1140,13 @@ Status Xn::Alloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Extent
 Status Xn::Dealloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Extent> to_free,
                    const Caps& creds) {
   ChargeOp("xn_dealloc");
+  if (ClaimedBlocks(to_free) > disk_->geometry().num_blocks) {
+    return Status::kInvalidArgument;
+  }
   OwnsSet requested;
   for (const udf::Extent& ext : to_free) {
     for (uint32_t i = 0; i < ext.count; ++i) {
-      if (!requested.emplace(ext.start + i, ext.type).second) {
+      if (!InsertOwned(&requested, ext.start + i, ext.type)) {
         return Status::kInvalidArgument;
       }
     }
@@ -1121,7 +1167,7 @@ Status Xn::Dealloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Exte
       ReleaseFrame(e->frame);
       registry_.Remove(b);
     }
-    if (disk_owns != nullptr && disk_owns->count(b) != 0) {
+    if (disk_owns != nullptr && FindOwned(*disk_owns, b) != nullptr) {
       // The parent's on-disk image still points at the block: defer reuse until
       // that pointer is overwritten by a write of the parent (Sec. 4.4).
       ++will_free_[b];
@@ -1309,7 +1355,7 @@ void Xn::OnWriteComplete(hw::BlockId b, Status s) {
   // references; blocks with no remaining on-disk pointers become reusable.
   if (auto it = on_disk_owns_.find(b); it != on_disk_owns_.end()) {
     for (const auto& [child, tmpl] : it->second) {
-      if (owns->count(child) != 0) {
+      if (FindOwned(*owns, child) != nullptr) {
         continue;
       }
       auto wf = will_free_.find(child);
@@ -1319,7 +1365,7 @@ void Xn::OnWriteComplete(hw::BlockId b, Status s) {
       }
     }
   }
-  on_disk_owns_[b] = *owns;
+  on_disk_owns_[b] = std::move(*owns);
 }
 
 Result<std::vector<uint8_t>> Xn::ReadCached(hw::BlockId block, const Caps& creds) {

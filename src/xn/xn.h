@@ -33,6 +33,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hw/machine.h"
@@ -214,7 +215,9 @@ class Xn {
   }
 
  private:
-  using OwnsSet = std::map<hw::BlockId, TemplateId>;  // block -> template
+  // The blocks a metadata image owns and the template of each, sorted by block,
+  // each block at most once.
+  using OwnsSet = std::vector<std::pair<hw::BlockId, TemplateId>>;
 
   void ChargeOp(const char* name);
   [[nodiscard]] Result<OwnsSet> RunOwns(const Template& t, std::span<const uint8_t> image);

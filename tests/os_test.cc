@@ -2,13 +2,18 @@
 // real applications running end-to-end over the full stack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "apps/lz.h"
 #include "apps/unix_apps.h"
 #include "apps/workload.h"
 #include "apps/xcp.h"
 #include "exos/system.h"
+#include "sim/rng.h"
 
 namespace exo::os {
 namespace {
@@ -372,17 +377,22 @@ TEST(XcpTest, ZeroTouchCopyIsCorrectAndFaster) {
   EXPECT_LT(xcp_time, cp_time);  // zero-touch beats read/write copy (in-core case)
 }
 
-// LZ codec properties on randomized inputs.
-class LzProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(LzProperty, RoundTripsArbitraryData) {
-  sim::Rng rng(static_cast<uint64_t>(GetParam()));
+// Up to 100 KB mixing compressible runs and random bytes.
+std::vector<uint8_t> LzMix(uint64_t seed) {
+  sim::Rng rng(seed);
   std::vector<uint8_t> data(rng.Below(100'000));
-  // Mix compressible runs and random bytes.
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = (i / 64) % 3 == 0 ? static_cast<uint8_t>(rng.Next())
                                 : static_cast<uint8_t>(i % 17);
   }
+  return data;
+}
+
+// LZ codec properties on randomized inputs.
+class LzProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(LzProperty, RoundTripsArbitraryData) {
+  const std::vector<uint8_t> data = LzMix(static_cast<uint64_t>(GetParam()));
   auto packed = apps::LzCompress(data);
   bool ok = true;
   auto back = apps::LzDecompress(packed, &ok);
@@ -397,6 +407,70 @@ TEST(LzTest, CompressesSourceText) {
   auto content = apps::FileContent(spec);
   auto packed = apps::LzCompress(content);
   EXPECT_LT(packed.size() * 2, content.size());  // at least 2:1 on C text
+}
+
+uint64_t Fnv1a(std::span<const uint8_t> bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (uint8_t c : bytes) {
+    h = (h ^ c) * 1099511628211ull;
+  }
+  return h;
+}
+
+// gzip's output is part of every fig2/fig4 number (its size is written, read
+// back and charged), so the encoder's bytes are pinned, not just its round
+// trip. The digests were recorded from the hash-map match table that the flat
+// table replaced.
+TEST(LzTest, CompressedBytesMatchRecordedDigests) {
+  struct Case {
+    const char* name;
+    std::vector<uint8_t> input;
+    uint64_t digest;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fig4 2 MB text",
+                   apps::FileContent({.path = "big", .size = 2'000'000, .seed = 99}),
+                   0x9f26f74314cfce29});
+  cases.push_back({"mix 1", LzMix(1), 0xc0027fa7ef85a9ee});
+  cases.push_back({"mix 2", LzMix(2), 0x9f607a4835021a8b});
+  cases.push_back({"mix 3", LzMix(3), 0xb8b06cbadbd668c3});
+  cases.push_back({"200 KB of one byte", std::vector<uint8_t>(200'000, 'e'), 0xb21b5b4fe8cad911});
+  // Noise does not compress: each block takes the stored-block rule.
+  std::vector<uint8_t> noise(300'000);
+  sim::Rng rng(5);
+  for (uint8_t& b : noise) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  cases.push_back({"300 KB of Rng bytes", noise, 0x233132abfd303b40});
+  // Random a/c/g/t text compresses, so these blocks keep their token stream,
+  // and it holds none of the upper-case phrases planted in it. One phrase recurs 39,000 bytes after its first copy (past
+  // the 32-KB window), 20,000 after that (a match), then straddling the first
+  // 64-KB block boundary and just past it (each block's table starts empty).
+  std::vector<uint8_t> acgt(140'000);
+  for (uint8_t& b : acgt) {
+    b = static_cast<uint8_t>("acgt"[rng.Below(4)]);
+  }
+  std::vector<uint8_t> far = acgt;
+  const std::string phrase = "EXOKERNEL-LZ-FAR";
+  for (size_t at : {1'000, 40'000, 60'000, 65'530, 66'000, 100'000}) {
+    std::copy(phrase.begin(), phrase.end(), far.begin() + static_cast<long>(at));
+  }
+  cases.push_back({"phrase repeated past the window", far, 0x47a3b5fe5af37bb3});
+  // One phrase repeated exactly 32,768 bytes later (the farthest match the
+  // window allows), another 32,769 bytes later (just past it).
+  std::vector<uint8_t> edge(acgt.begin(), acgt.begin() + 50'000);
+  const std::string near = "NEAR-WINDOW-EDGE";
+  const std::string past = "PAST-WINDOW-EDGE";
+  std::copy(near.begin(), near.end(), edge.begin() + 1'000);
+  std::copy(near.begin(), near.end(), edge.begin() + 1'000 + 32'768);
+  std::copy(past.begin(), past.end(), edge.begin() + 2'000);
+  std::copy(past.begin(), past.end(), edge.begin() + 2'000 + 32'769);
+  cases.push_back({"phrases at the window's edge", edge, 0x83485007982f3878});
+
+  for (const Case& c : cases) {
+    const uint64_t got = Fnv1a(apps::LzCompress(c.input));
+    EXPECT_EQ(got, c.digest) << c.name << ": 0x" << std::hex << got;
+  }
 }
 
 TEST(LzTest, RejectsCorruptStream) {

@@ -73,21 +73,40 @@ udf::Program SizeUf() {
   return r.program;
 }
 
-Mods SetCount(uint32_t count) {
-  ByteMod m;
-  m.offset = 0;
-  m.bytes = {static_cast<uint8_t>(count), static_cast<uint8_t>(count >> 8),
-             static_cast<uint8_t>(count >> 16), static_cast<uint8_t>(count >> 24)};
-  return {m};
+// A typed tnode: a u32 child count at offset 0, then (u32 pointer, u32 child
+// template) pairs from offset 4, so the image itself says what each child is.
+udf::Program TypedTnodeOwns() {
+  auto r = udf::Assemble(R"(
+      ldi r1, 0
+      ld4 r2, r1, 0, meta     ; count
+      ldi r3, 4               ; entry offset
+      ldi r4, 1               ; extent length
+      bz r2, done
+    loop:
+      ld4 r5, r3, 0, meta     ; pointer
+      ld4 r6, r3, 4, meta     ; child template type
+      emit r5, r4, r6
+      addi r3, r3, 8
+      addi r2, r2, -1
+      bnz r2, loop
+    done:
+      ret r0
+  )");
+  EXO_CHECK(r.ok);
+  return r.program;
 }
 
-ByteMod SetPtr(uint32_t index, BlockId b) {
+ByteMod U32Mod(uint32_t offset, uint32_t v) {
   ByteMod m;
-  m.offset = 4 + index * 4;
-  m.bytes = {static_cast<uint8_t>(b), static_cast<uint8_t>(b >> 8),
-             static_cast<uint8_t>(b >> 16), static_cast<uint8_t>(b >> 24)};
+  m.offset = offset;
+  m.bytes = {static_cast<uint8_t>(v), static_cast<uint8_t>(v >> 8),
+             static_cast<uint8_t>(v >> 16), static_cast<uint8_t>(v >> 24)};
   return m;
 }
+
+Mods SetCount(uint32_t count) { return {U32Mod(0, count)}; }
+
+ByteMod SetPtr(uint32_t index, BlockId b) { return U32Mod(4 + index * 4, b); }
 
 class XnTest : public ::testing::Test {
  protected:
@@ -157,6 +176,34 @@ class XnTest : public ::testing::Test {
     }
     EXO_CHECK_EQ(xn_.Alloc(meta, mods, extents, good_creds_), Status::kOk);
     return out;
+  }
+
+  // Allocates `n` children under the empty tnode `meta`, storing and claiming
+  // them in descending block order; returns them in that order.
+  std::vector<BlockId> AllocDescending(BlockId meta, uint32_t n, TemplateId type) {
+    std::vector<BlockId> out;
+    BlockId hint = xn_.FirstDataBlock();
+    for (uint32_t i = 0; i < n; ++i) {
+      auto b = xn_.FindFreeRun(hint, 1);
+      EXO_CHECK(b.ok());
+      hint = *b + 1;
+      out.insert(out.begin(), *b);
+    }
+    Mods mods = SetCount(n);
+    std::vector<udf::Extent> extents;
+    for (uint32_t i = 0; i < n; ++i) {
+      mods.push_back(SetPtr(i, out[i]));
+      extents.push_back({out[i], 1, type});
+    }
+    EXO_CHECK_EQ(xn_.Alloc(meta, mods, extents, good_creds_), Status::kOk);
+    return out;
+  }
+
+  // Installs a zeroed (so empty, initialized) dirty copy of tnode `b` under `parent`.
+  void InsertEmptyTnode(BlockId b, BlockId parent) {
+    FrameId f = NewFrame();
+    std::memset(machine_.mem().Data(f).data(), 0, 4096);
+    EXO_CHECK_EQ(xn_.InsertMapping(b, parent, f, /*dirty=*/true, good_creds_), Status::kOk);
   }
 
   Status FlushAll(std::vector<BlockId> blocks) {
@@ -582,6 +629,214 @@ TEST_F(XnTest, CrashWithDirtyMetadataMatchesScratchTraversal) {
     EXPECT_FALSE(reborn.IsAllocated(b));
   }
   EXPECT_TRUE(reborn.IsAllocated(data[1]));
+}
+
+// ---- Ownership-set rules ----
+//
+// An owns-udf may emit its blocks in any order (C-FFS's directory owns-udf
+// emits slot by slot), each block at most once, and a block keeps its type for
+// as long as its parent owns it.
+
+TEST_F(XnTest, DescendingPointersResolveEveryChild) {
+  BlockId root = MakeRoot("fs", inner_tmpl_);
+  // A block the root does not own, numbered below every block it does.
+  const BlockId foreign = AllocChildren(MakeRoot("other", leaf_tmpl_), 0, 1)[0];
+  auto kids = AllocDescending(root, 5, leaf_tmpl_);
+  ASSERT_LT(foreign, kids.back());
+  EXPECT_EQ(xn_.InsertMapping(foreign, root, NewFrame(), /*dirty=*/true, good_creds_),
+            Status::kPermissionDenied);
+  for (BlockId k : kids) {
+    InsertEmptyTnode(k, root);
+    EXPECT_EQ(xn_.registry().Lookup(k)->tmpl, leaf_tmpl_);
+  }
+  ASSERT_EQ(FlushAll(kids), Status::kOk);
+  ASSERT_EQ(FlushAll({root}), Status::kOk);
+
+  for (BlockId k : kids) {
+    ASSERT_EQ(xn_.RemoveMapping(k), Status::kOk);
+  }
+  std::vector<FrameId> frames;
+  for (size_t i = 0; i < kids.size(); ++i) {
+    frames.push_back(NewFrame());
+  }
+  EXPECT_EQ(xn_.ReadAndInsert(root, std::vector<BlockId>{foreign},
+                              std::vector<FrameId>{frames[0]}, good_creds_, {}),
+            Status::kPermissionDenied);
+  Status read = Status::kNotFound;
+  ASSERT_EQ(xn_.ReadAndInsert(root, kids, frames, good_creds_, [&](Status s) { read = s; }),
+            Status::kOk);
+  engine_.RunUntilIdle();
+  ASSERT_EQ(read, Status::kOk);
+  for (BlockId k : kids) {
+    EXPECT_EQ(xn_.registry().Lookup(k)->tmpl, leaf_tmpl_);
+  }
+
+  std::vector<BlockId> unbound = kids;
+  unbound.push_back(foreign);
+  for (BlockId k : unbound) {
+    if (xn_.registry().Lookup(k) != nullptr) {
+      ASSERT_EQ(xn_.RemoveMapping(k), Status::kOk);
+    }
+    Status raw = Status::kNotFound;
+    ASSERT_EQ(xn_.RawRead(k, NewFrame(), [&](Status s) { raw = s; }), Status::kOk);
+    engine_.RunUntilIdle();
+    ASSERT_EQ(raw, Status::kOk);
+  }
+  for (BlockId k : kids) {
+    ASSERT_EQ(xn_.BindToParent(root, k, good_creds_), Status::kOk);
+    EXPECT_EQ(xn_.registry().Lookup(k)->tmpl, leaf_tmpl_);
+  }
+  EXPECT_EQ(xn_.BindToParent(root, foreign, good_creds_), Status::kPermissionDenied);
+}
+
+TEST_F(XnTest, RecoveryMarksEveryChildOfDescendingTnodes) {
+  BlockId root = MakeRoot("fs", inner_tmpl_);
+  auto leaves = AllocDescending(root, 4, leaf_tmpl_);
+  for (BlockId l : leaves) {
+    InsertEmptyTnode(l, root);
+  }
+  auto data = AllocDescending(leaves[1], 3, kDataTemplate);
+  ASSERT_EQ(FlushAll(leaves), Status::kOk);
+  ASSERT_EQ(FlushAll({root}), Status::kOk);
+
+  xn_.Crash();
+  Xn reborn(&machine_, &machine_.disk());
+  ASSERT_EQ(reborn.Attach(), Status::kOk);
+  EXPECT_TRUE(reborn.recovered_after_crash());
+  EXPECT_TRUE(reborn.IsAllocated(root));
+  for (BlockId b : leaves) {
+    EXPECT_TRUE(reborn.IsAllocated(b)) << "leaf " << b;
+  }
+  for (BlockId b : data) {
+    EXPECT_TRUE(reborn.IsAllocated(b)) << "data " << b;
+  }
+  // Those are all the reachable blocks: everything else in the data region is free.
+  EXPECT_EQ(reborn.FreeBlockCount(),
+            reborn.NumBlocks() - reborn.FirstDataBlock() - 1 - leaves.size() - data.size());
+}
+
+// On disk, a tnode that names a block twice is malformed: recovery does not
+// follow its pointers, so its children go back to the free map.
+TEST_F(XnTest, RecoveryIgnoresATnodeNamingABlockTwice) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  auto kids = AllocChildren(root, 0, 2);
+  ASSERT_EQ(FlushAll({root}), Status::kOk);
+  auto image = machine_.disk().MutableBlock(root);
+  std::memcpy(image.data() + 8, image.data() + 4, 4);  // pointer 1 := pointer 0
+
+  xn_.Crash();
+  Xn reborn(&machine_, &machine_.disk());
+  ASSERT_EQ(reborn.Attach(), Status::kOk);
+  EXPECT_TRUE(reborn.IsAllocated(root));
+  EXPECT_FALSE(reborn.IsAllocated(kids[0]));
+  EXPECT_FALSE(reborn.IsAllocated(kids[1]));
+}
+
+TEST_F(XnTest, AfterImageNamingABlockTwiceIsRejected) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  auto kids = AllocChildren(root, 0, 1);
+  auto image = xn_.ReadCached(root, good_creds_);
+  ASSERT_TRUE(image.ok());
+
+  Mods modify_twice = SetCount(2);
+  modify_twice.push_back(SetPtr(1, kids[0]));
+  EXPECT_EQ(xn_.Modify(root, modify_twice, good_creds_), Status::kBadMetadata);
+
+  auto fresh = xn_.FindFreeRun(kids[0] + 1, 1);
+  ASSERT_TRUE(fresh.ok());
+  Mods alloc_twice = SetCount(3);
+  alloc_twice.push_back(SetPtr(1, *fresh));
+  alloc_twice.push_back(SetPtr(2, *fresh));
+  std::vector<udf::Extent> claim = {{*fresh, 1, kDataTemplate}};
+  EXPECT_EQ(xn_.Alloc(root, alloc_twice, claim, good_creds_), Status::kBadMetadata);
+
+  EXPECT_FALSE(xn_.IsAllocated(*fresh));
+  auto after = xn_.ReadCached(root, good_creds_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *image);
+}
+
+TEST_F(XnTest, RetypingAnOwnedBlockInPlaceIsRejected) {
+  Template typed;
+  typed.name = "tnode-typed";
+  typed.is_metadata = true;
+  typed.owns_udf = TypedTnodeOwns();
+  typed.acl_uf = RequireCap7Acl();
+  auto tt = xn_.InstallTemplate(typed);
+  ASSERT_TRUE(tt.ok());
+  BlockId root = MakeRoot("fs", *tt);
+  auto child = xn_.FindFreeRun(xn_.FirstDataBlock(), 1);
+  ASSERT_TRUE(child.ok());
+  Mods mods = SetCount(1);
+  mods.push_back(U32Mod(4, *child));
+  mods.push_back(U32Mod(8, kDataTemplate));
+  std::vector<udf::Extent> claim = {{*child, 1, kDataTemplate}};
+  ASSERT_EQ(xn_.Alloc(root, mods, claim, good_creds_), Status::kOk);
+  auto image = xn_.ReadCached(root, good_creds_);
+  ASSERT_TRUE(image.ok());
+
+  // Same block, now claimed as a leaf tnode: not an ownership-preserving Modify.
+  EXPECT_EQ(xn_.Modify(root, {U32Mod(8, leaf_tmpl_)}, good_creds_), Status::kBadMetadata);
+  auto after = xn_.ReadCached(root, good_creds_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *image);
+}
+
+// A request naming one block twice is malformed; the first failing block in
+// request order decides between "not free" and "malformed".
+TEST_F(XnTest, RequestNamingABlockTwiceIsRejectedInRequestOrder) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  const BlockId b = AllocChildren(root, 0, 1)[0];  // not free
+  auto a = xn_.FindFreeRun(b + 1, 1);
+  ASSERT_TRUE(a.ok());
+  Mods mods = SetCount(2);
+  mods.push_back(SetPtr(1, *a));
+  const udf::Extent ea{*a, 1, kDataTemplate};
+  const udf::Extent eb{b, 1, kDataTemplate};
+  using Extents = std::vector<udf::Extent>;
+
+  EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea, ea}, good_creds_), Status::kInvalidArgument);
+  EXPECT_EQ(xn_.Alloc(root, mods, Extents{eb, ea, ea}, good_creds_), Status::kOutOfResources);
+  EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea, ea, eb}, good_creds_), Status::kInvalidArgument);
+  EXPECT_FALSE(xn_.IsAllocated(*a));
+  EXPECT_EQ(xn_.Dealloc(root, SetCount(0), Extents{eb, eb}, good_creds_),
+            Status::kInvalidArgument);
+  EXPECT_TRUE(xn_.IsAllocated(b));
+
+  EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea}, good_creds_), Status::kOk);
+}
+
+// Extents that claim more blocks than the disk holds must repeat a block or
+// name one past its end, so XN refuses them before expanding a single block:
+// a count of 0xFFFFFFFF would otherwise mean four billion set entries.
+TEST_F(XnTest, ExtentsClaimingMoreBlocksThanTheDiskAreRefused) {
+  auto greedy = udf::Assemble(R"(
+      ldi r1, 0
+      ldi r2, -1              ; count 0xFFFFFFFF
+      emit r1, r2, r1
+      ret r0
+  )");
+  ASSERT_TRUE(greedy.ok);
+  Template t;
+  t.name = "greedy";
+  t.is_metadata = true;
+  t.owns_udf = greedy.program;
+  auto tid = xn_.InstallTemplate(t);
+  ASSERT_TRUE(tid.ok());
+  BlockId greedy_root = MakeRoot("greedy", *tid);
+  auto image = xn_.ReadCached(greedy_root, good_creds_);
+  ASSERT_TRUE(image.ok());
+  ByteMod scribble;
+  scribble.offset = 2000;
+  scribble.bytes = {1, 2, 3};
+  EXPECT_EQ(xn_.Modify(greedy_root, {scribble}, good_creds_), Status::kBadMetadata);
+  auto after = xn_.ReadCached(greedy_root, good_creds_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *image);
+
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  std::vector<udf::Extent> everything = {{xn_.FirstDataBlock(), 0xFFFFFFFFu, kDataTemplate}};
+  EXPECT_EQ(xn_.Dealloc(root, SetCount(0), everything, good_creds_), Status::kInvalidArgument);
 }
 
 // ---- End-to-end integrity: scrub, read-repair, quarantine, recovery fsck ----
