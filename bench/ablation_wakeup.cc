@@ -7,16 +7,29 @@
 // decision (xok.predicate_evals vs xok.predicate_skips).
 #include "bench/common.h"
 #include "udf/assembler.h"
+#include "udf/vm.h"
 
 namespace {
 
 using namespace exo;
+
+// The waiter's wakeup predicate: runnable once the flag word is nonzero.
+const udf::Program& FlagPredicate() {
+  static const udf::Program prog = [] {
+    auto r = udf::Assemble("ldi r1, 0\nld4 r2, r1, 0, meta\nret r2\n");
+    EXO_CHECK(r.ok);
+    return r.program;
+  }();
+  return prog;
+}
 
 struct WaitResult {
   double wake_latency_us = 0;   // condition-true to running
   uint64_t waiter_syscalls = 0;
   uint64_t predicate_evals = 0;
   uint64_t predicate_skips = 0;
+  uint64_t insns_per_eval = 0;  // downloaded instructions one evaluation runs
+  sim::Cycles cycles_per_eval = 0;  // what the kernel charges for them
 };
 
 enum class Mechanism { kPredicate, kWatchedPredicate, kPolling };
@@ -38,10 +51,8 @@ WaitResult Run(Mechanism mech) {
 
   kernel.CreateEnv(xok::kInvalidEnv, {xok::Capability::Root()}, [&] {
     if (mech != Mechanism::kPolling) {
-      auto prog = udf::Assemble("ldi r1, 0\nld4 r2, r1, 0, meta\nret r2\n");
-      EXO_CHECK(prog.ok);
       xok::WakeupPredicate p;
-      p.program = prog.program;
+      p.program = FlagPredicate();
       p.live_window = kernel.RegionBytes(rid);
       if (mech == Mechanism::kWatchedPredicate) {
         p.watches.push_back(xok::WatchSpec{xok::WatchKind::kRegion, rid});
@@ -76,6 +87,12 @@ WaitResult Run(Mechanism mech) {
   r.waiter_syscalls = machine.counters().Get("xok.syscalls") - syscalls0;
   r.predicate_evals = machine.counters().Get("xok.predicate_evals") - evals0;
   r.predicate_skips = machine.counters().Get("xok.predicate_skips") - skips0;
+  // One evaluation, on the flag as the waiter last saw it, charged as the
+  // scheduler charges it (insns x downloaded_insn).
+  udf::RunInput in;
+  in.buffers[udf::kBufMeta] = *kernel.RegionBytes(rid);
+  r.insns_per_eval = udf::Run(FlagPredicate(), in).insns;
+  r.cycles_per_eval = r.insns_per_eval * machine.cost().downloaded_insn;
   return r;
 }
 
@@ -102,9 +119,10 @@ int main() {
               poll.wake_latency_us, static_cast<unsigned long long>(poll.waiter_syscalls),
               static_cast<unsigned long long>(poll.predicate_evals),
               static_cast<unsigned long long>(poll.predicate_skips));
-  std::printf("\npredicates burn no CPU while waiting; the kernel evaluates ~%u cycles of\n",
-              60u);
-  std::printf("downloaded code per scheduling decision instead (Sec. 5.1).\n");
+  std::printf("\npredicates burn no CPU while waiting; the kernel runs %llu downloaded\n",
+              static_cast<unsigned long long>(pred.insns_per_eval));
+  std::printf("instructions (%llu cycles) per scheduling decision instead (Sec. 5.1).\n",
+              static_cast<unsigned long long>(pred.cycles_per_eval));
   std::printf("declared watches skip even that: of %llu blocked-env scheduling decisions,\n",
               static_cast<unsigned long long>(watched.predicate_evals +
                                               watched.predicate_skips));

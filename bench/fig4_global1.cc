@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
 
   const TraceOptions trace_opts = ParseTraceArgs(argc, argv);
   auto setup_shared = [](os::UnixEnv& env, int) { MakeSharedInputs(env, false); };
+  constexpr int kCksumRounds = 40;
+  const SharedAnswers want = ExpectedAnswers(kCksumRounds);
 
   std::vector<GlobalJob> pool = {
       {"pax",
@@ -20,21 +22,23 @@ int main(int argc, char** argv) {
        },
        setup_shared},
       {"grep",
-       [](os::UnixEnv& e, int) {
+       [&want](os::UnixEnv& e, int) {
          for (int r = 0; r < 6; ++r) {
-           EXO_CHECK(apps::Grep(e, "symbol", "/shared/big.txt").ok());
+           EXO_CHECK_EQ(*apps::Grep(e, "symbol", "/shared/big.txt"), want.grep_symbol);
          }
        },
        setup_shared},
       {"cksum",
-       [](os::UnixEnv& e, int) { EXO_CHECK(apps::Cksum(e, "/shared/t", 40).ok()); },
+       [&want](os::UnixEnv& e, int) {
+         EXO_CHECK_EQ(*apps::Cksum(e, "/shared/t", kCksumRounds), want.cksum);
+       },
        setup_shared},
       {"tsp", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Tsp(e, 500, 30, 7).ok()); }, {}},
       {"sor", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Sor(e, 300, 60).ok()); }, {}},
       {"wc",
-       [](os::UnixEnv& e, int) {
+       [&want](os::UnixEnv& e, int) {
          for (int r = 0; r < 8; ++r) {
-           EXO_CHECK(apps::Wc(e, "/shared/big.txt").ok());
+           EXO_CHECK_EQ(*apps::Wc(e, "/shared/big.txt"), want.wc_lines);
          }
        },
        setup_shared},

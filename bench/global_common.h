@@ -6,6 +6,7 @@
 #define EXO_BENCH_GLOBAL_COMMON_H_
 
 #include <algorithm>
+#include <string_view>
 
 #include "bench/common.h"
 #include "sim/rng.h"
@@ -109,24 +110,67 @@ inline void PrintGlobalTable(const char* title, const std::vector<GlobalJob>& po
 
 // Pool helpers: inputs shared read-only live under /shared; per-job outputs go to
 // the job's private directory.
+struct SharedInputSpecs {
+  apps::TreeSpec tree;  // /shared/t/s0.c .. s9.c, for pax/cp/gcc/cksum jobs
+  apps::FileSpec big;   // /shared/big.txt, for grep/wc/gzip jobs
+};
+
+inline SharedInputSpecs SharedInputs() {
+  SharedInputSpecs specs;
+  specs.tree.dirs = {"t"};
+  for (int i = 0; i < 10; ++i) {
+    specs.tree.files.push_back({"t/s" + std::to_string(i) + ".c",
+                                static_cast<uint32_t>(15'000 + i * 2'000),
+                                static_cast<uint64_t>(i + 7)});
+  }
+  specs.big = {.path = "big", .size = 2'000'000, .seed = 99};
+  return specs;
+}
+
+// What grep "symbol" and wc over /shared/big.txt and cksum over /shared/t must
+// return, computed on the host from the specs (untimed), so the pools check the
+// bytes they read through the simulated file system.
+struct SharedAnswers {
+  uint64_t grep_symbol = 0;
+  uint64_t wc_lines = 0;
+  uint64_t cksum = 0;
+};
+
+inline SharedAnswers ExpectedAnswers(int cksum_rounds) {
+  const SharedInputSpecs specs = SharedInputs();
+  SharedAnswers a;
+  const std::vector<uint8_t> big = apps::FileContent(specs.big);
+  const std::string_view text(reinterpret_cast<const char*>(big.data()), big.size());
+  for (size_t at = text.find("symbol"); at != std::string_view::npos;
+       at = text.find("symbol", at + 1)) {
+    ++a.grep_symbol;
+  }
+  a.wc_lines = static_cast<uint64_t>(std::count(text.begin(), text.end(), '\n'));
+  // cksum chains sum = sum * 131 + byte across the files in directory order,
+  // which is creation order on C-FFS and FFS, and across rounds.
+  std::vector<std::vector<uint8_t>> files;
+  for (const apps::FileSpec& f : specs.tree.files) {
+    files.push_back(apps::FileContent(f));
+  }
+  for (int r = 0; r < cksum_rounds; ++r) {
+    for (const auto& bytes : files) {
+      for (uint8_t c : bytes) {
+        a.cksum = a.cksum * 131 + c;
+      }
+    }
+  }
+  return a;
+}
+
 inline void MakeSharedInputs(os::UnixEnv& env, bool big_diff_files) {
   if (env.Stat("/shared").ok()) {
     return;
   }
   EXO_CHECK_EQ(env.Mkdir("/shared"), Status::kOk);
-  // A small source tree for pax/cp/gcc jobs.
-  apps::TreeSpec tree;
-  tree.dirs = {"t"};
-  for (int i = 0; i < 10; ++i) {
-    tree.files.push_back({"t/s" + std::to_string(i) + ".c",
-                          static_cast<uint32_t>(15'000 + i * 2'000),
-                          static_cast<uint64_t>(i + 7)});
-  }
-  EXO_CHECK_EQ(apps::WriteTree(env, tree, "/shared"), Status::kOk);
+  const SharedInputSpecs specs = SharedInputs();
+  EXO_CHECK_EQ(apps::WriteTree(env, specs.tree, "/shared"), Status::kOk);
   EXO_CHECK_EQ(apps::PaxWrite(env, "/shared/t", "/shared/t.pax"), Status::kOk);
-  // A large text file for grep/wc.
-  apps::FileSpec big{.path = "big", .size = 2'000'000, .seed = 99};
-  auto content = apps::FileContent(big);
+  auto content = apps::FileContent(specs.big);
   auto fd = env.Open("/shared/big.txt", true);
   EXO_CHECK(fd.ok());
   EXO_CHECK(env.Write(*fd, content).ok());

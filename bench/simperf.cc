@@ -416,23 +416,27 @@ ClusterScaleResult ClusterScale() {
 WorkloadResult GlobalFig4(int jobs, int conc) {
   using namespace exo::bench;
   auto setup_shared = [](os::UnixEnv& env, int) { MakeSharedInputs(env, false); };
+  constexpr int kCksumRounds = 20;
+  const SharedAnswers want = ExpectedAnswers(kCksumRounds);
   std::vector<GlobalJob> pool = {
       {"grep",
-       [](os::UnixEnv& e, int) {
+       [&want](os::UnixEnv& e, int) {
          for (int r = 0; r < 3; ++r) {
-           EXO_CHECK(apps::Grep(e, "symbol", "/shared/big.txt").ok());
+           EXO_CHECK_EQ(*apps::Grep(e, "symbol", "/shared/big.txt"), want.grep_symbol);
          }
        },
        setup_shared},
       {"wc",
-       [](os::UnixEnv& e, int) {
+       [&want](os::UnixEnv& e, int) {
          for (int r = 0; r < 4; ++r) {
-           EXO_CHECK(apps::Wc(e, "/shared/big.txt").ok());
+           EXO_CHECK_EQ(*apps::Wc(e, "/shared/big.txt"), want.wc_lines);
          }
        },
        setup_shared},
       {"cksum",
-       [](os::UnixEnv& e, int) { EXO_CHECK(apps::Cksum(e, "/shared/t", 20).ok()); },
+       [&want](os::UnixEnv& e, int) {
+         EXO_CHECK_EQ(*apps::Cksum(e, "/shared/t", kCksumRounds), want.cksum);
+       },
        setup_shared},
       {"sor", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Sor(e, 150, 30).ok()); }, {}},
   };

@@ -1,7 +1,8 @@
 // The unmodified UNIX applications of Sections 6 and 8, written once against
 // UnixEnv: cp, gzip/gunzip (real LZSS), pax (real archive format), diff, gcc (cost-
 // modeled compile over real file I/O), rm, wc, grep, cksum, and the CPU-bound tsp
-// and sor solvers. Each function is one program run (what a shell would exec).
+// and sor jobs (cost-modeled: only their cycles reach any figure). Each function is
+// one program run (what a shell would exec).
 #ifndef EXO_APPS_UNIX_APPS_H_
 #define EXO_APPS_UNIX_APPS_H_
 
@@ -40,10 +41,13 @@ Result<uint64_t> Wc(os::UnixEnv& env, const std::string& path);
 Result<uint64_t> Grep(os::UnixEnv& env, const std::string& pattern, const std::string& path);
 // cksum over a set of files, `rounds` times (CPU-heavy on cached data).
 Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds);
-// Travelling-salesman (nearest-neighbour + 2-opt passes); pure CPU.
-Result<double> Tsp(os::UnixEnv& env, int ncities, int iterations, uint64_t seed);
-// Successive over-relaxation on an n x n grid; pure CPU.
-Result<double> Sor(os::UnixEnv& env, int n, int iterations);
+// Travelling salesman: `iterations` 2-opt passes over `ncities` cities, each
+// charged as ncities^2 * 18 cycles of CPU. Returns the cycles charged. The seed
+// does not change the cost.
+Result<sim::Cycles> Tsp(os::UnixEnv& env, int ncities, int iterations, uint64_t seed);
+// Successive over-relaxation: `iterations` sweeps of an n x n grid, each charged
+// as n^2 * 14 cycles of CPU. Returns the cycles charged.
+Result<sim::Cycles> Sor(os::UnixEnv& env, int n, int iterations);
 
 // Per-byte compile cost for the gcc model (parse+optimize+emit on a 200-MHz PPro
 // compiles a few thousand lines/s — roughly 300 cycles per source byte).

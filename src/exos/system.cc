@@ -20,6 +20,12 @@ constexpr sim::Cycles kExosForkPerPage = 2'500;
 constexpr sim::Cycles kBsdForkFixed = 50'000;
 constexpr sim::Cycles kBsdForkPerPage = 400;
 
+// OpenBSD's small non-unified buffer cache, in blocks: ~6.4 MB of the 64 MB
+// machine (FreeBSD and the exokernel use a unified cache).
+constexpr uint32_t kBsdCacheBlocks = 1600;
+// Dirty blocks C-FFS and FFS hold before writing behind.
+constexpr uint32_t kWritebackThreshold = 1024;
+
 // The wakeup predicate installed on every protected-pipe read (Table 2): wake when
 // the byte count (u32 at offset 0) is nonzero or the write side closed (byte 4).
 const udf::Program& PipePredicate() {
@@ -76,10 +82,6 @@ System::System(hw::Machine* machine, Flavor flavor, const SystemOptions& options
 }
 
 System::~System() = default;
-
-void System::AddProgram(const std::string& name, const ProgramImage& image) {
-  programs_[name] = image;
-}
 
 const ProgramImage& System::Image(const std::string& name) const {
   auto it = programs_.find(name);
@@ -162,7 +164,7 @@ Status System::Boot() {
     if (flavor_ == Flavor::kFreeBsd || exo) {
       ko.max_cache_blocks = 0;  // unified buffer cache
     } else {
-      ko.max_cache_blocks = options_.bsd_cache_blocks;  // OpenBSD's small cache
+      ko.max_cache_blocks = kBsdCacheBlocks;  // OpenBSD's small cache
     }
     backend_ =
         std::make_unique<fs::KernelBackend>(machine_, &machine_->disk(), MakeBlocker(), ko);
@@ -172,7 +174,7 @@ Status System::Boot() {
   if (use_cffs) {
     fs::CffsOptions co;
     co.fsid = 1;
-    co.writeback_threshold = options_.writeback_threshold;
+    co.writeback_threshold = kWritebackThreshold;
     cffs_ = std::make_unique<fs::Cffs>(backend_.get(), co);
     Status s = cffs_->Mkfs();
     if (s != Status::kOk) {
@@ -182,8 +184,7 @@ Status System::Boot() {
     fs_ = std::make_unique<fs::CffsFileSys>(cffs_.get(), /*expose_layout=*/exo);
   } else {
     fs::FfsOptions fo;
-    fo.sync_metadata = true;
-    fo.writeback_threshold = options_.writeback_threshold;
+    fo.writeback_threshold = kWritebackThreshold;
     ffs_ = std::make_unique<fs::Ffs>(backend_.get(), fo);
     Status s = ffs_->Mkfs();
     if (s != Status::kOk) {

@@ -54,9 +54,6 @@ struct SystemOptions {
   // Skip XN entirely (Sec. 6.3 measures the workload "without XN or the extra
   // system calls"): C-FFS then runs on a trusted kernel backend even under ExOS.
   bool disable_xn = false;
-  // OpenBSD's small non-unified buffer cache, in blocks (FreeBSD passes 0=unified).
-  uint32_t bsd_cache_blocks = 1600;  // ~6.4 MB of the 64 MB machine
-  uint32_t writeback_threshold = 1024;
 };
 
 // Program metadata driving exec (binary size => demand-load and map costs) and fork
@@ -101,8 +98,7 @@ class System {
   xn::Xn* xn() { return xn_.get(); }
   fs::Cffs* cffs() { return cffs_.get(); }
 
-  // Registered program images (exec cost model); AddProgram before Boot for extras.
-  void AddProgram(const std::string& name, const ProgramImage& image);
+  // Registered program images (exec cost model).
   const ProgramImage& Image(const std::string& name) const;
 
   uint64_t syscall_count() const;

@@ -63,12 +63,6 @@ void Ffs::MarkDirty(hw::BlockId b) {
 }
 
 Status Ffs::MetadataFlush(std::vector<hw::BlockId> blocks) {
-  if (!options_.sync_metadata) {
-    for (hw::BlockId b : blocks) {
-      MarkDirty(b);
-    }
-    return Status::kOk;
-  }
   // The defining FFS behaviour: metadata hits the platter before the call returns.
   return backend_->FlushSync(blocks);
 }
@@ -80,23 +74,23 @@ Status Ffs::Mkfs() {
   }
   super_ = *root;
   // Claim the inode zone right after the superblock area.
-  auto zone = backend_->FindFreeRun(super_ + 1, options_.inode_blocks);
+  auto zone = backend_->FindFreeRun(super_ + 1, kInodeBlocks);
   if (!zone.ok()) {
     return zone.status();
   }
   inode_zone_ = *zone;
-  std::vector<udf::Extent> ext = {{inode_zone_, options_.inode_blocks, 1}};
+  std::vector<udf::Extent> ext = {{inode_zone_, kInodeBlocks, 1}};
   Status s = backend_->Alloc(super_, {}, ext);
   if (s != Status::kOk) {
     return s;
   }
-  for (uint32_t i = 0; i < options_.inode_blocks; ++i) {
+  for (uint32_t i = 0; i < kInodeBlocks; ++i) {
     s = backend_->InstallFresh(inode_zone_ + i, super_);
     if (s != Status::kOk) {
       return s;
     }
   }
-  rotor_ = inode_zone_ + options_.inode_blocks;
+  rotor_ = inode_zone_ + kInodeBlocks;
 
   // Root directory: inode 1 (inode 0 stays invalid).
   Inode rooti;
@@ -107,7 +101,7 @@ Status Ffs::Mkfs() {
 }
 
 Result<Ffs::Inode> Ffs::ReadInode(uint32_t ino) {
-  if (ino == 0 || ino >= options_.inode_blocks * kInodesPerBlock) {
+  if (ino == 0 || ino >= kInodeBlocks * kInodesPerBlock) {
     return Status::kInvalidArgument;
   }
   auto bytes = backend_->GetBlock(InodeBlockOf(ino), super_);
@@ -164,7 +158,7 @@ Status Ffs::WriteInode(uint32_t ino, const Inode& in, bool metadata_update) {
 }
 
 Result<uint32_t> Ffs::AllocInode(uint8_t kind, uint16_t uid) {
-  const uint32_t max_ino = options_.inode_blocks * kInodesPerBlock;
+  const uint32_t max_ino = kInodeBlocks * kInodesPerBlock;
   for (uint32_t n = 0; n < max_ino - 2; ++n) {
     uint32_t ino = 2 + (ino_rotor_ - 2 + n) % (max_ino - 2);
     auto in = ReadInode(ino);

@@ -27,8 +27,6 @@
 namespace exo::fs {
 
 struct FfsOptions {
-  uint32_t inode_blocks = 128;  // 4096 inodes
-  bool sync_metadata = true;    // classic FFS behaviour
   uint32_t writeback_threshold = 512;
 };
 
@@ -53,6 +51,7 @@ class Ffs : public FileSys {
 
   FsBackend& backend() override { return *backend_; }
 
+  static constexpr uint32_t kInodeBlocks = 128;  // 4096 inodes
   static constexpr uint32_t kInodesPerBlock = 32;
   static constexpr uint32_t kNumDirect = 8;
   static constexpr uint32_t kNumIndirect = 3;

@@ -39,7 +39,6 @@ struct RegistryEntry {
   BufState state = BufState::kResident;
   bool dirty = false;
   xok::EnvId locked_by = xok::kInvalidEnv;
-  uint32_t pins = 0;       // readers that must not see the frame recycled
   uint64_t lru_stamp = 0;  // for the kernel-maintained LRU of unused buffers
 };
 
@@ -66,20 +65,20 @@ class Registry {
   const std::map<hw::BlockId, RegistryEntry>& entries() const { return entries_; }
 
   // LRU of unused-but-valid buffers: touched on every release; the oldest clean,
-  // unlocked, unpinned entry is the default recycling victim.
+  // unlocked entry is the default recycling victim.
   void TouchLru(hw::BlockId b, uint64_t stamp) {
     if (auto* e = LookupMutable(b)) {
       e->lru_stamp = stamp;
     }
   }
 
-  // Oldest resident, clean, unlocked, unpinned entry (kInvalidBlock if none).
+  // Oldest resident, clean, unlocked entry (kInvalidBlock if none).
   hw::BlockId OldestRecyclable() const {
     hw::BlockId best = hw::kInvalidBlock;
     uint64_t best_stamp = UINT64_MAX;
     for (const auto& [b, e] : entries_) {
       if (e.state == BufState::kResident && !e.dirty && e.locked_by == xok::kInvalidEnv &&
-          e.pins == 0 && e.lru_stamp < best_stamp) {
+          e.lru_stamp < best_stamp) {
         best = b;
         best_stamp = e.lru_stamp;
       }

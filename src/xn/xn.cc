@@ -600,17 +600,6 @@ Result<RootInfo> Xn::LookupRoot(const std::string& name) const {
   return it->second;
 }
 
-Status Xn::UnregisterRoot(const std::string& name) {
-  ChargeOp("xn_unregister_root");
-  auto it = roots_.find(name);
-  if (it == roots_.end()) {
-    return Status::kNotFound;
-  }
-  roots_.erase(it);
-  PersistCatalogues();
-  return Status::kOk;
-}
-
 // ---- Registry operations ----
 
 Status Xn::LoadRoot(const std::string& name, hw::FrameId frame, const Caps& creds,
@@ -992,33 +981,13 @@ Status Xn::Unlock(hw::BlockId block, xok::EnvId owner) {
   return Status::kOk;
 }
 
-Status Xn::Pin(hw::BlockId block) {
-  RegistryEntry* e = registry_.LookupMutable(block);
-  if (e == nullptr) {
-    return Status::kNotFound;
-  }
-  ++e->pins;
-  return Status::kOk;
-}
-
-Status Xn::Unpin(hw::BlockId block) {
-  RegistryEntry* e = registry_.LookupMutable(block);
-  if (e == nullptr || e->pins == 0) {
-    return Status::kNotFound;
-  }
-  --e->pins;
-  registry_.TouchLru(block, ++lru_clock_);
-  return Status::kOk;
-}
-
 Status Xn::RemoveMapping(hw::BlockId block) {
   ChargeOp("xn_remove_mapping");
   const RegistryEntry* e = registry_.Lookup(block);
   if (e == nullptr) {
     return Status::kNotFound;
   }
-  if (e->dirty || e->state == BufState::kInTransit || e->pins > 0 ||
-      e->locked_by != xok::kInvalidEnv) {
+  if (e->dirty || e->state == BufState::kInTransit || e->locked_by != xok::kInvalidEnv) {
     return Status::kBusy;
   }
   ReleaseFrame(e->frame);

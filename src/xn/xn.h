@@ -95,7 +95,6 @@ class Xn {
   // Allocates a free block as the root of a new tree and persists the entry.
   [[nodiscard]] Result<RootInfo> RegisterRoot(const std::string& name, TemplateId tmpl, bool temporary);
   [[nodiscard]] Result<RootInfo> LookupRoot(const std::string& name) const;
-  [[nodiscard]] Status UnregisterRoot(const std::string& name);
 
   // ---- Buffer cache registry ----
 
@@ -125,8 +124,6 @@ class Xn {
   // Registry-entry locking for atomic multi-step metadata updates (Sec. 4.3.1).
   [[nodiscard]] Status Lock(hw::BlockId block, xok::EnvId owner);
   [[nodiscard]] Status Unlock(hw::BlockId block, xok::EnvId owner);
-  [[nodiscard]] Status Pin(hw::BlockId block);
-  [[nodiscard]] Status Unpin(hw::BlockId block);
 
   // Drops a clean mapping (the application reclaims its frame).
   [[nodiscard]] Status RemoveMapping(hw::BlockId block);

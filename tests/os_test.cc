@@ -295,6 +295,42 @@ TEST(OsCostTest, ProtectionModeAddsSyscalls) {
   EXPECT_GT(with, without + 3 * 50);  // >=3 per fd-table write
 }
 
+TEST(OsCostTest, TspAndSorChargeTheirModeledCycles) {
+  // The figure 4/5 CPU-bound jobs, with the benches' arguments: each tsp pass
+  // charges ncities^2 * 18 cycles and each sor sweep n^2 * 14. Run alone in a
+  // spawned ExOS process, the job's clock advances by at least that much.
+  struct Job {
+    const char* program;
+    Result<sim::Cycles> (*run)(UnixEnv&);
+    sim::Cycles want;
+  };
+  const Job jobs[] = {
+      {"tsp", [](UnixEnv& e) { return apps::Tsp(e, 500, 30, 7); }, 30ull * 500 * 500 * 18},
+      {"sor", [](UnixEnv& e) { return apps::Sor(e, 300, 60); }, 60ull * 300 * 300 * 14},
+  };
+  for (const Job& job : jobs) {
+    sim::Engine engine;
+    hw::Machine machine(&engine, TestMachine());
+    System sys(&machine, Flavor::kXokExos);
+    EXO_CHECK_EQ(sys.Boot(), Status::kOk);
+    Result<sim::Cycles> charged = Status::kNotFound;
+    sim::Cycles elapsed = 0;
+    sys.SpawnInit("sh", [&](UnixEnv& env) {
+      auto pid = env.Spawn(job.program, [&](UnixEnv& child) {
+        const sim::Cycles t0 = child.Now();
+        charged = job.run(child);
+        elapsed = child.Now() - t0;
+      });
+      ASSERT_TRUE(pid.ok());
+      ASSERT_TRUE(env.Wait(*pid).ok());
+    });
+    sys.Run();
+    ASSERT_TRUE(charged.ok()) << job.program;
+    EXPECT_EQ(*charged, job.want) << job.program;
+    EXPECT_GE(elapsed, job.want) << job.program;
+  }
+}
+
 TEST(ExosRevocationTest, LibOsShedsFramesOnKernelRequest) {
   // ExOS installs a default revocation handler on every process env (Sec. 3.4):
   // cached frames are a performance hint, so a kernel request is met by shedding

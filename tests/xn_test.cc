@@ -510,8 +510,8 @@ TEST_F(XnTest, RecycleOldestReturnsLruCleanBuffer) {
   ASSERT_EQ(FlushAll({kids[0], kids[1], kids[2]}), Status::kOk);
   ASSERT_EQ(FlushAll({root}), Status::kOk);
   // kids[0] has the oldest stamp among clean entries... but root was installed first.
-  // Pin the root so the recycler must pick the oldest child.
-  ASSERT_EQ(xn_.Pin(root), Status::kOk);
+  // Lock the root so the recycler must pick the oldest child.
+  ASSERT_EQ(xn_.Lock(root, /*owner=*/5), Status::kOk);
   auto f = xn_.RecycleOldest();
   ASSERT_TRUE(f.ok());
   EXPECT_EQ(xn_.registry().Lookup(kids[0]), nullptr);
