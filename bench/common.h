@@ -113,10 +113,9 @@ struct WorkloadResult {
   uint64_t syscalls = 0;
 };
 
-// The Table 1 / Figure 2 workload: install the lcc distribution. Eleven steps, each
-// run as a separate program through fork/exec, exactly as a shell would run them.
+// The Table 1 / Figure 2 workload: install the lcc distribution, each of
+// apps::LccInstallSteps run as a separate program through fork/exec, as a shell would.
 inline WorkloadResult RunIoWorkload(os::Flavor flavor, os::SystemOptions opts = {},
-                                    uint64_t seed = 42,
                                     const TraceOptions* trace_opts = nullptr) {
   sim::Engine engine;
   hw::Machine machine(&engine, PaperMachine());
@@ -128,61 +127,16 @@ inline WorkloadResult RunIoWorkload(os::Flavor flavor, os::SystemOptions opts = 
 
   WorkloadResult result;
   sys.SpawnInit("sh", [&](os::UnixEnv& env) {
-    // Stage the distribution archive (not timed): build the tree once, archive and
-    // compress it, then delete the staging copy.
-    auto tree = apps::LccTree(seed);
-    EXO_CHECK_EQ(apps::WriteTree(env, tree, "/stage"), Status::kOk);
-    EXO_CHECK_EQ(apps::PaxWrite(env, "/stage", "/lcc.pax"), Status::kOk);
-    EXO_CHECK_EQ(apps::Gzip(env, "/lcc.pax", "/lcc.pax.gz"),
-                 Status::kOk);
-    EXO_CHECK_EQ(apps::RmTree(env, "/stage"), Status::kOk);
-    EXO_CHECK_EQ(env.Unlink("/lcc.pax"), Status::kOk);
-    EXO_CHECK_EQ(env.Sync(), Status::kOk);
-
-    auto step = [&](const std::string& name, const std::string& program,
-                    std::function<void(os::UnixEnv&)> body) {
-      sim::Cycles t0 = env.Now();
-      auto pid = env.Spawn(program, std::move(body));
+    EXO_CHECK_EQ(apps::StageLccArchive(env, apps::LccTree()), Status::kOk);  // not timed
+    for (const apps::Job& step : apps::LccInstallSteps()) {
+      const sim::Cycles t0 = env.Now();
+      Status status = Status::kCrashed;
+      auto pid = env.Spawn(step.program, [&](os::UnixEnv& e) { status = step.body(e, 0); });
       EXO_CHECK(pid.ok());
       EXO_CHECK(env.Wait(*pid).ok());
-      result.steps.push_back({name, Secs(env.Now() - t0)});
-    };
-
-    step("cp (small)", "cp", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::Cp(e, "/lcc.pax.gz", "/lcc2.pax.gz"), Status::kOk);
-    });
-    step("gunzip", "gunzip", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::Gunzip(e, "/lcc2.pax.gz", "/lcc.pax"), Status::kOk);
-    });
-    step("cp (large)", "cp", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::Cp(e, "/lcc.pax", "/lcc-copy.pax"), Status::kOk);
-    });
-    step("pax -r", "pax", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::PaxRead(e, "/lcc.pax", "/lcc"), Status::kOk);
-    });
-    step("cp -r", "cp", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::CpR(e, "/lcc", "/lcc-copy"), Status::kOk);
-    });
-    step("diff", "diff", [](os::UnixEnv& e) {
-      auto d = apps::DiffTree(e, "/lcc", "/lcc-copy");
-      EXO_CHECK(d.ok());
-      EXO_CHECK_EQ(*d, 0);
-    });
-    step("gcc", "gcc", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::GccBuild(e, "/lcc"), Status::kOk);
-    });
-    step("rm (.o)", "rm", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::RmByExt(e, "/lcc", ".o"), Status::kOk);
-    });
-    step("pax -w", "pax", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::PaxWrite(e, "/lcc", "/lcc-new.pax"), Status::kOk);
-    });
-    step("gzip", "gzip", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::Gzip(e, "/lcc-new.pax", "/lcc-new.pax.gz"), Status::kOk);
-    });
-    step("rm -r", "rm", [](os::UnixEnv& e) {
-      EXO_CHECK_EQ(apps::RmTree(e, "/lcc"), Status::kOk);
-    });
+      EXO_CHECK_EQ(status, Status::kOk);
+      result.steps.push_back({step.label, Secs(env.Now() - t0)});
+    }
   });
   sys.Run();
   for (const auto& s : result.steps) {

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   std::vector<WorkloadResult> results;
   for (os::Flavor f : flavors) {
     const bool traced = trace_opts.on() && f == os::Flavor::kXokExos;
-    results.push_back(RunIoWorkload(f, {}, 42, traced ? &trace_opts : nullptr));
+    results.push_back(RunIoWorkload(f, {}, traced ? &trace_opts : nullptr));
   }
 
   std::printf("%-12s", "step");

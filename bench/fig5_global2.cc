@@ -10,34 +10,9 @@ int main(int argc, char** argv) {
   using namespace exo::bench;
 
   const TraceOptions trace_opts = ParseTraceArgs(argc, argv);
-  auto setup_shared = [](os::UnixEnv& env, int) { MakeSharedInputs(env, true); };
+  PrintGlobalTable("Figure 5: global performance, application pool 2 (seconds)",
+                   apps::Fig5Pool(), apps::Fig5Inputs(), 13, trace_opts);
 
-  std::vector<GlobalJob> pool = {
-      {"tsp", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Tsp(e, 500, 30, 7).ok()); }, {}},
-      {"sor", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Sor(e, 300, 60).ok()); }, {}},
-      {"pax",  // unpack archive (from Sec. 6): many small file creates
-       [](os::UnixEnv& e, int i) {
-         EXO_CHECK_EQ(apps::PaxRead(e, "/shared/t.pax", "/job" + std::to_string(i) + "/u"),
-                      Status::kOk);
-       },
-       setup_shared},
-      {"cp",  // recursive copy (from Sec. 6)
-       [](os::UnixEnv& e, int i) {
-         EXO_CHECK_EQ(apps::CpR(e, "/shared/t", "/job" + std::to_string(i) + "/c"),
-                      Status::kOk);
-       },
-       setup_shared},
-      {"diff",  // compare two identical 5 MB files
-       [](os::UnixEnv& e, int) {
-         auto d = apps::DiffFile(e, "/shared/five.a", "/shared/five.b");
-         EXO_CHECK(d.ok());
-         EXO_CHECK_EQ(*d, 0);
-       },
-       setup_shared},
-  };
-
-  PrintGlobalTable("Figure 5: global performance, application pool 2 (seconds)", pool, 13,
-                   trace_opts);
   std::printf("\npaper: global performance does not degrade with aggressive applications;\n");
   std::printf("the Xok/ExOS advantage grows with job concurrency\n");
   return 0;

@@ -40,11 +40,7 @@ double GrepSeconds(sim::Cycles reroute_overhead) {
   double secs = 0;
   sys.SpawnInit("sh", [&](os::UnixEnv& env) {
     apps::FileSpec spec{.path = "big.c", .size = 2'000'000, .seed = 9};
-    auto content = apps::FileContent(spec);
-    auto fd = env.Open("/big.c", true);
-    EXO_CHECK(fd.ok());
-    EXO_CHECK(env.Write(*fd, content).ok());
-    env.Close(*fd);
+    EXO_CHECK_EQ(apps::WriteFile(env, "/big.c", apps::FileContent(spec)), Status::kOk);
     sim::Cycles t0 = env.Now();
     for (int i = 0; i < 3; ++i) {
       // ~32 libOS calls per grep run pay the reroute under emulation.

@@ -30,12 +30,8 @@ CopyTimes Run(bool cold_cache, const bench::TraceOptions* trace_opts = nullptr) 
     for (int i = 0; i < 24; ++i) {
       apps::FileSpec spec{.path = "f", .size = 160'000,
                           .seed = static_cast<uint64_t>(i + 1)};
-      auto content = apps::FileContent(spec);
       std::string p = "/src/f" + std::to_string(i);
-      auto fd = env.Open(p, true);
-      EXO_CHECK(fd.ok());
-      EXO_CHECK(env.Write(*fd, content).ok());
-      env.Close(*fd);
+      EXO_CHECK_EQ(apps::WriteFile(env, p, apps::FileContent(spec)), Status::kOk);
       srcs.push_back(p);
     }
     EXO_CHECK_EQ(env.Sync(), Status::kOk);

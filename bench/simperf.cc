@@ -12,9 +12,9 @@
 //                    scheduler could evaluate per decision is a waste
 //   disk_deep_queue  thousands of queued requests exercising merge lookup and
 //                    C-LOOK dispatch
-//   global_fig4      a scaled-down Figure 4 job mix (grep, wc, cksum, sor on one
-//                    machine): the end-to-end sanity number (simulated seconds per
-//                    wall second)
+//   global_fig4      Figure 4's 35-job, 5-concurrent Xok/ExOS cell (apps::Fig4Pool,
+//                    every grep/wc/cksum answer checked): the end-to-end sanity
+//                    number, whose sim_s is fig4's 35/5 Xok/ExOS total
 //   fs_write         a 3-MB file written, gzipped, gunzipped and synced on C-FFS
 //                    over XN: block allocation under owns-udf checks, and LZ
 //   cluster_scale    an 8-machine balancer fleet on the parallel cluster engine at
@@ -55,13 +55,21 @@ struct WorkloadResult {
   uint64_t predicate_skips = 0;
 };
 
-// ---- Workload 1: event churn ----
+// ---- Workloads 1 and 1b: event churn, and trace overhead ----
 //
 // The TCP stack's timer pattern: every connection arms an RTO/ack timer, most are
 // cancelled — often after an intervening event already fired them. The old engine
 // kept every stale cancellation forever and scanned the list on each pop.
-WorkloadResult EventChurn(uint64_t n) {
+//
+// With `disabled_tracer` the engine has a Tracer attached but never enabled
+// (trace_overhead): every dispatch pays the instrumentation site's predicted branch
+// and nothing else, so its ops/s should be within noise of event_churn's.
+WorkloadResult EventChurn(uint64_t n, bool disabled_tracer) {
   sim::Engine eng;
+  trace::Tracer tracer;
+  if (disabled_tracer) {
+    eng.set_tracer(&tracer, 0);
+  }
   uint64_t fired = 0;
   std::deque<sim::Engine::EventId> armed;
 
@@ -81,47 +89,11 @@ WorkloadResult EventChurn(uint64_t n) {
   }
   eng.RunUntilIdle();
   const double t1 = WallNow();
-
-  WorkloadResult r;
-  r.name = "event_churn";
-  r.ops = n + n / 2;  // schedules + cancels
-  r.wall_s = t1 - t0;
-  r.sim_s = eng.now_seconds();
-  return r;
-}
-
-// ---- Workload 1b: trace overhead ----
-//
-// The event_churn loop with a Tracer attached but *disabled*: every dispatch pays
-// the instrumentation site's predicted branch and nothing else. Compare ops/s
-// against event_churn — the two should be within noise of each other.
-WorkloadResult TraceOverhead(uint64_t n) {
-  sim::Engine eng;
-  trace::Tracer tracer;  // attached, never enabled
-  eng.set_tracer(&tracer, 0);
-  uint64_t fired = 0;
-  std::deque<sim::Engine::EventId> armed;
-
-  const double t0 = WallNow();
-  for (uint64_t i = 0; i < n; ++i) {
-    armed.push_back(eng.ScheduleAfter(20 + (i * 7) % 400, [&fired] { ++fired; }));
-    if ((i & 7) < 6) {
-      eng.RunNextEvent();
-    }
-    if (armed.size() >= 64) {
-      for (int k = 0; k < 32; ++k) {
-        eng.Cancel(armed.front());
-        armed.pop_front();
-      }
-    }
-  }
-  eng.RunUntilIdle();
-  const double t1 = WallNow();
   EXO_CHECK_EQ(tracer.emitted(), 0u);  // disabled tracing stored nothing
 
   WorkloadResult r;
-  r.name = "trace_overhead";
-  r.ops = n + n / 2;
+  r.name = disabled_tracer ? "trace_overhead" : "event_churn";
+  r.ops = n + n / 2;  // schedules + cancels
   r.wall_s = t1 - t0;
   r.sim_s = eng.now_seconds();
   return r;
@@ -412,42 +384,23 @@ ClusterScaleResult ClusterScale() {
   return r;
 }
 
-// ---- Workload 4: scaled-down Figure 4 global load ----
-WorkloadResult GlobalFig4(int jobs, int conc) {
-  using namespace exo::bench;
-  auto setup_shared = [](os::UnixEnv& env, int) { MakeSharedInputs(env, false); };
-  constexpr int kCksumRounds = 20;
-  const SharedAnswers want = ExpectedAnswers(kCksumRounds);
-  std::vector<GlobalJob> pool = {
-      {"grep",
-       [&want](os::UnixEnv& e, int) {
-         for (int r = 0; r < 3; ++r) {
-           EXO_CHECK_EQ(*apps::Grep(e, "symbol", "/shared/big.txt"), want.grep_symbol);
-         }
-       },
-       setup_shared},
-      {"wc",
-       [&want](os::UnixEnv& e, int) {
-         for (int r = 0; r < 4; ++r) {
-           EXO_CHECK_EQ(*apps::Wc(e, "/shared/big.txt"), want.wc_lines);
-         }
-       },
-       setup_shared},
-      {"cksum",
-       [&want](os::UnixEnv& e, int) {
-         EXO_CHECK_EQ(*apps::Cksum(e, "/shared/t", kCksumRounds), want.cksum);
-       },
-       setup_shared},
-      {"sor", [](os::UnixEnv& e, int) { EXO_CHECK(apps::Sor(e, 150, 30).ok()); }, {}},
-  };
+// ---- Workload 4: Figure 4's 35/5 Xok/ExOS cell ----
+//
+// fig4's pool, inputs and seed-11 schedule at 35 jobs, at most 5 at once: sim_s
+// is that cell's Xok/ExOS total, and ops counts jobs.
+WorkloadResult GlobalFig4() {
+  constexpr int kJobs = 35;
+  const apps::SharedInputSpecs inputs = apps::Fig4Inputs();
+  const std::vector<apps::Job> pool = apps::Fig4Pool(inputs);
 
   const double t0 = WallNow();
-  GlobalResult g = RunGlobal(os::Flavor::kXokExos, pool, jobs, conc, 11);
+  const bench::GlobalResult g =
+      bench::RunGlobal(os::Flavor::kXokExos, pool, inputs, kJobs, 5, 11);
   const double t1 = WallNow();
 
   WorkloadResult r;
   r.name = "global_fig4";
-  r.ops = static_cast<uint64_t>(jobs);
+  r.ops = kJobs;
   r.wall_s = t1 - t0;
   r.sim_s = g.total;
   return r;
@@ -531,11 +484,11 @@ int main(int argc, char** argv) {
 
   bench::PrintHeader("simperf: simulator hot-path wall-clock throughput");
   std::printf("\n");
-  Record(EventChurn(150000), &report);
-  Record(TraceOverhead(150000), &report);
+  Record(EventChurn(150000, /*disabled_tracer=*/false), &report);
+  Record(EventChurn(150000, /*disabled_tracer=*/true), &report);
   Record(PredicateStorm(1000, 10), &report);
   Record(DiskDeepQueue(8, 3000), &report);
-  Record(GlobalFig4(16, 4), &report);
+  Record(GlobalFig4(), &report);
   Record(FsWrite(3072), &report);
   const ClusterScaleResult cs = ClusterScale();
   Record(cs.serial, &report);

@@ -60,21 +60,22 @@ Status Cp(os::UnixEnv& env, const std::string& src, const std::string& dst) {
     return out.status();
   }
   std::vector<uint8_t> chunk(kIoChunk);
+  Status copied = Status::kOk;
   for (;;) {
     auto n = env.Read(*in, chunk);
-    if (!n.ok()) {
-      return n.status();
-    }
-    if (*n == 0) {
+    if (!n.ok() || *n == 0) {
+      copied = n.status();  // kOk at end of file
       break;
     }
     auto w = env.Write(*out, std::span<const uint8_t>(chunk.data(), *n));
     if (!w.ok()) {
-      return w.status();
+      copied = w.status();
+      break;
     }
   }
   env.Close(*in);
-  return env.Close(*out);
+  Status closed = env.Close(*out);
+  return copied != Status::kOk ? copied : closed;
 }
 
 Status CpR(os::UnixEnv& env, const std::string& src, const std::string& dst) {

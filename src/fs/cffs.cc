@@ -735,6 +735,11 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
     if (idx < kNumDirect) {
       // Batch all direct-range allocations into one guarded operation.
       const uint32_t want = std::min(new_nblocks, kNumDirect) - idx;
+      // FindFreeRun wraps around, so a batch wanting more blocks than are free
+      // would name one block twice.
+      if (backend_->FreeBlockCount() < want) {
+        return Status::kOutOfResources;
+      }
       xn::Mods mods;
       std::vector<udf::Extent> extents;
       hw::BlockId cursor = hint;
@@ -790,6 +795,9 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
     // Batch allocations within this indirect block.
     const uint32_t want =
         std::min(new_nblocks - idx, kPtrsPerIndirect - i);
+    if (backend_->FreeBlockCount() < want) {
+      return Status::kOutOfResources;  // as for the direct batch
+    }
     xn::Mods pmods;
     std::vector<udf::Extent> pext;
     hw::BlockId cursor = hint;

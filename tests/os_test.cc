@@ -208,6 +208,38 @@ TEST_P(OsFlavorTest, WcGrepCksum) {
   sys->Run();
 }
 
+TEST_P(OsFlavorTest, CpOntoAFullDiskFailsCleanly) {
+  // An 8 MB disk holding a 4 MB file has no room for its copy, so the copy runs
+  // out of blocks part way through a batch of block allocations: every flavor
+  // must report kOutOfResources, close Cp's descriptors and stay usable.
+  hw::MachineConfig cfg = TestMachine();
+  cfg.disks = {hw::DiskGeometry{.num_blocks = 2048}};
+  sim::Engine engine;
+  hw::Machine machine(&engine, cfg);
+  System sys(&machine, GetParam());
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  sys.SpawnInit("sh", [&](UnixEnv& env) {
+    ASSERT_EQ(apps::WriteFile(env, "/big", apps::FileContent({"big", 4 << 20, 1})), Status::kOk);
+    ASSERT_EQ(apps::WriteFile(env, "/small", apps::FileContent({"small", 9'000, 2})),
+              Status::kOk);
+    // Descriptors are numbered in order and never reused, so Cp's two are the
+    // probe's successors.
+    auto probe = env.Open("/small", false);
+    ASSERT_TRUE(probe.ok());
+    ASSERT_EQ(env.Close(*probe), Status::kOk);
+    EXPECT_EQ(apps::Cp(env, "/big", "/big.copy"), Status::kOutOfResources);
+    EXPECT_EQ(env.FStat(*probe + 1).status(), Status::kNotFound);  // Cp's input
+    EXPECT_EQ(env.FStat(*probe + 2).status(), Status::kNotFound);  // Cp's output
+
+    ASSERT_EQ(env.Unlink("/big.copy"), Status::kOk);
+    ASSERT_EQ(apps::Cp(env, "/small", "/small.copy"), Status::kOk);
+    auto d = apps::DiffFile(env, "/small", "/small.copy");
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, 0);
+  });
+  sys.Run();
+}
+
 INSTANTIATE_TEST_SUITE_P(Flavors, OsFlavorTest,
                          ::testing::Values(Flavor::kXokExos, Flavor::kOpenBsdCffs,
                                            Flavor::kOpenBsd, Flavor::kFreeBsd),
@@ -329,6 +361,58 @@ TEST(OsCostTest, TspAndSorChargeTheirModeledCycles) {
     EXPECT_EQ(*charged, job.want) << job.program;
     EXPECT_GE(elapsed, job.want) << job.program;
   }
+}
+
+// ---- The Figure 4 and 5 pools check what their jobs read ----
+
+const apps::Job& JobLabeled(const std::vector<apps::Job>& pool, const std::string& label) {
+  auto it = std::find_if(pool.begin(), pool.end(),
+                         [&](const apps::Job& j) { return j.label == label; });
+  EXO_CHECK(it != pool.end());
+  return *it;
+}
+
+// Rewrites `path` in place with as many bytes of 'x'.
+void Scribble(UnixEnv& env, const std::string& path) {
+  auto st = env.Stat(path);
+  ASSERT_TRUE(st.ok());
+  ASSERT_EQ(apps::WriteFile(env, path, std::vector<uint8_t>(st->size, 'x')), Status::kOk);
+}
+
+TEST(PoolAnswerTest, Fig4JobsRejectOtherInputs) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, TestMachine());
+  System sys(&machine, Flavor::kXokExos);
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  const apps::SharedInputSpecs inputs = apps::Fig4Inputs();
+  const std::vector<apps::Job> pool = apps::Fig4Pool(inputs);
+  sys.SpawnInit("sh", [&](UnixEnv& env) {
+    ASSERT_EQ(apps::MakeSharedInputs(env, inputs), Status::kOk);
+    for (const char* label : {"grep", "wc", "cksum"}) {
+      EXPECT_EQ(JobLabeled(pool, label).body(env, 0), Status::kOk) << label;
+    }
+    Scribble(env, "/shared/big.txt");
+    Scribble(env, "/shared/t/s0.c");
+    for (const char* label : {"grep", "wc", "cksum"}) {
+      EXPECT_EQ(JobLabeled(pool, label).body(env, 0), Status::kCorrupted) << label;
+    }
+  });
+  sys.Run();
+}
+
+TEST(PoolAnswerTest, Fig5DiffRejectsUnequalPair) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, TestMachine());
+  System sys(&machine, Flavor::kXokExos);
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  const std::vector<apps::Job> pool = apps::Fig5Pool();
+  sys.SpawnInit("sh", [&](UnixEnv& env) {
+    ASSERT_EQ(apps::MakeSharedInputs(env, apps::Fig5Inputs()), Status::kOk);
+    EXPECT_EQ(JobLabeled(pool, "diff").body(env, 0), Status::kOk);
+    Scribble(env, "/shared/five.b");
+    EXPECT_EQ(JobLabeled(pool, "diff").body(env, 0), Status::kCorrupted);
+  });
+  sys.Run();
 }
 
 TEST(ExosRevocationTest, LibOsShedsFramesOnKernelRequest) {

@@ -374,7 +374,7 @@ TEST(TraceDeterminism, IdenticalRunsProduceIdenticalDumps) {
   std::string dumps[2];
   for (int i = 0; i < 2; ++i) {
     opts.path = dir + "/trace_det_" + std::to_string(i) + ".txt";
-    bench::RunIoWorkload(os::Flavor::kXokExos, {}, 42, &opts);
+    bench::RunIoWorkload(os::Flavor::kXokExos, {}, &opts);
     std::ifstream in(opts.path, std::ios::binary);
     ASSERT_TRUE(in.good());
     std::ostringstream ss;
