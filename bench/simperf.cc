@@ -409,11 +409,18 @@ WorkloadResult GlobalFig4() {
 // ---- Workload 6: fs_write — the file-system write path ----
 //
 // One Xok/ExOS system writes a `kb`-KB source file in kIoChunk writes, gzips it,
-// gunzips it, checks the round trip and syncs. Every block a file grows by runs
-// the owning metadata block's owns-udf three times (XN's before/after check in
-// Alloc, then InsertMapping), and gzip runs the LZ match table. ops is the file
-// size in KB.
-WorkloadResult FsWrite(uint32_t kb) {
+// gunzips it, checks the round trip and syncs. Each batch of blocks a file
+// grows by runs the owning metadata block's owns-udf twice in XN's
+// before/after check in Alloc, then once per block in InsertMapping, and gzip
+// runs the LZ match table. ops is the file size in KB. XN's udf runs and its
+// owns-udf memo hits are deterministic counts, the same on every host.
+struct FsWriteResult {
+  WorkloadResult lane;
+  uint64_t udf_runs = 0;        // XN's owns-udf and acl-uf runs, memo hits included
+  uint64_t owns_memo_hits = 0;  // owns-udf runs XN answered from its memo
+};
+
+FsWriteResult FsWrite(uint32_t kb) {
   sim::Engine engine;
   hw::Machine machine(&engine, bench::PaperMachine(256));
   os::System sys(&machine, os::Flavor::kXokExos);
@@ -425,9 +432,12 @@ WorkloadResult FsWrite(uint32_t kb) {
   double t1 = 0;
   sim::Cycles sim0 = 0;
   sim::Cycles sim1 = 0;
+  xn::XnStats xn0;
+  xn::XnStats xn1;
   sys.SpawnInit("sh", [&](os::UnixEnv& env) {
     t0 = WallNow();
     sim0 = env.Now();
+    xn0 = sys.xn()->stats();
     auto fd = env.Open("/f.txt", /*create=*/true);
     EXO_CHECK(fd.ok());
     const std::span<const uint8_t> data(content);
@@ -441,16 +451,19 @@ WorkloadResult FsWrite(uint32_t kb) {
     const Result<int> diff = apps::DiffFile(env, "/f.txt", "/f.out");
     EXO_CHECK(diff.ok() && *diff == 0);
     EXO_CHECK_EQ(env.Sync(), Status::kOk);
+    xn1 = sys.xn()->stats();
     sim1 = env.Now();
     t1 = WallNow();
   });
   sys.Run();
 
-  WorkloadResult r;
-  r.name = "fs_write";
-  r.ops = kb;
-  r.wall_s = t1 - t0;
-  r.sim_s = bench::Secs(sim1 - sim0);
+  FsWriteResult r;
+  r.lane.name = "fs_write";
+  r.lane.ops = kb;
+  r.lane.wall_s = t1 - t0;
+  r.lane.sim_s = bench::Secs(sim1 - sim0);
+  r.udf_runs = xn1.udf_runs - xn0.udf_runs;
+  r.owns_memo_hits = xn1.owns_memo_hits - xn0.owns_memo_hits;
   return r;
 }
 
@@ -489,7 +502,13 @@ int main(int argc, char** argv) {
   Record(PredicateStorm(1000, 10), &report);
   Record(DiskDeepQueue(8, 3000), &report);
   Record(GlobalFig4(), &report);
-  Record(FsWrite(3072), &report);
+  const FsWriteResult fw = FsWrite(3072);
+  Record(fw.lane, &report);
+  std::printf("%-18s %12s udf_runs=%llu owns_memo_hits=%llu\n", "", "",
+              static_cast<unsigned long long>(fw.udf_runs),
+              static_cast<unsigned long long>(fw.owns_memo_hits));
+  report.Add("fs_write.udf_runs", fw.udf_runs);
+  report.Add("fs_write.owns_memo_hits", fw.owns_memo_hits);
   const ClusterScaleResult cs = ClusterScale();
   Record(cs.serial, &report);
   std::printf("%-18s %12s threads=%u speedup=%.2fx speedup_at_2=%.2fx rounds=%llu "

@@ -302,10 +302,11 @@ Status GccBuild(os::UnixEnv& env, const std::string& dir) {
     // Parse + optimize + emit.
     env.Compute(static_cast<sim::Cycles>(static_cast<double>(src->size()) *
                                          kCompileCyclesPerByte));
-    // Object file ~40% of source size, content derived from the source.
+    // Object file ~40% of source size, content derived from the source (so
+    // shorter than it: every index is in range).
     std::vector<uint8_t> obj(src->size() * 2 / 5);
     for (size_t i = 0; i < obj.size(); ++i) {
-      obj[i] = static_cast<uint8_t>((*src)[i % src->size()] * 31 + i);
+      obj[i] = static_cast<uint8_t>((*src)[i] * 31 + i);
     }
     std::string opath = path.substr(0, path.size() - 2) + ".o";
     Status s = WriteWhole(env, opath, obj);

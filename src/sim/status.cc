@@ -1,5 +1,7 @@
 #include "sim/status.h"
 
+#include <ostream>
+
 namespace exo {
 
 const char* StatusName(Status s) {
@@ -39,5 +41,7 @@ const char* StatusName(Status s) {
   }
   return "UNKNOWN";
 }
+
+void PrintTo(Status s, std::ostream* os) { *os << StatusName(s); }
 
 }  // namespace exo

@@ -5,6 +5,7 @@
 #ifndef EXO_SIM_STATUS_H_
 #define EXO_SIM_STATUS_H_
 
+#include <iosfwd>
 #include <utility>
 #include <variant>
 
@@ -33,6 +34,8 @@ enum class Status : int {
 
 // Human-readable name for diagnostics and test failure messages.
 const char* StatusName(Status s);
+// Prints StatusName(s); gtest finds it, so failed assertions name the status.
+void PrintTo(Status s, std::ostream* os);
 
 // Result<T> is a minimal expected-like type: either a value or a non-kOk Status.
 template <typename T>

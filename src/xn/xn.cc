@@ -120,6 +120,43 @@ uint64_t ClaimedBlocks(std::span<const udf::Extent> extents) {
   return n;
 }
 
+// Whether `t`'s UDFs pass the verifier: the owns-udf must be deterministic,
+// while the acl-uf and size-uf may read the clock (Sec. 4.1).
+bool PassesVerifier(const Template& t) {
+  return udf::Verify(t.owns_udf, udf::Policy::kDeterministic).ok &&
+         (t.acl_uf.empty() || udf::Verify(t.acl_uf, udf::Policy::kAny).ok) &&
+         (t.size_uf.empty() || udf::Verify(t.size_uf, udf::Policy::kAny).ok);
+}
+
+// Fills `set` with the ownership set an owns-udf run emitted, sorted by block.
+// kBadMetadata when the run faulted, claimed more blocks than a disk of
+// `num_blocks` holds, or named a block twice.
+Status OwnsSetOf(const udf::RunOutput& out, uint32_t num_blocks, std::vector<OwnedBlock>* set) {
+  set->clear();
+  const uint64_t claimed = ClaimedBlocks(out.emitted);
+  if (!out.ok || claimed > num_blocks) {
+    return Status::kBadMetadata;
+  }
+  set->reserve(claimed);
+  bool sorted = true;
+  for (const udf::Extent& e : out.emitted) {
+    for (uint32_t i = 0; i < e.count; ++i) {
+      const hw::BlockId b = e.start + i;
+      sorted = sorted && (set->empty() || set->back().first < b);
+      set->emplace_back(b, e.type);
+    }
+  }
+  // C-FFS's directory owns-udf emits slot by slot, out of block order.
+  if (!sorted) {
+    std::sort(set->begin(), set->end());
+    auto same_block = [](const OwnedBlock& x, const OwnedBlock& y) { return x.first == y.first; };
+    if (std::adjacent_find(set->begin(), set->end(), same_block) != set->end()) {
+      return Status::kBadMetadata;  // a block claimed twice is malformed metadata
+    }
+  }
+  return Status::kOk;
+}
+
 }  // namespace
 
 Xn::Xn(hw::Machine* machine, hw::Disk* disk) : machine_(machine), disk_(disk) {
@@ -151,35 +188,34 @@ std::span<uint8_t> Xn::FrameBytesMutable(hw::FrameId f) { return machine_->mem()
 // ---- UDF invocation ----
 
 Result<Xn::OwnsSet> Xn::RunOwns(const Template& t, std::span<const uint8_t> image) {
-  udf::RunInput in;
-  in.buffers[udf::kBufMeta] = image;
-  udf::RunOutput out = udf::Run(t.owns_udf, in);
-  machine_->Charge(machine_->cost().udf_setup +
-                   out.insns * machine_->cost().downloaded_insn);
+  auto it = std::find_if(owns_memo_.begin(), owns_memo_.end(), [&](const OwnsMemoEntry& m) {
+    return m.tmpl == t.id && m.image.size() == image.size() &&
+           std::memcmp(m.image.data(), image.data(), image.size()) == 0;
+  });
+  if (it != owns_memo_.end()) {
+    ++stats_.owns_memo_hits;
+  } else {
+    if (owns_memo_.size() < kOwnsMemoEntries) {
+      owns_memo_.emplace_back();
+    }
+    it = owns_memo_.end() - 1;  // the least recent entry makes room
+    udf::RunInput in;
+    in.buffers[udf::kBufMeta] = image;
+    const udf::RunOutput out = udf::Run(t.owns_udf, in);
+    it->tmpl = t.id;
+    it->image.assign(image.begin(), image.end());
+    it->insns = out.insns;
+    it->status = OwnsSetOf(out, disk_->geometry().num_blocks, &it->owned);
+  }
+  std::rotate(owns_memo_.begin(), it, it + 1);  // most recent first
+  // Copy the run out before charging: the charge fires disk completions that
+  // run owns-udfs too, which reorder the memo under any reference into it.
+  const OwnsMemoEntry& run = owns_memo_.front();
+  const uint64_t insns = run.insns;
+  Result<OwnsSet> result = run.status == Status::kOk ? Result<OwnsSet>(run.owned) : run.status;
+  machine_->Charge(machine_->cost().udf_setup + insns * machine_->cost().downloaded_insn);
   ++stats_.udf_runs;
-  const uint64_t claimed = ClaimedBlocks(out.emitted);
-  if (!out.ok || claimed > disk_->geometry().num_blocks) {
-    return Status::kBadMetadata;
-  }
-  OwnsSet set;
-  set.reserve(claimed);
-  bool sorted = true;
-  for (const udf::Extent& e : out.emitted) {
-    for (uint32_t i = 0; i < e.count; ++i) {
-      const hw::BlockId b = e.start + i;
-      sorted = sorted && (set.empty() || set.back().first < b);
-      set.emplace_back(b, e.type);
-    }
-  }
-  // C-FFS's directory owns-udf emits slot by slot, out of block order.
-  if (!sorted) {
-    std::sort(set.begin(), set.end());
-    auto same_block = [](const OwnedBlock& x, const OwnedBlock& y) { return x.first == y.first; };
-    if (std::adjacent_find(set.begin(), set.end(), same_block) != set.end()) {
-      return Status::kBadMetadata;  // a block claimed twice is malformed metadata
-    }
-  }
-  return set;
+  return result;
 }
 
 bool Xn::RunAcl(const Template& t, std::span<const uint8_t> image,
@@ -210,6 +246,7 @@ void Xn::Format() {
 
   templates_.clear();
   roots_.clear();
+  owns_memo_.clear();
   free_map_.assign(nblocks, 1);
   free_count_ = 0;
   for (hw::BlockId b = 0; b < nblocks; ++b) {
@@ -318,7 +355,7 @@ void Xn::PersistCatalogues() {
   }
 }
 
-void Xn::LoadCatalogues() {
+Status Xn::LoadCatalogues() {
   std::vector<uint8_t> tbuf(static_cast<size_t>(kTemplBlocks) * hw::kBlockSize);
   for (uint32_t i = 0; i < kTemplBlocks; ++i) {
     auto block = disk_->RawBlock(1 + i);
@@ -327,6 +364,8 @@ void Xn::LoadCatalogues() {
   }
   Cursor tc{std::span<const uint8_t>(tbuf)};
   templates_.clear();
+  roots_.clear();
+  owns_memo_.clear();  // a reloaded id may name another program
   next_template_ = 1;
   uint32_t tn = tc.GetU32();
   for (uint32_t i = 0; i < tn && tc.ok(); ++i) {
@@ -337,10 +376,16 @@ void Xn::LoadCatalogues() {
     t.owns_udf = tc.GetProgram();
     t.acl_uf = tc.GetProgram();
     t.size_uf = tc.GetProgram();
-    if (tc.ok()) {
-      next_template_ = std::max(next_template_, t.id + 1);
-      templates_[t.id] = std::move(t);
+    if (!tc.ok()) {
+      break;
     }
+    // The catalogue is disk bytes: XN runs none of its programs unverified.
+    if (!PassesVerifier(t)) {
+      templates_.clear();
+      return Status::kBadMetadata;
+    }
+    next_template_ = std::max(next_template_, t.id + 1);
+    templates_[t.id] = std::move(t);
   }
 
   std::vector<uint8_t> rbuf(static_cast<size_t>(kRootBlocks) * hw::kBlockSize);
@@ -350,7 +395,6 @@ void Xn::LoadCatalogues() {
                 hw::kBlockSize);
   }
   Cursor rc{std::span<const uint8_t>(rbuf)};
-  roots_.clear();
   uint32_t rn = rc.GetU32();
   for (uint32_t i = 0; i < rn && rc.ok(); ++i) {
     RootInfo r;
@@ -362,6 +406,7 @@ void Xn::LoadCatalogues() {
       roots_[r.name] = std::move(r);
     }
   }
+  return Status::kOk;
 }
 
 Status Xn::Attach() {
@@ -393,7 +438,9 @@ Status Xn::Attach() {
     }
   }
 
-  LoadCatalogues();
+  if (Status s = LoadCatalogues(); s != Status::kOk) {
+    return s;
+  }
   uninit_.clear();
   parent_of_.clear();
   on_disk_owns_.clear();
@@ -536,14 +583,7 @@ Result<TemplateId> Xn::InstallTemplate(const Template& t) {
       return Status::kAlreadyExists;  // templates are immutable once specified
     }
   }
-  // owns-udf must be deterministic; acl-uf and size-uf may read the clock (Sec. 4.1).
-  if (!udf::Verify(t.owns_udf, udf::Policy::kDeterministic).ok) {
-    return Status::kVerifierReject;
-  }
-  if (!t.acl_uf.empty() && !udf::Verify(t.acl_uf, udf::Policy::kAny).ok) {
-    return Status::kVerifierReject;
-  }
-  if (!t.size_uf.empty() && !udf::Verify(t.size_uf, udf::Policy::kAny).ok) {
+  if (!PassesVerifier(t)) {
     return Status::kVerifierReject;
   }
   Template stored = t;

@@ -51,7 +51,8 @@ struct RootInfo {
 };
 
 struct XnStats {
-  uint64_t udf_runs = 0;
+  uint64_t udf_runs = 0;        // owns-udf and acl-uf runs, memo hits included
+  uint64_t owns_memo_hits = 0;  // owns-udf runs answered from the memo
   uint64_t ops = 0;
   uint64_t taint_rejections = 0;
   uint64_t will_free_deferrals = 0;
@@ -216,7 +217,21 @@ class Xn {
   // each block at most once.
   using OwnsSet = std::vector<std::pair<hw::BlockId, TemplateId>>;
 
+  // One owns-udf run's outcome: what RunOwns charged for and returned.
+  struct OwnsMemoEntry {
+    TemplateId tmpl = kInvalidTemplate;
+    std::vector<uint8_t> image;
+    uint64_t insns = 0;
+    Status status = Status::kOk;  // kBadMetadata when the run was refused
+    OwnsSet owned;                // the result when status is kOk
+  };
+  static constexpr size_t kOwnsMemoEntries = 8;
+
   void ChargeOp(const char* name);
+  // Runs `t`'s owns-udf on `image`. The verifier makes owns-udfs deterministic,
+  // so a run whose (template, image bytes) one of the last kOwnsMemoEntries runs
+  // saw replays that run's result and instruction count instead of
+  // interpreting. Either way it charges and counts as one run.
   [[nodiscard]] Result<OwnsSet> RunOwns(const Template& t, std::span<const uint8_t> image);
   bool RunAcl(const Template& t, std::span<const uint8_t> image,
               const std::vector<uint8_t>& aux, const Caps& creds);
@@ -247,7 +262,8 @@ class Xn {
 
   void WriteSuperblock(bool clean);
   void PersistCatalogues();
-  void LoadCatalogues();
+  // kBadMetadata when a catalogue program fails the verifier.
+  [[nodiscard]] Status LoadCatalogues();
   void RecoverFreeMap();
   void TraverseForRecovery(hw::BlockId block, TemplateId tmpl, std::set<hw::BlockId>* seen);
 
@@ -258,6 +274,11 @@ class Xn {
 
   std::map<TemplateId, Template> templates_;
   TemplateId next_template_ = 1;  // 0 is the raw-data pseudo template
+  // Recent owns-udf runs, most recent first. Host-only: simulated time and
+  // every counter but stats_.owns_memo_hits read as if each run interpreted.
+  // Keyed on content, so no write, DMA or recovery path invalidates it; it is
+  // cleared where a template id may come to name another program.
+  std::vector<OwnsMemoEntry> owns_memo_;
   std::map<std::string, RootInfo> roots_;
 
   std::vector<uint8_t> free_map_;  // 1 = free

@@ -363,6 +363,38 @@ TEST(OsCostTest, TspAndSorChargeTheirModeledCycles) {
   }
 }
 
+// XN replays an owns-udf run when one of its recent runs saw the same template
+// and image bytes. A replay still counts as a run, so udf_runs is the 347 it
+// was before the memo existed, and both counts are exact: the memo changes
+// only host time. Growing a file by a batch of blocks runs the owning
+// metadata block's owns-udf before and after the batch's Alloc and once per
+// block mapped: most of those runs see an image that an earlier run saw.
+TEST(XnMemoTest, WritingAFileCountsRunsAndReplaysExactly) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, TestMachine());
+  System sys(&machine, Flavor::kXokExos);
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  const std::vector<uint8_t> content =
+      apps::FileContent({.path = "memo", .size = 512 * 1024, .seed = 3});
+  xn::XnStats before;
+  xn::XnStats after;
+  sys.SpawnInit("sh", [&](UnixEnv& env) {
+    before = sys.xn()->stats();
+    auto fd = env.Open("/f.txt", /*create=*/true);
+    ASSERT_TRUE(fd.ok());
+    const std::span<const uint8_t> data(content);
+    for (size_t off = 0; off < data.size(); off += apps::kIoChunk) {
+      ASSERT_TRUE(env.Write(*fd, data.subspan(off, apps::kIoChunk)).ok());
+    }
+    ASSERT_EQ(env.Close(*fd), Status::kOk);
+    ASSERT_EQ(env.Sync(), Status::kOk);
+    after = sys.xn()->stats();
+  });
+  sys.Run();
+  EXPECT_EQ(after.udf_runs - before.udf_runs, 347u);
+  EXPECT_EQ(after.owns_memo_hits - before.owns_memo_hits, 161u);
+}
+
 // ---- The Figure 4 and 5 pools check what their jobs read ----
 
 const apps::Job& JobLabeled(const std::vector<apps::Job>& pool, const std::string& label) {

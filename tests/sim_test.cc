@@ -337,6 +337,10 @@ TEST(StatusTest, NamesAreDistinct) {
   EXPECT_STRNE(StatusName(Status::kBusy), StatusName(Status::kWouldBlock));
 }
 
+TEST(StatusTest, GtestPrintsTheName) {
+  EXPECT_EQ(testing::PrintToString(Status::kInvalidArgument), "INVALID_ARGUMENT");
+}
+
 // ---- Fault-schedule codec hardening ----
 //
 // The parser is the trust boundary for replayed reproducers (CI artifacts,

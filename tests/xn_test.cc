@@ -6,6 +6,7 @@
 // template types children as raw data; a second types them as tnodes (for trees).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -13,6 +14,7 @@
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "udf/assembler.h"
+#include "udf/vm.h"
 #include "xn/registry.h"
 #include "xn/types.h"
 #include "xn/xn.h"
@@ -205,6 +207,47 @@ class XnTest : public ::testing::Test {
     std::memset(machine_.mem().Data(f).data(), 0, 4096);
     EXO_CHECK_EQ(xn_.InsertMapping(b, parent, f, /*dirty=*/true, good_creds_), Status::kOk);
   }
+
+  // The cached frame of registered block `b`. Tests write it directly to stage
+  // an image that no XN call produced.
+  std::span<uint8_t> CachedFrame(BlockId b) {
+    return machine_.mem().Data(xn_.registry().Lookup(b)->frame);
+  }
+
+  // Stages the tnode image {count, pointers...} in `b`'s cached frame.
+  void StageTnode(BlockId b, const std::vector<BlockId>& pointers) {
+    std::span<uint8_t> image = CachedFrame(b);
+    std::memset(image.data(), 0, image.size());
+    const uint32_t count = static_cast<uint32_t>(pointers.size());
+    std::memcpy(image.data(), &count, 4);
+    for (size_t i = 0; i < pointers.size(); ++i) {
+      std::memcpy(image.data() + 4 + 4 * i, &pointers[i], 4);
+    }
+  }
+
+  // Calls InsertMapping of a block `parent` does not own twice on its current
+  // image, which runs `parent`'s owns-udf (`owns`) and nothing else. Both calls
+  // return `want`, charge the syscall plus one interpreted run over the image
+  // and count one run; only the second is a memo hit.
+  void ExpectRunThenReplay(BlockId parent, const udf::Program& owns, Status want) {
+    udf::RunInput in;
+    in.buffers[udf::kBufMeta] = CachedFrame(parent);
+    const sim::CostModel& c = machine_.cost();
+    const sim::Cycles charge = c.trap_round_trip + c.xok_syscall_check + c.udf_setup +
+                               udf::Run(owns, in).insns * c.downloaded_insn;
+    const FrameId f = NewFrame();
+    for (uint64_t hits : {0u, 1u}) {
+      const sim::Cycles t0 = engine_.now();
+      const XnStats s0 = xn_.stats();
+      EXPECT_EQ(xn_.InsertMapping(kUnowned, parent, f, /*dirty=*/true, good_creds_), want);
+      EXPECT_EQ(engine_.now() - t0, charge);
+      EXPECT_EQ(xn_.stats().udf_runs - s0.udf_runs, 1u);
+      EXPECT_EQ(xn_.stats().owns_memo_hits - s0.owns_memo_hits, hits);
+    }
+  }
+
+  // A block no staged image names.
+  static constexpr BlockId kUnowned = 2000;
 
   Status FlushAll(std::vector<BlockId> blocks) {
     Status s = Status::kNotFound;
@@ -837,6 +880,190 @@ TEST_F(XnTest, ExtentsClaimingMoreBlocksThanTheDiskAreRefused) {
   BlockId root = MakeRoot("fs", leaf_tmpl_);
   std::vector<udf::Extent> everything = {{xn_.FirstDataBlock(), 0xFFFFFFFFu, kDataTemplate}};
   EXPECT_EQ(xn_.Dealloc(root, SetCount(0), everything, good_creds_), Status::kInvalidArgument);
+}
+
+// ---- The owns-udf memo ----
+//
+// XN replays an owns-udf run when a recent run saw the same template and image
+// bytes. A replay must be indistinguishable from interpreting: the same result
+// and charge, and one more udf_runs.
+
+TEST_F(XnTest, ReplayedOwnsRunChargesAndCountsLikeTheFirst) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  StageTnode(root, {1500, 1501, 1502});
+  ExpectRunThenReplay(root, TnodeOwns(kDataTemplate), Status::kPermissionDenied);
+}
+
+// Failed runs replay too: a fault, duplicate blocks, and extents claiming more
+// blocks than the disk holds are each refused again at the same charge.
+TEST_F(XnTest, FailedOwnsRunsReplayTheirStatusAndCharge) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  StageTnode(root, {1500});
+  const uint32_t past_the_end = 2000;  // pointer 1023 would lie past the block
+  std::memcpy(CachedFrame(root).data(), &past_the_end, 4);
+  ExpectRunThenReplay(root, TnodeOwns(kDataTemplate), Status::kBadMetadata);
+  StageTnode(root, {1500, 1501, 1500});
+  ExpectRunThenReplay(root, TnodeOwns(kDataTemplate), Status::kBadMetadata);
+
+  auto greedy = udf::Assemble(R"(
+      ldi r1, 0
+      ldi r2, -1              ; count 0xFFFFFFFF
+      emit r1, r2, r1
+      ret r0
+  )");
+  ASSERT_TRUE(greedy.ok);
+  Template t;
+  t.name = "greedy";
+  t.is_metadata = true;
+  t.owns_udf = greedy.program;
+  auto tid = xn_.InstallTemplate(t);
+  ASSERT_TRUE(tid.ok());
+  ExpectRunThenReplay(MakeRoot("greedy", *tid), greedy.program, Status::kBadMetadata);
+}
+
+// The memo is keyed on the image bytes, not the frame: every change to the
+// parent's image is seen, whether it drops a child or keeps ownership.
+TEST_F(XnTest, ChangedParentImageIsNeverServedAStaleResult) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  auto kids = AllocChildren(root, 0, 3);
+  ASSERT_EQ(xn_.InsertMapping(kids[0], root, NewFrame(), /*dirty=*/true, good_creds_),
+            Status::kOk);
+
+  ASSERT_EQ(xn_.Dealloc(root, SetCount(2), std::vector<udf::Extent>{{kids[2], 1, kDataTemplate}},
+                        good_creds_),
+            Status::kOk);
+  EXPECT_EQ(xn_.InsertMapping(kids[2], root, NewFrame(), true, good_creds_),
+            Status::kPermissionDenied);
+
+  // Swapping the two pointers keeps ownership, so it is a Modify.
+  ASSERT_EQ(xn_.Modify(root, {SetPtr(0, kids[1]), SetPtr(1, kids[0])}, good_creds_), Status::kOk);
+  EXPECT_EQ(xn_.InsertMapping(kids[2], root, NewFrame(), true, good_creds_),
+            Status::kPermissionDenied);
+  EXPECT_EQ(xn_.InsertMapping(kids[1], root, NewFrame(), true, good_creds_), Status::kOk);
+
+  ASSERT_EQ(xn_.Alloc(root, {U32Mod(0, 3), SetPtr(2, kids[2])},
+                      std::vector<udf::Extent>{{kids[2], 1, kDataTemplate}}, good_creds_),
+            Status::kOk);
+  EXPECT_EQ(xn_.InsertMapping(kids[2], root, NewFrame(), true, good_creds_), Status::kOk);
+}
+
+// The key is every byte of the image: a full tnode whose last pointer
+// changed is a new run.
+TEST_F(XnTest, ImagesDifferingOnlyInTheirLastBytesGetTheirOwnResults) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  std::vector<BlockId> pointers;
+  for (BlockId b = 100; pointers.size() < (hw::kBlockSize - 4) / 4 - 1; ++b) {
+    pointers.push_back(b);
+  }
+  pointers.push_back(1500);  // the block's last four bytes
+  StageTnode(root, pointers);
+  ASSERT_EQ(xn_.InsertMapping(1500, root, NewFrame(), /*dirty=*/false, good_creds_), Status::kOk);
+  pointers.back() = 1501;
+  StageTnode(root, pointers);
+  EXPECT_EQ(xn_.InsertMapping(1500, root, NewFrame(), /*dirty=*/false, good_creds_),
+            Status::kPermissionDenied);
+}
+
+TEST_F(XnTest, TemplatesWithEqualImagesGetTheirOwnResults) {
+  BlockId leaf_root = MakeRoot("leaf", leaf_tmpl_);
+  BlockId inner_root = MakeRoot("inner", inner_tmpl_);
+  const BlockId child = 1500;
+  StageTnode(leaf_root, {child});
+  StageTnode(inner_root, {child});
+  ASSERT_TRUE(std::ranges::equal(CachedFrame(leaf_root), CachedFrame(inner_root)));
+
+  ASSERT_EQ(xn_.InsertMapping(child, leaf_root, NewFrame(), /*dirty=*/false, good_creds_),
+            Status::kOk);
+  EXPECT_EQ(xn_.registry().Lookup(child)->tmpl, kDataTemplate);
+  ASSERT_EQ(xn_.RemoveMapping(child), Status::kOk);
+  ASSERT_EQ(xn_.InsertMapping(child, inner_root, NewFrame(), /*dirty=*/false, good_creds_),
+            Status::kOk);
+  EXPECT_EQ(xn_.registry().Lookup(child)->tmpl, leaf_tmpl_);
+}
+
+// A template id names one program only within one catalogue: after another
+// Xn reformats the disk and installs a different program under the same id,
+// reattaching must run the new program.
+TEST_F(XnTest, ReattachRunsTheProgramTheReloadedCatalogueNames) {
+  BlockId root = MakeRoot("fs", leaf_tmpl_);
+  const BlockId child = 1500;
+  StageTnode(root, {child});
+  ASSERT_EQ(xn_.InsertMapping(child, root, NewFrame(), /*dirty=*/false, good_creds_),
+            Status::kOk);
+  ASSERT_EQ(xn_.RemoveMapping(child), Status::kOk);
+  xn_.Detach();
+
+  {
+    Xn other(&machine_, &machine_.disk());
+    other.Format();
+    ASSERT_EQ(other.Attach(), Status::kOk);
+    auto owns_nothing = udf::Assemble("ret r0\n");
+    ASSERT_TRUE(owns_nothing.ok);
+    Template t;
+    t.name = "owns-nothing";
+    t.is_metadata = true;
+    t.owns_udf = owns_nothing.program;
+    auto id = other.InstallTemplate(t);
+    ASSERT_TRUE(id.ok());
+    ASSERT_EQ(*id, leaf_tmpl_);
+    other.Detach();
+  }
+
+  ASSERT_EQ(xn_.Attach(), Status::kOk);
+  EXPECT_EQ(xn_.InsertMapping(child, root, NewFrame(), /*dirty=*/false, good_creds_),
+            Status::kPermissionDenied);
+}
+
+// A disk completion that fires while an owns-udf run is charged runs another
+// owns-udf and reorders the memo; neither run may get the other's result.
+TEST_F(XnTest, DiskCompletionInsideAnOwnsChargeKeepsBothResults) {
+  BlockId x = MakeRoot("x", leaf_tmpl_);
+  auto x_kids = AllocChildren(x, 0, 2);
+  BlockId y = MakeRoot("y", leaf_tmpl_);
+  auto y_kids = AllocChildren(y, 0, 1);
+
+  bool written = false;
+  ASSERT_EQ(xn_.Write(std::vector<BlockId>{x}, [&](Status s) { written = s == Status::kOk; }),
+            Status::kOk);
+  // Stop just short of the write's completion, so that it fires inside the
+  // charge of InsertMapping's owns-udf run, right after the syscall's charge.
+  const sim::CostModel& c = machine_.cost();
+  engine_.RunUntil(engine_.NextEventTime() - c.trap_round_trip - c.xok_syscall_check - 1);
+  ASSERT_FALSE(written);
+  EXPECT_EQ(xn_.InsertMapping(y_kids[0], y, NewFrame(), /*dirty=*/true, good_creds_),
+            Status::kOk);
+  ASSERT_TRUE(written);
+
+  EXPECT_EQ(xn_.InsertMapping(x_kids[0], x, NewFrame(), true, good_creds_), Status::kOk);
+  EXPECT_EQ(xn_.InsertMapping(x_kids[1], y, NewFrame(), true, good_creds_),
+            Status::kPermissionDenied);
+  EXPECT_EQ(xn_.InsertMapping(y_kids[0], x, NewFrame(), true, good_creds_),
+            Status::kPermissionDenied);
+  // The completion's run recorded x's on-disk pointers: dropping one defers
+  // the block's reuse until x is written again.
+  ASSERT_EQ(xn_.Dealloc(x, SetCount(1), std::vector<udf::Extent>{{x_kids[1], 1, kDataTemplate}},
+                        good_creds_),
+            Status::kOk);
+  EXPECT_TRUE(xn_.IsAllocated(x_kids[1]));
+}
+
+// Catalogue blocks are disk bytes: Attach verifies every program in them, as
+// InstallTemplate did, before anything runs one.
+TEST_F(XnTest, AttachRefusesACatalogueProgramTheVerifierRejects) {
+  ASSERT_TRUE(xn_.RegisterRoot("fs", leaf_tmpl_, /*temporary=*/false).ok());
+  xn_.Detach();
+  // Catalogue block 1 holds a u32 template count, then the first template: a
+  // u32 id, its name (u32 length, bytes), a u8 metadata flag, and its owns-udf
+  // (u32 length, then per instruction op, rd, rs and rt bytes and an i32).
+  const size_t first_rd = 4 + 4 + 4 + std::string("tnode-leaf").size() + 1 + 4 + 1;
+  auto catalogue = machine_.disk().MutableBlock(1);
+  ASSERT_EQ(catalogue[first_rd], 1);  // ldi r1, 0
+  catalogue[first_rd] = 200;          // no such register
+
+  Xn other(&machine_, &machine_.disk());
+  EXPECT_EQ(other.Attach(), Status::kBadMetadata);
+  EXPECT_FALSE(other.attached());
+  EXPECT_EQ(other.LookupTemplate("tnode-leaf").status(), Status::kNotFound);
 }
 
 // ---- End-to-end integrity: scrub, read-repair, quarantine, recovery fsck ----
