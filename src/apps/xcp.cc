@@ -6,8 +6,7 @@
 namespace exo::apps {
 
 Result<XcpStats> Xcp(os::System& sys, os::UnixEnv& env,
-                     const std::vector<std::string>& srcs, const std::string& dstdir,
-                     bool wait_for_writes) {
+                     const std::vector<std::string>& srcs, const std::string& dstdir) {
   if (sys.flavor() != os::Flavor::kXokExos || sys.xn() == nullptr || sys.cffs() == nullptr) {
     return Status::kNotSupported;
   }
@@ -155,24 +154,8 @@ Result<XcpStats> Xcp(os::System& sys, os::UnixEnv& env,
   }
   std::sort(to_write.begin(), to_write.end());
   if (!to_write.empty()) {
-    auto pending = std::make_shared<int>(1);
-    auto werr = std::make_shared<Status>(Status::kOk);
-    Status s = xn.Write(to_write, [pending, werr](Status st) {
-      if (st != Status::kOk) {
-        *werr = st;
-      }
-      --*pending;
-    });
-    if (s != Status::kOk) {
+    if (Status s = xn.Write(to_write, [](Status) {}); s != Status::kOk) {
       return s;
-    }
-    if (wait_for_writes) {
-      xok::WakeupPredicate p;
-      p.host = [pending] { return *pending == 0; };
-      kernel.SysSleep(std::move(p));
-      if (*werr != Status::kOk) {
-        return *werr;
-      }
     }
   }
   return stats;

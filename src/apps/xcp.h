@@ -27,13 +27,12 @@ struct XcpStats {
   uint64_t read_requests = 0;
 };
 
-// Copies each srcs[i] to dstdir/<leaf>. Must run inside a process on an
+// Copies each srcs[i] to dstdir/<leaf> and returns once its write schedule is
+// submitted: an unprivileged daemon may flush unowned dirty blocks (Sec. 4.3.3),
+// so the program need not wait. Must run inside a process on an
 // exokernel-flavor System.
-// With wait_for_writes=false (the default), XCP submits its large write schedule
-// and returns; an unprivileged daemon may flush unowned dirty blocks (Sec. 4.3.3),
-// so the program need not wait. Pass true to measure full on-disk completion.
 Result<XcpStats> Xcp(os::System& sys, os::UnixEnv& env, const std::vector<std::string>& srcs,
-                     const std::string& dstdir, bool wait_for_writes = false);
+                     const std::string& dstdir);
 
 }  // namespace exo::apps
 

@@ -118,31 +118,6 @@ std::vector<Record> Tracer::Records() const {
   return out;
 }
 
-std::string TextDump(const Tracer& tracer, uint32_t cpu_mhz) {
-  std::string out;
-  AppendF(out, "# exo::trace dump: %" PRIu64 " records (%" PRIu64
-               " dropped), cpu_mhz=%u\n",
-          tracer.emitted(), tracer.dropped(), cpu_mhz);
-  const auto& tracks = tracer.track_names();
-  for (const Record& r : SortedRecords(tracer)) {
-    const char* track = r.track < tracks.size() ? tracks[r.track].c_str() : "?";
-    AppendF(out, "[%" PRIu64 "] %s %s %s %s arg=%" PRIu64 "\n", r.time, track,
-            CategoryName(r.category), KindLetter(r.kind),
-            r.name != nullptr ? r.name : "?", r.arg);
-  }
-  if (!tracer.histograms().empty()) {
-    out += "# histograms\n";
-    for (const auto& [name, h] : tracer.histograms()) {
-      AppendF(out,
-              "%s count=%" PRIu64 " min=%" PRIu64 " mean=%.1f p50=%" PRIu64
-              " p90=%" PRIu64 " p99=%" PRIu64 " max=%" PRIu64 "\n",
-              name.c_str(), h->count(), h->min(), h->mean(), h->Percentile(50),
-              h->Percentile(90), h->Percentile(99), h->max());
-    }
-  }
-  return out;
-}
-
 std::string MergedTextDump(const std::vector<const Tracer*>& tracers,
                            uint32_t cpu_mhz) {
   struct Tagged {
@@ -198,6 +173,10 @@ std::string MergedTextDump(const std::vector<const Tracer*>& tracers,
     }
   }
   return out;
+}
+
+std::string TextDump(const Tracer& tracer, uint32_t cpu_mhz) {
+  return MergedTextDump({&tracer}, cpu_mhz);
 }
 
 std::string HistogramSummary(const Tracer& tracer) {

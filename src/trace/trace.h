@@ -195,17 +195,17 @@ class Tracer {
 
 // ---- Exporters ----
 
-// Compact deterministic text dump (tests diff this byte-for-byte): one line per
-// record in (time, seq) order, then a histogram summary block.
-std::string TextDump(const Tracer& tracer, uint32_t cpu_mhz = 200);
-
-// Deterministic merge of several machines' tracers into one text dump: records
-// interleave in (time, tracer index, seq) order, histogram blocks concatenate
-// in tracer order. Give each tracer a distinct SetNamePrefix ("m0.", "m1.",
-// ...) so merged track and histogram names stay unambiguous. The cluster
-// determinism tests diff this byte-for-byte across thread counts.
+// Compact deterministic text dump of several machines' tracers (tests diff
+// this byte-for-byte): a header line, one line per record in (time, tracer
+// index, seq) order, then the histogram blocks in tracer order. Give each
+// tracer a distinct SetNamePrefix ("m0.", "m1.", ...) so merged track and
+// histogram names stay unambiguous. The cluster determinism tests diff this
+// across thread counts.
 std::string MergedTextDump(const std::vector<const Tracer*>& tracers,
                            uint32_t cpu_mhz = 200);
+
+// The merged dump of one tracer: its records in (time, seq) order.
+std::string TextDump(const Tracer& tracer, uint32_t cpu_mhz = 200);
 
 // Chrome trace_event JSON loadable by ui.perfetto.dev / chrome://tracing.
 // One thread per track; span begins/ends are rebalanced per track (orphan ends

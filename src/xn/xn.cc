@@ -244,11 +244,8 @@ void Xn::Format() {
   first_data_block_ = 1 + kTemplBlocks + kRootBlocks + fm_blocks;
   EXO_CHECK_LT(first_data_block_, nblocks);
 
-  templates_.clear();
-  roots_.clear();
-  owns_memo_.clear();
+  ResetVolatileState(/*release_frames=*/true);
   free_map_.assign(nblocks, 1);
-  free_count_ = 0;
   for (hw::BlockId b = 0; b < nblocks; ++b) {
     if (b < first_data_block_) {
       free_map_[b] = 0;
@@ -256,15 +253,30 @@ void Xn::Format() {
       ++free_count_;
     }
   }
+
+  PersistCatalogues();
+  WriteSuperblock(/*clean=*/true);
+}
+
+void Xn::ResetVolatileState(bool release_frames) {
+  if (release_frames) {
+    for (const auto& [block, e] : registry_.entries()) {
+      ReleaseFrame(e.frame);
+    }
+  }
+  registry_ = Registry{};
+  templates_.clear();
+  next_template_ = 1;
+  owns_memo_.clear();  // a reloaded id may name another program
+  roots_.clear();
+  free_map_.clear();
+  free_count_ = 0;
   uninit_.clear();
   parent_of_.clear();
   on_disk_owns_.clear();
   will_free_.clear();
   quarantined_.clear();
   expected_crc_.clear();
-
-  PersistCatalogues();
-  WriteSuperblock(/*clean=*/true);
   attached_ = false;
   recovered_ = false;
 }
@@ -363,12 +375,10 @@ Status Xn::LoadCatalogues() {
                 hw::kBlockSize);
   }
   Cursor tc{std::span<const uint8_t>(tbuf)};
-  templates_.clear();
-  roots_.clear();
-  owns_memo_.clear();  // a reloaded id may name another program
-  next_template_ = 1;
-  uint32_t tn = tc.GetU32();
-  for (uint32_t i = 0; i < tn && tc.ok(); ++i) {
+  std::map<TemplateId, Template> templates;
+  TemplateId next_template = 1;
+  const uint32_t tn = tc.GetU32();
+  for (uint32_t i = 0; i < tn; ++i) {
     Template t;
     t.id = tc.GetU32();
     t.name = tc.GetString();
@@ -376,16 +386,12 @@ Status Xn::LoadCatalogues() {
     t.owns_udf = tc.GetProgram();
     t.acl_uf = tc.GetProgram();
     t.size_uf = tc.GetProgram();
-    if (!tc.ok()) {
-      break;
-    }
     // The catalogue is disk bytes: XN runs none of its programs unverified.
-    if (!PassesVerifier(t)) {
-      templates_.clear();
+    if (!tc.ok() || !PassesVerifier(t)) {
       return Status::kBadMetadata;
     }
-    next_template_ = std::max(next_template_, t.id + 1);
-    templates_[t.id] = std::move(t);
+    next_template = std::max(next_template, t.id + 1);
+    templates[t.id] = std::move(t);
   }
 
   std::vector<uint8_t> rbuf(static_cast<size_t>(kRootBlocks) * hw::kBlockSize);
@@ -395,21 +401,29 @@ Status Xn::LoadCatalogues() {
                 hw::kBlockSize);
   }
   Cursor rc{std::span<const uint8_t>(rbuf)};
-  uint32_t rn = rc.GetU32();
-  for (uint32_t i = 0; i < rn && rc.ok(); ++i) {
+  std::map<std::string, RootInfo> roots;
+  const uint32_t rn = rc.GetU32();
+  for (uint32_t i = 0; i < rn; ++i) {
     RootInfo r;
     r.name = rc.GetString();
     r.block = rc.GetU32();
     r.tmpl = rc.GetU32();
     r.temporary = false;
-    if (rc.ok()) {
-      roots_[r.name] = std::move(r);
+    if (!rc.ok()) {
+      return Status::kBadMetadata;
     }
+    roots[r.name] = std::move(r);
   }
+  templates_ = std::move(templates);
+  next_template_ = next_template;
+  roots_ = std::move(roots);
   return Status::kOk;
 }
 
 Status Xn::Attach() {
+  // Nothing from before carries over: since this Xn last saw the disk, another
+  // may have reformatted or rewritten it.
+  ResetVolatileState(/*release_frames=*/true);
   // Armed: the superblock and catalogues are parsed straight off the media with
   // no registry read path in front of them, so verify their tags by hand before
   // trusting a single field. A corrupt system area is unrecoverable here —
@@ -441,10 +455,6 @@ Status Xn::Attach() {
   if (Status s = LoadCatalogues(); s != Status::kOk) {
     return s;
   }
-  uninit_.clear();
-  parent_of_.clear();
-  on_disk_owns_.clear();
-  will_free_.clear();
 
   // The persisted free map is only trusted on a clean detach AND intact media;
   // a corrupt free-map block demotes the attach to a recovery traversal, which
@@ -463,7 +473,6 @@ Status Xn::Attach() {
   if (clean && fm_ok) {
     // Trust the persisted free map.
     free_map_.assign(nblocks, 0);
-    free_count_ = 0;
     for (uint32_t b = 0; b < nblocks; ++b) {
       auto fm = disk_->RawBlock(fm_start + b / (hw::kBlockSize * 8));
       uint32_t j = b % (hw::kBlockSize * 8);
@@ -472,7 +481,6 @@ Status Xn::Attach() {
         ++free_count_;
       }
     }
-    recovered_ = false;
   } else {
     // Bounded fsck pass first: every tag-invalid block lands in quarantine, so
     // the traversal below skips it instead of parsing corrupt pointers.
@@ -496,19 +504,10 @@ void Xn::Detach() {
 void Xn::Crash() {
   // Outstanding queued disk requests are lost with power; requests already "in the
   // platters" (submitted DMA) are modeled as lost too — the registry that would
-  // receive the completions is gone.
-  registry_ = Registry{};
-  uninit_.clear();
-  parent_of_.clear();
-  on_disk_owns_.clear();
-  will_free_.clear();
-  free_map_.clear();
-  free_count_ = 0;
-  // Volatile integrity state dies with the kernel; recovery re-derives
+  // receive the completions is gone, and with it the kernel that held its frame
+  // references. Volatile integrity state dies too; recovery re-derives
   // quarantine from the persistent sidecar (VerifyDiskIntegrity in Attach).
-  quarantined_.clear();
-  expected_crc_.clear();
-  attached_ = false;
+  ResetVolatileState(/*release_frames=*/false);
 }
 
 void Xn::RecoverFreeMap() {

@@ -69,15 +69,19 @@ class Xn {
 
   // ---- Lifecycle ----
 
-  // Initializes an empty XN disk: superblock, empty catalogues, free map.
+  // Initializes an empty XN disk: superblock, empty catalogues, free map. The
+  // registry empties, each entry's frame returned through ReleaseFrame.
   void Format();
-  // Loads catalogues. If the disk was not cleanly detached, reconstructs the free
-  // map by traversing all persistent roots (recovery GC, Sec. 4.4).
+  // Starts from an empty registry, as Format does, and loads the catalogues:
+  // kBadMetadata, with nothing loaded, if an entry does not parse or a program
+  // fails the verifier. If the disk was not cleanly detached, reconstructs the
+  // free map by traversing all persistent roots (recovery GC, Sec. 4.4).
   [[nodiscard]] Status Attach();
   // Flushes the free map and catalogues; marks the disk clean.
   void Detach();
   // Simulated power loss: outstanding disk I/O is abandoned, all volatile state
-  // (registry, taint tracking, will-free list, free map) is dropped.
+  // (registry, catalogues, taint tracking, will-free list, free map) is
+  // dropped, and no registry frame is released.
   void Crash();
 
   bool attached() const { return attached_; }
@@ -260,9 +264,14 @@ class Xn {
   // free map, catalogues) and clears any stale integrity verdict on it.
   void RestampSystemBlock(hw::BlockId b);
 
+  // Forgets everything XN knows beyond what the disk says: the registry, the
+  // loaded catalogues, the free map, and the ordering and integrity state.
+  // `release_frames` returns each registry entry's frame through ReleaseFrame.
+  void ResetVolatileState(bool release_frames);
   void WriteSuperblock(bool clean);
   void PersistCatalogues();
-  // kBadMetadata when a catalogue program fails the verifier.
+  // Loads both catalogues, or nothing: kBadMetadata when fewer entries parse
+  // than a catalogue's count says, or when a program fails the verifier.
   [[nodiscard]] Status LoadCatalogues();
   void RecoverFreeMap();
   void TraverseForRecovery(hw::BlockId block, TemplateId tmpl, std::set<hw::BlockId>* seen);

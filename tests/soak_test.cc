@@ -22,17 +22,15 @@
 #include <vector>
 
 #include "apps/http.h"
+#include "apps/noisy_neighbor.h"
 #include "cluster/topology.h"
 #include "hw/machine.h"
 #include "hw/nic.h"
 #include "net/packet.h"
 #include "sim/engine.h"
 #include "sim/fault.h"
-#include "sim/fuzz.h"
+#include "sim/rng.h"
 #include "sim/shrink.h"
-#include "trace/trace.h"
-#include "xok/capability.h"
-#include "xok/kernel.h"
 
 namespace exo {
 namespace {
@@ -553,306 +551,39 @@ TEST(Soak, CombinedWireDiskScheduleMinimizesToOneReproLine) {
 
 // ---- Noisy-neighbor isolation: stride scheduling + pressure revocation ----
 //
-// One flooder tenant (kFloodWorkers envs draining a shared, seed-derived
-// multi-resource op script) runs against kVictims latency-sensitive tenants on
-// one XokKernel. Victims do open-loop HTTP-shaped request loops (cpu burn +
-// region write + NIC transmit, one request per kVictimInterval); the flooder
-// burns CPU, hoards frames, sprays the NIC, and spams disk DMA. Per-epoch
-// victim SLOs (p99 latency, goodput) are checked after the run; a violation is
-// delta-minimized over the flood script to a replayable SOAK-REPRO line.
+// The scenario in src/apps/noisy_neighbor.h: one flooder tenant (eight envs
+// draining a shared, seed-derived multi-resource op script) against three
+// latency-sensitive victim envs on one XokKernel. Per-epoch victim SLOs (p99
+// latency, goodput) are checked after the run; a violation is delta-minimized
+// over the flood script to a replayable SOAK-REPRO line.
 //
 // Knobs: NOISY_SEEDS=<lo>:<hi> (default 1:3), NOISY_EPOCHS=<n> (default 8).
 
-// One flooder operation. Letter codec, ddmin-able like wire/disk schedules:
-//   c@N cpu burn of N cycles    f@N alloc N frames     r@N release N frames
-//   n@N transmit N frames       d@B DMA-write disk block B
-struct FloodOp {
-  char kind = 'c';
-  uint32_t arg = 0;
-  bool operator==(const FloodOp&) const = default;
-};
+// One run of the scenario and what the tests assert on it.
+struct NoisyRun : apps::NoisyResult {
+  explicit NoisyRun(apps::NoisyResult run) : apps::NoisyResult(std::move(run)) {}
 
-std::string FormatFloodSchedule(const std::vector<FloodOp>& ops) {
-  std::string out;
-  for (const FloodOp& op : ops) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    out += op.kind;
-    out += '@';
-    out += std::to_string(op.arg);
-  }
-  return out;
-}
-
-std::vector<FloodOp> ParseFloodSchedule(const std::string& text) {
-  std::vector<FloodOp> ops;
-  size_t i = 0;
-  while (i < text.size()) {
-    if (text[i] == ' ') {
-      ++i;
-      continue;
-    }
-    FloodOp op;
-    op.kind = text[i++];
-    if (i < text.size() && text[i] == '@') {
-      ++i;
-      op.arg = static_cast<uint32_t>(std::strtoul(text.c_str() + i, nullptr, 10));
-      while (i < text.size() && text[i] != ' ') {
-        ++i;
-      }
-    }
-    ops.push_back(op);
-  }
-  return ops;
-}
-
-constexpr sim::Cycles kNoisyQuantum = 50'000;     // 0.25 ms at 200 MHz
-constexpr sim::Cycles kNoisyEpoch = 500'000;      // 2.5 ms = 5 quanta
-constexpr int kVictims = 3;
-constexpr int kFloodWorkers = 8;
-// Victim tickets are deliberately high relative to demand (each victim uses
-// ~21% CPU): a small victim stride keeps pass accrual during backlog
-// catch-up below the virtual-clock rate, so victims retain their banked
-// credit — and with it the right to preempt — even while draining a burst.
-constexpr uint32_t kVictimTickets = 400;  // tenant total 1200
-constexpr uint32_t kFloodTickets = 12;    // tenant total 96: ~7% of CPU
-constexpr uint32_t kEqualTickets = 100;   // control run: every env alike
-constexpr sim::Cycles kVictimInterval = 100'000;  // 2000 req/s per victim
-constexpr sim::Cycles kVictimService = 20'000;    // ~21% CPU demand per victim
-// SLOs asserted per epoch. Under equal tickets the flooder holds 8 of 11
-// slices and victim latency blows through these by an order of magnitude.
-constexpr sim::Cycles kLatencySlo = 400'000;  // p99 bound: 2 ms
-constexpr double kGoodputSlo = 0.9;           // fraction of requests within SLO
-constexpr uint32_t kNoDma = UINT32_MAX;
-
-struct NoisyConfig {
-  uint64_t seed = 1;
-  uint64_t epochs = 8;
-  bool equal_tickets = false;  // true: every env at kEqualTickets (control run)
-  bool hostile = false;  // flooder hoards upfront and ignores revocation
-  bool trace = false;    // record a full trace for determinism comparison
-  const std::vector<FloodOp>* replay = nullptr;  // ddmin probes
-};
-
-struct NoisyResult {
-  std::string failure;       // first violated SLO/invariant ("" = clean)
-  std::vector<FloodOp> ops;  // the flood script (generated or replayed)
-  size_t ops_executed = 0;
+  std::string failure;  // first violated SLO/invariant ("" = clean)
   std::vector<sim::Cycles> epoch_p99;
   std::vector<double> epoch_goodput;
   uint64_t victim_completed = 0;
   uint64_t flood_slices = 0;
-  uint64_t victim_slices = 0;
-  uint64_t pressure_revokes = 0;
-  uint64_t pressure_aborts = 0;
-  uint64_t env_aborts = 0;
-  std::vector<std::pair<std::string, uint64_t>> counters;
-  std::string trace_dump;
-  sim::Cycles end_time = 0;
 };
 
-NoisyResult RunNoisy(const NoisyConfig& cfg) {
-  sim::Engine engine;
-  hw::MachineConfig mc;
-  mc.mem_frames = 256;
-  mc.cost.quantum = kNoisyQuantum;
-  hw::Machine machine(&engine, mc);
-  if (cfg.trace) {
-    machine.tracer().Enable();
+uint64_t Slices(const std::vector<apps::EnvRun>& runs) {
+  uint64_t n = 0;
+  for (const apps::EnvRun& run : runs) {
+    n += run.slices;
   }
-  hw::Nic peer(99);
-  hw::Link link(&engine, 100.0, 10.0, 200);
-  link.Connect(&peer, &machine.nic(0));
-  xok::XokKernel kernel(&machine);
-  xok::MemoryPressurePolicy pp;
-  pp.low_frames = 64;
-  pp.high_frames = 96;
-  pp.grace = cfg.hostile ? kNoisyQuantum / 2 : 6 * kNoisyQuantum;
-  pp.min_interval = 2 * kNoisyQuantum;
-  kernel.SetMemoryPressurePolicy(pp);
+  return n;
+}
 
-  const sim::Cycles deadline = cfg.epochs * kNoisyEpoch;
-  NoisyResult r;
-  if (cfg.replay != nullptr) {
-    r.ops = *cfg.replay;
-  } else {
-    sim::Fuzzer fz(cfg.seed);
-    for (size_t i = 0; i < 24 * cfg.epochs; ++i) {
-      FloodOp op;
-      const uint32_t k = fz.Pick(100);
-      if (k < 30) {
-        op.kind = 'c';
-        op.arg = 5'000 + fz.Pick(20'000);
-      } else if (k < 60) {
-        op.kind = 'f';
-        op.arg = 4 + fz.Pick(12);
-      } else if (k < 72) {
-        op.kind = 'r';
-        op.arg = 1 + fz.Pick(6);
-      } else if (k < 88) {
-        op.kind = 'n';
-        op.arg = 1 + fz.Pick(4);
-      } else {
-        op.kind = 'd';
-        op.arg = fz.Pick(64);
-      }
-      r.ops.push_back(op);
-    }
+NoisyRun RunNoisy(const apps::NoisyConfig& cfg) {
+  NoisyRun r(apps::RunNoisyNeighbor(cfg));
+  for (const auto& victim : r.victims) {
+    r.victim_completed += victim.size();
   }
-
-  // All heap-owning state lives in this frame, never on fiber stacks: hostile
-  // workers are aborted without unwinding (same rule as the syscall fuzzer).
-  struct Sample {
-    sim::Cycles arrival;
-    sim::Cycles latency;
-  };
-  std::vector<std::vector<Sample>> lat(kVictims);
-  std::vector<std::vector<hw::FrameId>> held(kFloodWorkers);
-  std::vector<hw::FrameId> dma(kFloodWorkers, kNoDma);
-  std::vector<uint64_t> slices(kVictims + kFloodWorkers, 0);
-  size_t next_op = 0;
-  uint64_t disk_done = 0;
-  std::vector<xok::EnvId> envs;
-
-  const uint64_t reqs = deadline / kVictimInterval;  // per victim
-  for (int i = 0; i < kVictims; ++i) {
-    xok::EnvId id = kernel.CreateEnv(
-        xok::kInvalidEnv, {xok::Capability::Root()}, [&kernel, &lat, i, reqs] {
-          auto rgn = kernel.SysRegionCreate(4096, {xok::kCapUsers, 7}, 0);
-          ASSERT_TRUE(rgn.ok());
-          uint8_t buf[64] = {0x42};
-          for (uint64_t k = 0; k < reqs; ++k) {
-            const sim::Cycles arrival =
-                k * kVictimInterval + static_cast<sim::Cycles>(i) * 33'333;
-            if (kernel.Now() < arrival) {
-              xok::WakeupPredicate p;
-              p.deadline = arrival;
-              p.host_cost = 40;
-              p.host = [&kernel, arrival] { return kernel.Now() >= arrival; };
-              kernel.SysSleep(std::move(p));
-            }
-            kernel.ChargeCpu(kVictimService);
-            (void)kernel.SysRegionWrite(*rgn, static_cast<uint32_t>((k * 64) % 4000),
-                                        std::span<const uint8_t>(buf, 64), 0);
-            (void)kernel.SysNicTransmit(0, hw::Packet{std::vector<uint8_t>(256, 0x55)});
-            lat[i].push_back({arrival, kernel.Now() - arrival});
-          }
-        });
-    envs.push_back(id);
-    xok::ResourceQuota q;
-    q.cpu_tickets = cfg.equal_tickets ? kEqualTickets : kVictimTickets;
-    EXPECT_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
-    kernel.env(id).on_slice_begin = [&slices, i] { ++slices[i]; };
-  }
-
-  for (int w = 0; w < kFloodWorkers; ++w) {
-    const xok::CapName guard{xok::kCapUsers, static_cast<uint16_t>(50 + w)};
-    xok::EnvId id = kernel.CreateEnv(
-        xok::kInvalidEnv, {xok::Capability{guard, /*write=*/true}},
-        [&kernel, &machine, &held, &dma, &next_op, &disk_done, &r, w, guard, deadline,
-         hostile = cfg.hostile] {
-          auto f = kernel.SysFrameAlloc(0, guard);
-          if (f.ok()) {
-            dma[w] = *f;
-          }
-          if (hostile) {
-            for (int i = 0; i < 28; ++i) {
-              auto h = kernel.SysFrameAlloc(0, guard);
-              if (h.ok()) {
-                held[w].push_back(*h);
-              }
-            }
-          }
-          while (next_op < r.ops.size() && kernel.Now() < deadline) {
-            const FloodOp op = r.ops[next_op++];
-            ++r.ops_executed;
-            switch (op.kind) {
-              case 'c':
-                kernel.ChargeCpu(op.arg);
-                break;
-              case 'f':
-                for (uint32_t i = 0; i < op.arg; ++i) {
-                  auto h = kernel.SysFrameAlloc(0, guard);
-                  if (!h.ok()) {
-                    break;
-                  }
-                  held[w].push_back(*h);
-                }
-                break;
-              case 'r':
-                for (uint32_t i = 0; i < op.arg && !held[w].empty(); ++i) {
-                  (void)kernel.SysFrameFree(held[w].back(), 0);
-                  held[w].pop_back();
-                }
-                break;
-              case 'n':
-                for (uint32_t i = 0; i < op.arg; ++i) {
-                  (void)kernel.SysNicTransmit(
-                      0, hw::Packet{std::vector<uint8_t>(1200, 0xee)});
-                }
-                break;
-              default:  // 'd'
-                if (dma[w] != kNoDma) {
-                  machine.disk().Submit({.write = true,
-                                         .start = op.arg % 64,
-                                         .nblocks = 1,
-                                         .frames = {dma[w]},
-                                         .done = [&disk_done](Status) { ++disk_done; }});
-                }
-                break;
-            }
-          }
-          while (kernel.Now() < deadline) {
-            kernel.ChargeCpu(kNoisyQuantum);
-          }
-          // Voluntary-exit cleanup (aborted hostile workers never get here).
-          while (!held[w].empty()) {
-            (void)kernel.SysFrameFree(held[w].back(), 0);
-            held[w].pop_back();
-          }
-          if (dma[w] != kNoDma) {
-            (void)kernel.SysFrameFree(dma[w], 0);
-            dma[w] = kNoDma;
-          }
-        });
-    envs.push_back(id);
-    xok::ResourceQuota q;
-    q.cpu_tickets = cfg.equal_tickets ? kEqualTickets : kFloodTickets;
-    EXPECT_EQ(kernel.SysSetQuota(id, q, xok::kCredAny), Status::kOk);
-    kernel.env(id).on_slice_begin = [&slices, w] { ++slices[kVictims + w]; };
-    if (!cfg.hostile) {
-      // A well-behaved tenant: the revocation upcall sheds hoarded frames
-      // down to the allowance.
-      kernel.env(id).on_revoke = [&kernel, &held, id, w](const xok::RevocationRequest& req) {
-        while (kernel.env(id).usage.frames > req.allowed && !held[w].empty()) {
-          if (kernel.SysFrameFree(held[w].back(), 0) != Status::kOk) {
-            break;
-          }
-          held[w].pop_back();
-        }
-      };
-    }
-  }
-
-  kernel.Run();
-  engine.RunUntilIdle();  // drain in-flight flooder disk DMA
-
-  r.end_time = engine.now();
-  r.victim_completed = lat[0].size() + lat[1].size() + lat[2].size();
-  for (int i = 0; i < kVictims; ++i) {
-    r.victim_slices += slices[i];
-  }
-  for (int w = 0; w < kFloodWorkers; ++w) {
-    r.flood_slices += slices[kVictims + w];
-  }
-  r.pressure_revokes = machine.counters().Get("xok.pressure_revokes");
-  r.pressure_aborts = machine.counters().Get("xok.pressure_aborts");
-  r.env_aborts = machine.counters().Get("xok.env_aborts");
-  r.counters = machine.counters().Snapshot();
-  if (cfg.trace) {
-    r.trace_dump = trace::TextDump(machine.tracer());
-  }
+  r.flood_slices = Slices(r.flood_runs);
 
   auto fail = [&](const std::string& what, uint64_t epoch) {
     if (r.failure.empty()) {
@@ -862,11 +593,11 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
   for (uint64_t e = 0; e < cfg.epochs; ++e) {
     std::vector<sim::Cycles> l;
     uint64_t good = 0;
-    for (int i = 0; i < kVictims; ++i) {
-      for (const Sample& s : lat[i]) {
-        if (s.arrival / kNoisyEpoch == e) {
+    for (const auto& victim : r.victims) {
+      for (const apps::NoisySample& s : victim) {
+        if (s.arrival / apps::kNoisyEpoch == e) {
           l.push_back(s.latency);
-          if (s.latency <= kLatencySlo) {
+          if (s.latency <= apps::kLatencySlo) {
             ++good;
           }
         }
@@ -880,21 +611,22 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
     const sim::Cycles p99 = l[(l.size() * 99 + 99) / 100 - 1];
     r.epoch_p99.push_back(p99);
     r.epoch_goodput.push_back(static_cast<double>(good) / static_cast<double>(l.size()));
-    if (p99 > kLatencySlo) {
+    if (p99 > apps::kLatencySlo) {
       fail("victim p99 " + std::to_string(p99) + " cycles above SLO " +
-               std::to_string(kLatencySlo),
+               std::to_string(apps::kLatencySlo),
            e);
     }
-    if (r.epoch_goodput.back() < kGoodputSlo) {
+    if (r.epoch_goodput.back() < apps::kGoodputSlo) {
       fail("victim goodput " + std::to_string(r.epoch_goodput.back()) + " below SLO", e);
     }
   }
-  if (r.victim_completed != reqs * kVictims) {
+  const uint64_t issued = r.requests_per_victim * apps::kVictims;
+  if (r.victim_completed != issued) {
     fail("victim requests lost: " + std::to_string(r.victim_completed) + " of " +
-             std::to_string(reqs * kVictims),
+             std::to_string(issued),
          cfg.epochs);
   }
-  if (!kernel.deadlock_report().empty()) {
+  if (!r.deadlock_report.empty()) {
     fail("scheduler declared deadlock", cfg.epochs);
   }
   if (!cfg.hostile && (r.pressure_aborts != 0 || r.env_aborts != 0)) {
@@ -904,22 +636,15 @@ NoisyResult RunNoisy(const NoisyConfig& cfg) {
     // The cap that matters: even as the work-conserving scheduler hands the
     // flooder every idle cycle, it cannot crowd out victim slices (equal
     // tickets would give the 8-env flooder 8/11 = 73% of all slices).
-    const uint64_t total = r.victim_slices + r.flood_slices;
+    const uint64_t total = Slices(r.victim_runs) + r.flood_slices;
     if (total > 0 && r.flood_slices * 2 > total) {
       fail("flooder above ticket-share cap: " + std::to_string(r.flood_slices) + "/" +
                std::to_string(total) + " slices",
            cfg.epochs);
     }
   }
-  const std::string inv = kernel.CheckInvariants();
-  if (!inv.empty()) {
-    fail("invariants: " + inv, cfg.epochs);
-  }
-
-  // Host cleanup mirrors the fuzzer: forcibly reclaim and reap every env.
-  for (xok::EnvId id : envs) {
-    kernel.AbortEnv(id, "soak cleanup");
-    (void)kernel.ReapEnv(id);
+  if (!r.invariants.empty()) {
+    fail("invariants: " + r.invariants, cfg.epochs);
   }
   return r;
 }
@@ -934,28 +659,28 @@ TEST(NoisySoak, VictimSlosHoldUnderFloodSweep) {
 
   uint64_t total_revokes = 0;
   for (uint64_t seed = lo; seed <= hi; ++seed) {
-    NoisyConfig cfg;
+    apps::NoisyConfig cfg;
     cfg.seed = seed;
     cfg.epochs = epochs;
-    NoisyResult r = RunNoisy(cfg);
+    NoisyRun r = RunNoisy(cfg);
     total_revokes += r.pressure_revokes;
     if (!r.failure.empty()) {
       const std::string failure = r.failure;
-      auto still_fails = [&](const std::vector<FloodOp>& candidate) {
-        NoisyConfig probe = cfg;
+      auto still_fails = [&](const std::vector<apps::FloodOp>& candidate) {
+        apps::NoisyConfig probe = cfg;
         probe.replay = &candidate;
         return RunNoisy(probe).failure == failure;
       };
-      std::vector<FloodOp> minimal = r.ops;
+      std::vector<apps::FloodOp> minimal = r.ops;
       if (still_fails(minimal)) {
-        sim::BasicShrinker<FloodOp> shrinker(still_fails);
+        sim::BasicShrinker<apps::FloodOp> shrinker(still_fails);
         minimal = shrinker.Minimize(minimal);
       }
       std::printf("SOAK-REPRO seed=%llu flood=\"%s\"\n",
                   static_cast<unsigned long long>(seed),
-                  FormatFloodSchedule(minimal).c_str());
+                  apps::FormatFloodSchedule(minimal).c_str());
       ADD_FAILURE() << "seed " << seed << ": " << failure << "\nminimized flood ("
-                    << minimal.size() << " ops): " << FormatFloodSchedule(minimal);
+                    << minimal.size() << " ops): " << apps::FormatFloodSchedule(minimal);
       continue;
     }
     // The sweep must exercise the machinery, not idle through it.
@@ -973,12 +698,12 @@ TEST(NoisySoak, VictimSlosHoldUnderFloodSweep) {
 // flooder take ~73% of slices and the victims blow their SLOs — the isolation
 // is the per-tenant tickets' doing, not an artifact of light load.
 TEST(NoisySoak, RoundRobinControlStarvesVictims) {
-  NoisyConfig cfg;
+  apps::NoisyConfig cfg;
   cfg.seed = 1;
   cfg.epochs = 6;
-  NoisyResult stride = RunNoisy(cfg);
+  NoisyRun stride = RunNoisy(cfg);
   cfg.equal_tickets = true;
-  NoisyResult rr = RunNoisy(cfg);
+  NoisyRun rr = RunNoisy(cfg);
   EXPECT_EQ(stride.failure, "");
   EXPECT_NE(rr.failure, "");
   ASSERT_FALSE(stride.epoch_p99.empty());
@@ -994,29 +719,30 @@ TEST(NoisySoak, RoundRobinControlStarvesVictims) {
 // handler. The kernel's escalation ladder (revoke -> deadline -> abort) kills
 // flooder workers, never victims, and the victims' SLOs hold throughout.
 TEST(NoisySoak, HostileFlooderAbortedByPressureNotVictims) {
-  NoisyConfig cfg;
+  apps::NoisyConfig cfg;
   cfg.seed = 5;
   cfg.epochs = 8;
   cfg.hostile = true;
-  NoisyResult r = RunNoisy(cfg);
+  NoisyRun r = RunNoisy(cfg);
   EXPECT_EQ(r.failure, "");
   EXPECT_GE(r.pressure_revokes, 1u);
   EXPECT_GE(r.pressure_aborts, 1u);
   // Every abort came from the pressure ladder and hit a flooder worker; all
   // victim requests still completed.
   EXPECT_EQ(r.env_aborts, r.pressure_aborts);
-  EXPECT_EQ(r.victim_completed, cfg.epochs * (kNoisyEpoch / kVictimInterval) * kVictims);
+  EXPECT_EQ(r.victim_completed,
+            cfg.epochs * (apps::kNoisyEpoch / apps::kVictimInterval) * apps::kVictims);
 }
 
 // Same seed, same everything: counters, per-epoch percentiles, the final
 // clock, and the full trace dump are bit-identical across runs.
 TEST(NoisySoak, SameSeedRunsBitIdentical) {
-  NoisyConfig cfg;
+  apps::NoisyConfig cfg;
   cfg.seed = 7;
   cfg.epochs = 4;
   cfg.trace = true;
-  NoisyResult a = RunNoisy(cfg);
-  NoisyResult b = RunNoisy(cfg);
+  NoisyRun a = RunNoisy(cfg);
+  NoisyRun b = RunNoisy(cfg);
   EXPECT_EQ(a.failure, b.failure);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.epoch_p99, b.epoch_p99);
@@ -1026,13 +752,32 @@ TEST(NoisySoak, SameSeedRunsBitIdentical) {
   EXPECT_EQ(a.trace_dump, b.trace_dump);
 }
 
-// The flood-schedule codec round-trips the printed SOAK-REPRO line.
+// The flood-schedule codec round-trips the printed SOAK-REPRO line and
+// rejects, with the offending token named, any line it would misread.
 TEST(NoisySoak, FloodScheduleCodecRoundTrips) {
-  std::vector<FloodOp> ops = {{'c', 20000}, {'f', 8}, {'n', 2}, {'d', 63}, {'r', 1}};
-  const std::string text = FormatFloodSchedule(ops);
+  std::vector<apps::FloodOp> ops = {{'c', 20000}, {'f', 8}, {'n', 2}, {'d', 63}, {'r', 1}};
+  const std::string text = apps::FormatFloodSchedule(ops);
   EXPECT_EQ(text, "c@20000 f@8 n@2 d@63 r@1");
-  EXPECT_TRUE(ParseFloodSchedule(text) == ops);
-  EXPECT_TRUE(ParseFloodSchedule("").empty());
+  std::string err = "unset";
+  EXPECT_TRUE(apps::ParseFloodSchedule(text, &err) == ops);
+  EXPECT_EQ(err, "");
+  EXPECT_TRUE(apps::ParseFloodSchedule("", &err).empty());
+  EXPECT_EQ(err, "");
+
+  const std::pair<const char*, const char*> bad[] = {
+      {"x@5 c@1", "token 1: unknown kind 'x'"},
+      {"c@1 c", "token 2: expected '@' after kind"},
+      {"c@1 f8", "token 2: expected '@' after kind"},
+      {"n@two", "token 1: argument is not a decimal uint32"},
+      {"d@", "token 1: argument is not a decimal uint32"},
+      {"c@-1", "token 1: argument is not a decimal uint32"},
+      {"c@12x", "token 1: argument is not a decimal uint32"},
+      {"r@4294967296", "token 1: argument is not a decimal uint32"},
+  };
+  for (const auto& [line, why] : bad) {
+    EXPECT_TRUE(apps::ParseFloodSchedule(line, &err).empty()) << line;
+    EXPECT_EQ(err, why) << line;
+  }
 }
 
 // ---------------------------------------------------------------------------

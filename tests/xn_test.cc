@@ -1006,10 +1006,19 @@ TEST_F(XnTest, ReattachRunsTheProgramTheReloadedCatalogueNames) {
     auto id = other.InstallTemplate(t);
     ASSERT_TRUE(id.ok());
     ASSERT_EQ(*id, leaf_tmpl_);
+    ASSERT_TRUE(other.RegisterRoot("fs", *id, /*temporary=*/false).ok());
     other.Detach();
   }
 
+  // The reloaded root, staged with the image the old program ran on.
   ASSERT_EQ(xn_.Attach(), Status::kOk);
+  Status loaded = Status::kNotFound;
+  ASSERT_EQ(xn_.LoadRoot("fs", NewFrame(), good_creds_, [&](Status s) { loaded = s; }),
+            Status::kOk);
+  engine_.RunUntilIdle();
+  ASSERT_EQ(loaded, Status::kOk);
+  root = xn_.LookupRoot("fs")->block;
+  StageTnode(root, {child});
   EXPECT_EQ(xn_.InsertMapping(child, root, NewFrame(), /*dirty=*/false, good_creds_),
             Status::kPermissionDenied);
 }
@@ -1064,6 +1073,76 @@ TEST_F(XnTest, AttachRefusesACatalogueProgramTheVerifierRejects) {
   EXPECT_EQ(other.Attach(), Status::kBadMetadata);
   EXPECT_FALSE(other.attached());
   EXPECT_EQ(other.LookupTemplate("tnode-leaf").status(), Status::kNotFound);
+}
+
+// An entry that does not parse (a program longer than udf::kMaxProgramLength,
+// a name running past the catalogue) leaves the catalogue unreadable, so
+// Attach loads nothing and runs no recovery: recovering without a template or
+// root would free every block under it.
+TEST_F(XnTest, AttachRefusesACatalogueThatDoesNotParse) {
+  ASSERT_TRUE(xn_.RegisterRoot("fs", leaf_tmpl_, /*temporary=*/false).ok());
+  xn_.Crash();  // the superblock still says mounted: an attach would recover
+  // Catalogue block 1 holds a u32 template count, then the first template: a
+  // u32 id, its name (u32 length, bytes), a u8 metadata flag, and its
+  // owns-udf's u32 length. The root catalogue follows the eight template
+  // blocks: a u32 root count, then the first root's name length.
+  struct Case {
+    BlockId block;
+    size_t offset;
+    uint32_t length;
+  };
+  const Case cases[] = {
+      {1, 4 + 4 + 4 + std::string("tnode-leaf").size() + 1, 5000},
+      {1 + 8, 4, 1u << 20},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.block);
+    auto block = machine_.disk().MutableBlock(c.block);
+    const std::vector<uint8_t> saved(block.begin(), block.end());
+    std::memcpy(block.data() + c.offset, &c.length, 4);
+
+    Xn other(&machine_, &machine_.disk());
+    EXPECT_EQ(other.Attach(), Status::kBadMetadata);
+    EXPECT_FALSE(other.attached());
+    EXPECT_FALSE(other.recovered_after_crash());
+    EXPECT_EQ(other.LookupTemplate("tnode-leaf").status(), Status::kNotFound);
+    EXPECT_EQ(other.LookupRoot("fs").status(), Status::kNotFound);
+    std::copy(saved.begin(), saved.end(), block.begin());
+  }
+  Xn restored(&machine_, &machine_.disk());
+  EXPECT_EQ(restored.Attach(), Status::kOk);
+  EXPECT_TRUE(restored.LookupRoot("fs").ok());
+}
+
+// Attach and Format start from the disk alone, so the registry of the session
+// before them goes, each entry's frame returned: between a Detach and the next
+// Attach another Xn may reformat or rewrite the disk.
+TEST_F(XnTest, AttachAndFormatStartFromAnEmptyRegistry) {
+  const BlockId root = MakeRoot("fs", leaf_tmpl_);
+  const FrameId frame = xn_.registry().Lookup(root)->frame;
+  ASSERT_EQ(machine_.mem().refcount(frame), 2u);  // this test's and the registry's
+  xn_.Detach();
+  {
+    Xn other(&machine_, &machine_.disk());
+    other.Format();
+    ASSERT_EQ(other.Attach(), Status::kOk);
+    other.Detach();
+  }
+  ASSERT_EQ(xn_.Attach(), Status::kOk);
+  EXPECT_FALSE(xn_.IsAllocated(root));
+  EXPECT_EQ(xn_.registry().size(), 0u);
+  EXPECT_EQ(machine_.mem().refcount(frame), 1u);
+
+  Template t;
+  t.name = "tnode";
+  t.is_metadata = true;
+  t.owns_udf = TnodeOwns(kDataTemplate);
+  auto id = xn_.InstallTemplate(t);
+  ASSERT_TRUE(id.ok());
+  const FrameId again = xn_.registry().Lookup(MakeRoot("again", *id))->frame;
+  xn_.Format();
+  EXPECT_EQ(xn_.registry().size(), 0u);
+  EXPECT_EQ(machine_.mem().refcount(again), 1u);
 }
 
 // ---- End-to-end integrity: scrub, read-repair, quarantine, recovery fsck ----
