@@ -5,8 +5,10 @@
 //   - host-side interpreter throughput of the C-FFS directory owns-udf,
 //   - simulated-cycle cost of guarded Alloc/Modify vs the trusted kernel backend,
 //   - wakeup-predicate evaluation cost.
-// Simulated cycles are deterministic; host times are wall-clock (steady_clock)
-// averages over a fixed iteration count and vary with the machine.
+// Stdout holds only deterministic numbers (UDF instructions per run, simulated
+// cycles per create), pinned by bench/golden/ablation_udf.txt. Host times are
+// wall-clock (steady_clock) averages over a fixed iteration count, vary with the
+// machine, and go to stderr.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -77,8 +79,10 @@ void UdfInterpreterDirScan(int iters) {
   }
   const double t1 = WallNow();
   EXO_CHECK_EQ(sink, 0u);
-  std::printf("%-26s %9.0f ns/run   %7.0f udf insns/run\n", "udf dir-scan interpreter",
-              (t1 - t0) * 1e9 / iters, static_cast<double>(insns) / iters);
+  std::printf("%-26s %7.0f udf insns/run\n", "udf dir-scan interpreter",
+              static_cast<double>(insns) / iters);
+  std::fprintf(stderr, "%-26s %9.0f host ns/run\n", "udf dir-scan interpreter",
+               (t1 - t0) * 1e9 / iters);
 }
 
 // Simulated cycles per guarded metadata allocation (XN running owns-udf twice +
@@ -131,9 +135,10 @@ void GuardedAllocCycles(bool guarded, int reps) {
     wall += WallNow() - t0;
     sim_cycles = static_cast<double>(engine.now() - c0) / kCreates;
   }
-  std::printf("%-26s %9.0f ns/create %7.0f sim cycles/create\n",
-              guarded ? "create+write, xn guarded" : "create+write, kernel fs",
-              wall * 1e9 / (static_cast<double>(reps) * kCreates), sim_cycles);
+  const char* label = guarded ? "create+write, xn guarded" : "create+write, kernel fs";
+  std::printf("%-26s %7.0f sim cycles/create\n", label, sim_cycles);
+  std::fprintf(stderr, "%-26s %9.0f host ns/create\n", label,
+               wall * 1e9 / (static_cast<double>(reps) * kCreates));
 }
 
 // Wakeup-predicate evaluation: host cost of one interpreter run of the
@@ -161,8 +166,10 @@ void WakeupPredicateEval(int iters) {
   }
   const double t1 = WallNow();
   EXO_CHECK_EQ(sink, static_cast<uint64_t>(iters));
-  std::printf("%-26s %9.0f ns/eval  %7.0f udf insns/eval\n", "wakeup predicate",
-              (t1 - t0) * 1e9 / iters, static_cast<double>(insns) / iters);
+  std::printf("%-26s %7.0f udf insns/eval\n", "wakeup predicate",
+              static_cast<double>(insns) / iters);
+  std::fprintf(stderr, "%-26s %9.0f host ns/eval\n", "wakeup predicate",
+               (t1 - t0) * 1e9 / iters);
 }
 
 }  // namespace

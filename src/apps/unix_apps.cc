@@ -1,7 +1,9 @@
 #include "apps/unix_apps.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <memory>
 
 #include "apps/lz.h"
 
@@ -9,15 +11,20 @@ namespace exo::apps {
 
 namespace {
 
-Result<std::vector<uint8_t>> ReadWhole(os::UnixEnv& env, const std::string& path) {
+// Opens `path`, reads it kIoChunk at a time into one buffer, hands each read to
+// `scan` in file order, closes it, and returns the bytes read. A failed open or
+// read returns its status (closing the file first); `scan` sees only bytes the
+// file holds.
+template <typename Scan>
+Result<uint64_t> ScanFile(os::UnixEnv& env, const std::string& path, Scan&& scan) {
   auto fd = env.Open(path, false);
   if (!fd.ok()) {
     return fd.status();
   }
-  std::vector<uint8_t> out;
-  std::vector<uint8_t> chunk(kIoChunk);
+  const auto chunk = std::make_unique_for_overwrite<uint8_t[]>(kIoChunk);
+  uint64_t size = 0;
   for (;;) {
-    auto n = env.Read(*fd, chunk);
+    auto n = env.Read(*fd, std::span<uint8_t>(chunk.get(), kIoChunk));
     if (!n.ok()) {
       env.Close(*fd);
       return n.status();
@@ -25,9 +32,21 @@ Result<std::vector<uint8_t>> ReadWhole(os::UnixEnv& env, const std::string& path
     if (*n == 0) {
       break;
     }
-    out.insert(out.end(), chunk.begin(), chunk.begin() + *n);
+    scan(std::span<const uint8_t>(chunk.get(), *n));
+    size += *n;
   }
   env.Close(*fd);
+  return size;
+}
+
+Result<std::vector<uint8_t>> ReadWhole(os::UnixEnv& env, const std::string& path) {
+  std::vector<uint8_t> out;
+  const Result<uint64_t> size = ScanFile(env, path, [&out](std::span<const uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+  if (!size.ok()) {
+    return size.status();
+  }
   return out;
 }
 
@@ -361,35 +380,130 @@ Status RmByExt(os::UnixEnv& env, const std::string& dir, const std::string& ext)
   return Status::kOk;
 }
 
-Result<uint64_t> Wc(os::UnixEnv& env, const std::string& path) {
-  auto data = ReadWhole(env, path);
-  if (!data.ok()) {
-    return data.status();
-  }
-  env.TouchData(data->size());
+namespace {
+
+// Newlines in `bytes`, eight at a time: a byte of w ^ "\n\n..." is zero exactly
+// where w holds a newline, and the zero-byte test below sets that byte's top bit
+// and no other. Each byte lane of `lanes` gains at most 1 per word, so it is
+// folded into the total every 255 words, before a lane can overflow.
+uint64_t CountNewlines(std::span<const uint8_t> bytes) {
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+  constexpr uint64_t kEvenBytes = 0x00ff00ff00ff00ffULL;
+  const uint8_t* p = bytes.data();
+  const size_t words_end = bytes.size() - bytes.size() % 8;
   uint64_t lines = 0;
-  for (uint8_t c : *data) {
-    lines += c == '\n' ? 1 : 0;
+  size_t i = 0;
+  while (i < words_end) {
+    const size_t stop = std::min(words_end, i + 8 * 255);
+    uint64_t lanes = 0;
+    for (; i < stop; i += 8) {
+      uint64_t w = 0;
+      std::memcpy(&w, p + i, 8);
+      const uint64_t x = w ^ (kOnes * '\n');
+      lanes += ~(((x & kLow7) + kLow7) | x | kLow7) >> 7;
+    }
+    // Up to 8 * 255 newlines: add the lanes in pairs into four 16-bit lanes,
+    // then those four into the top one, where the total cannot wrap.
+    const uint64_t pairs = (lanes & kEvenBytes) + ((lanes >> 8) & kEvenBytes);
+    lines += (pairs * 0x0001000100010001ULL) >> 48;
   }
+  for (; i < bytes.size(); ++i) {
+    lines += p[i] == '\n' ? 1 : 0;
+  }
+  return lines;
+}
+
+// Counts every position of `text` where `pattern` (non-empty) starts, overlapping
+// matches included: memchr finds each candidate first byte, one memcmp confirms it.
+uint64_t CountMatches(std::span<const uint8_t> text, const std::string& pattern) {
+  const size_t m = pattern.size();
+  if (text.size() < m) {
+    return 0;
+  }
+  uint64_t hits = 0;
+  const uint8_t* p = text.data();
+  const uint8_t* const last = text.data() + (text.size() - m);  // last possible start
+  while (p <= last) {
+    p = static_cast<const uint8_t*>(
+        std::memchr(p, pattern[0], static_cast<size_t>(last - p) + 1));
+    if (p == nullptr) {
+      break;
+    }
+    hits += std::memcmp(p + 1, pattern.data() + 1, m - 1) == 0 ? 1 : 0;
+    ++p;
+  }
+  return hits;
+}
+
+// 131^k mod 2^64 for k = 0..8.
+constexpr std::array<uint64_t, 9> kPow131 = [] {
+  std::array<uint64_t, 9> pow{};
+  pow[0] = 1;
+  for (size_t k = 1; k < pow.size(); ++k) {
+    pow[k] = pow[k - 1] * 131;
+  }
+  return pow;
+}();
+
+// Continues sum = sum * 131 + c over `bytes`. Eight steps of that recurrence fold
+// into sum * 131^8 + c0 * 131^7 + ... + c7, which unsigned wrap-around keeps exact
+// mod 2^64, so only one multiply per word waits on the previous word.
+uint64_t Horner131(uint64_t sum, std::span<const uint8_t> bytes) {
+  const uint8_t* d = bytes.data();
+  size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    sum = sum * kPow131[8] + d[i] * kPow131[7] + d[i + 1] * kPow131[6] +
+          d[i + 2] * kPow131[5] + d[i + 3] * kPow131[4] + d[i + 4] * kPow131[3] +
+          d[i + 5] * kPow131[2] + d[i + 6] * kPow131[1] + d[i + 7];
+  }
+  for (; i < bytes.size(); ++i) {
+    sum = sum * 131 + d[i];
+  }
+  return sum;
+}
+
+}  // namespace
+
+Result<uint64_t> Wc(os::UnixEnv& env, const std::string& path) {
+  uint64_t lines = 0;
+  const Result<uint64_t> size = ScanFile(env, path, [&lines](std::span<const uint8_t> bytes) {
+    lines += CountNewlines(bytes);
+  });
+  if (!size.ok()) {
+    return size.status();
+  }
+  env.TouchData(*size);
   return lines;
 }
 
 Result<uint64_t> Grep(os::UnixEnv& env, const std::string& pattern,
                       const std::string& path) {
-  auto data = ReadWhole(env, path);
-  if (!data.ok()) {
-    return data.status();
-  }
-  env.TouchData(data->size() * 2);  // pattern scan is heavier than wc
+  // `tail` keeps the last m-1 bytes read. A match that starts there and ends in
+  // the next read is counted in `seam`, the tail followed by the next read's
+  // first m-1 bytes: too few for a match to start past the tail.
+  const size_t keep = pattern.empty() ? 0 : pattern.size() - 1;
+  std::vector<uint8_t> tail;
+  std::vector<uint8_t> seam;
   uint64_t hits = 0;
-  if (pattern.empty() || data->size() < pattern.size()) {
-    return hits;
-  }
-  for (size_t i = 0; i + pattern.size() <= data->size(); ++i) {
-    if (std::memcmp(data->data() + i, pattern.data(), pattern.size()) == 0) {
-      ++hits;
+  const Result<uint64_t> size = ScanFile(env, path, [&](std::span<const uint8_t> bytes) {
+    if (pattern.empty()) {
+      return;
     }
+    const size_t edge = std::min(keep, bytes.size());
+    if (!tail.empty()) {
+      seam.assign(tail.begin(), tail.end());
+      seam.insert(seam.end(), bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(edge));
+      hits += CountMatches(seam, pattern);
+    }
+    hits += CountMatches(bytes, pattern);
+    tail.insert(tail.end(), bytes.end() - static_cast<ptrdiff_t>(edge), bytes.end());
+    tail.erase(tail.begin(), tail.end() - static_cast<ptrdiff_t>(std::min(keep, tail.size())));
+  });
+  if (!size.ok()) {
+    return size.status();
   }
+  env.TouchData(*size * 2);  // pattern scan is heavier than wc
   return hits;
 }
 
@@ -404,14 +518,13 @@ Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds) {
       if (de.is_dir) {
         continue;
       }
-      auto data = ReadWhole(env, dir + "/" + de.name);
-      if (!data.ok()) {
-        return data.status();
+      const Result<uint64_t> size =
+          ScanFile(env, dir + "/" + de.name,
+                   [&sum](std::span<const uint8_t> bytes) { sum = Horner131(sum, bytes); });
+      if (!size.ok()) {
+        return size.status();
       }
-      env.TouchData(data->size());
-      for (uint8_t c : *data) {
-        sum = sum * 131 + c;
-      }
+      env.TouchData(*size);
     }
   }
   return sum;

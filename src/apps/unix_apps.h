@@ -35,11 +35,16 @@ Status GccBuild(os::UnixEnv& env, const std::string& dir);
 Status RmTree(os::UnixEnv& env, const std::string& path);
 // Delete only files matching an extension (rm *.o).
 Status RmByExt(os::UnixEnv& env, const std::string& dir, const std::string& ext);
+// wc, grep and cksum stream each file: they scan every kIoChunk read in place as
+// it arrives, then charge one TouchData for the file after closing it.
 // wc over one file; returns line count.
 Result<uint64_t> Wc(os::UnixEnv& env, const std::string& path);
-// grep pattern file; returns match count.
+// grep pattern file; returns the number of positions where `pattern` starts,
+// overlapping matches and matches that straddle two reads included (0 for an
+// empty pattern). Charges TouchData of twice the file size.
 Result<uint64_t> Grep(os::UnixEnv& env, const std::string& pattern, const std::string& path);
-// cksum over a set of files, `rounds` times (CPU-heavy on cached data).
+// cksum over the files of `dir` in directory order, `rounds` times (CPU-heavy on
+// cached data): sum = sum * 131 + byte mod 2^64, chained across files and rounds.
 Result<uint64_t> Cksum(os::UnixEnv& env, const std::string& dir, int rounds);
 // Travelling salesman: `iterations` 2-opt passes over `ncities` cities, each
 // charged as ncities^2 * 18 cycles of CPU. Returns the cycles charged. The seed

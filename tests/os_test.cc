@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -445,6 +447,172 @@ TEST(PoolAnswerTest, Fig5DiffRejectsUnequalPair) {
     EXPECT_EQ(JobLabeled(pool, "diff").body(env, 0), Status::kCorrupted);
   });
   sys.Run();
+}
+
+// ---- wc, grep and cksum scan each read in place ----
+
+// The answers of plain per-byte loops.
+uint64_t HostLines(std::span<const uint8_t> bytes) {
+  uint64_t lines = 0;
+  for (uint8_t c : bytes) {
+    lines += c == '\n' ? 1 : 0;
+  }
+  return lines;
+}
+
+uint64_t HostHits(std::span<const uint8_t> bytes, const std::string& pattern) {
+  uint64_t hits = 0;
+  for (size_t i = 0; !pattern.empty() && i + pattern.size() <= bytes.size(); ++i) {
+    hits += std::equal(pattern.begin(), pattern.end(), bytes.begin() + static_cast<long>(i))
+                ? 1
+                : 0;
+  }
+  return hits;
+}
+
+uint64_t HostSum(uint64_t sum, std::span<const uint8_t> bytes) {
+  for (uint8_t c : bytes) {
+    sum = sum * 131 + c;
+  }
+  return sum;
+}
+
+// `n` seeded bytes: newlines, "symbol" about once in 13 bytes, and bytes whose
+// xor with '\n' sets only a lane's top bit (0x8a) or is all ones (0xf5), which a
+// word-at-a-time newline count must not take for newlines.
+std::vector<uint8_t> ScanBytes(size_t n, uint64_t seed) {
+  static constexpr uint8_t kAlphabet[] = {'\n', 's', 'y', 'a', 0x8a, 0xf5, 0x00, 0xff};
+  sim::Rng rng(seed);
+  std::vector<uint8_t> out;
+  while (out.size() < n) {
+    if (rng.Below(8) == 0) {
+      const std::string word = "symbol";
+      out.insert(out.end(), word.begin(), word.end());
+    } else {
+      out.push_back(kAlphabet[rng.Below(sizeof(kAlphabet))]);
+    }
+  }
+  out.resize(n);
+  return out;
+}
+
+// Boots Xok/ExOS and runs `body` as its init process.
+void OnXokExos(const std::function<void(UnixEnv&)>& body) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, TestMachine());
+  System sys(&machine, Flavor::kXokExos);
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  sys.SpawnInit("sh", body);
+  sys.Run();
+}
+
+TEST(ScanTest, WcGrepCksumMatchPerByteLoops) {
+  OnXokExos([](UnixEnv& env) {
+    // Sizes around a word, one read and two reads.
+    for (size_t n : {0, 1, 7, 8, 9, 65'535, 65'536, 65'537, 131'077}) {
+      SCOPED_TRACE(n);
+      const std::vector<uint8_t> bytes = ScanBytes(n, n + 1);
+      const std::string dir = "/n" + std::to_string(n);
+      ASSERT_EQ(env.Mkdir(dir), Status::kOk);
+      ASSERT_EQ(apps::WriteFile(env, dir + "/f", bytes), Status::kOk);
+      auto lines = apps::Wc(env, dir + "/f");
+      ASSERT_TRUE(lines.ok());
+      EXPECT_EQ(*lines, HostLines(bytes));
+      for (const std::string pattern : {"symbol", "s", "\n\n"}) {
+        auto hits = apps::Grep(env, pattern, dir + "/f");
+        ASSERT_TRUE(hits.ok());
+        EXPECT_EQ(*hits, HostHits(bytes, pattern)) << pattern;
+      }
+      auto sum = apps::Cksum(env, dir, 1);
+      ASSERT_TRUE(sum.ok());
+      EXPECT_EQ(*sum, HostSum(0, bytes));
+    }
+    // Newlines only: every byte lane of the word-at-a-time count fills up.
+    const std::vector<uint8_t> newlines(apps::kIoChunk + 1, '\n');
+    ASSERT_EQ(apps::WriteFile(env, "/newlines", newlines), Status::kOk);
+    auto lines = apps::Wc(env, "/newlines");
+    ASSERT_TRUE(lines.ok());
+    EXPECT_EQ(*lines, newlines.size());
+  });
+}
+
+TEST(ScanTest, GrepCountsAMatchAcrossTwoReadsOnce) {
+  OnXokExos([](UnixEnv& env) {
+    for (size_t split = 1; split <= 5; ++split) {
+      SCOPED_TRACE(split);  // bytes of the match in the first read
+      std::vector<uint8_t> bytes(apps::kIoChunk + 64, 'x');
+      const std::string word = "symbol";
+      std::copy(word.begin(), word.end(),
+                bytes.begin() + static_cast<long>(apps::kIoChunk - split));
+      ASSERT_EQ(apps::WriteFile(env, "/straddle", bytes), Status::kOk);
+      auto hits = apps::Grep(env, "symbol", "/straddle");
+      ASSERT_TRUE(hits.ok());
+      EXPECT_EQ(*hits, 1u);
+    }
+    // Overlapping matches count at every start, on both sides of each read edge.
+    ASSERT_EQ(apps::WriteFile(env, "/aaaa", std::vector<uint8_t>(4, 'a')), Status::kOk);
+    auto four = apps::Grep(env, "aa", "/aaaa");
+    ASSERT_TRUE(four.ok());
+    EXPECT_EQ(*four, 3u);
+    const std::vector<uint8_t> many(2 * apps::kIoChunk + 3, 'a');
+    ASSERT_EQ(apps::WriteFile(env, "/many", many), Status::kOk);
+    auto across = apps::Grep(env, "aaaa", "/many");
+    ASSERT_TRUE(across.ok());
+    EXPECT_EQ(*across, many.size() - 3);
+    // A pattern longer than the file and an empty pattern match nowhere.
+    auto longer = apps::Grep(env, "aaaaa", "/aaaa");
+    ASSERT_TRUE(longer.ok());
+    EXPECT_EQ(*longer, 0u);
+    auto empty = apps::Grep(env, "", "/aaaa");
+    ASSERT_TRUE(empty.ok());
+    EXPECT_EQ(*empty, 0u);
+  });
+}
+
+TEST(ScanTest, CksumChainsFilesAndRoundsInDirectoryOrder) {
+  OnXokExos([](UnixEnv& env) {
+    const std::map<std::string, std::vector<uint8_t>> files = {{"a", ScanBytes(65'541, 3)},
+                                                               {"b", ScanBytes(13, 4)}};
+    ASSERT_EQ(env.Mkdir("/two"), Status::kOk);
+    for (const auto& [name, bytes] : files) {
+      ASSERT_EQ(apps::WriteFile(env, "/two/" + name, bytes), Status::kOk);
+    }
+    auto entries = env.ReadDir("/two");
+    ASSERT_TRUE(entries.ok());
+    ASSERT_EQ(entries->size(), 2u);
+    uint64_t want = 0;
+    for (int r = 0; r < 3; ++r) {
+      for (const auto& de : *entries) {
+        want = HostSum(want, files.at(de.name));
+      }
+    }
+    auto sum = apps::Cksum(env, "/two", 3);
+    ASSERT_TRUE(sum.ok());
+    EXPECT_EQ(*sum, want);
+  });
+}
+
+TEST(ScanTest, SimulatedTimeOfEachScanIsPinned) {
+  // How the host scans a read must move no simulated cycle, so each program's
+  // time over one 200-KB file is pinned: Open, ceil(n/64 KB)+1 Reads, Close and
+  // one TouchData.
+  OnXokExos([](UnixEnv& env) {
+    ASSERT_EQ(env.Mkdir("/pin"), Status::kOk);
+    const apps::FileSpec spec{.path = "pin/f", .size = 200 * 1024, .seed = 5};
+    ASSERT_EQ(apps::WriteFile(env, "/pin/f", apps::FileContent(spec)), Status::kOk);
+    sim::Cycles t = env.Now();
+    const auto elapsed = [&] {
+      const sim::Cycles from = t;
+      t = env.Now();
+      return t - from;
+    };
+    ASSERT_TRUE(apps::Wc(env, "/pin/f").ok());
+    EXPECT_EQ(elapsed(), 475388u) << "wc";
+    ASSERT_TRUE(apps::Grep(env, "symbol", "/pin/f").ok());
+    EXPECT_EQ(elapsed(), 618748u) << "grep";
+    ASSERT_TRUE(apps::Cksum(env, "/pin", 1).ok());
+    EXPECT_EQ(elapsed(), 475604u) << "cksum";
+  });
 }
 
 TEST(ExosRevocationTest, LibOsShedsFramesOnKernelRequest) {
