@@ -7,9 +7,10 @@
 // victim envs against an eight-worker flooder tenant. The table reports the
 // victims' goodput (requests answered within the SLO), p50/p99 latency over
 // the whole run, each tenant's CPU share (the `run` spans on its envs' trace
-// tracks over the run length, NoisyResult::end_time, which runs on past the
-// epochs while the victims drain their backlog and the flooder's queued disk
-// writes finish), and the pressure revocations.
+// tracks over the kernel's run, NoisyResult::kernel_end_time, which goes on
+// past the epochs while the victims drain their backlog; the flooder's queued
+// disk writes, which finish later with no env left to run, are not in it), and
+// the pressure revocations.
 //
 // Stdout is the human-readable table (deterministic, golden-diffable). The
 // JSON report goes to BENCH_noisy_neighbor.json (--out FILE overrides). With
@@ -57,10 +58,10 @@ double Lane(bench::Report& report, const char* name, const std::string& lane,
   const double goodput = static_cast<double>(good) / static_cast<double>(all.size());
   const double p50 = static_cast<double>(all[all.size() / 2]) / cycles_per_ms;
   const double p99 = static_cast<double>(all[(all.size() * 99 + 99) / 100 - 1]) / cycles_per_ms;
-  // One CPU runs at most one env at a time, so the shares of the run sum to at
-  // most 1.
-  const double victim_cpu = CpuFrac(r.victim_runs, r.end_time);
-  const double flood_cpu = CpuFrac(r.flood_runs, r.end_time);
+  // One CPU runs at most one env at a time, so the shares of the kernel's run
+  // sum to at most 1.
+  const double victim_cpu = CpuFrac(r.victim_runs, r.kernel_end_time);
+  const double flood_cpu = CpuFrac(r.flood_runs, r.kernel_end_time);
   EXO_CHECK_LE(victim_cpu + flood_cpu, 1.0);
   std::printf("%-12s %-9.3f %-8.2f %-8.2f %-11.2f %-10.2f %-8llu\n", name, goodput, p50, p99,
               victim_cpu, flood_cpu, static_cast<unsigned long long>(r.pressure_revokes));

@@ -2,7 +2,7 @@
 //
 // Every other bench in this directory reports *simulated* seconds; this one reports
 // how fast the simulator itself chews through its hot loops, so engine/scheduler/
-// disk-queue optimizations (and regressions) are visible. Seven workloads:
+// disk-queue optimizations (and regressions) are visible. Eight workloads:
 //
 //   event_churn      raw sim::Engine schedule/cancel/fire churn shaped like the TCP
 //                    timer pattern (arm, re-arm, cancel-after-fire)
@@ -17,6 +17,8 @@
 //                    number, whose sim_s is fig4's 35/5 Xok/ExOS total
 //   fs_write         a 3-MB file written, gzipped, gunzipped and synced on C-FFS
 //                    over XN: block allocation under owns-udf checks, and LZ
+//   lz               gzip's LZ codec alone, round-tripping fig4's 2-MB text:
+//                    compress and decompress MB/s
 //   cluster_scale    an 8-machine balancer fleet on the parallel cluster engine at
 //                    1, 2 and 4 threads: speedup and host time per round
 //
@@ -33,6 +35,7 @@
 
 #include <thread>
 
+#include "apps/lz.h"
 #include "bench/global_common.h"
 #include "cluster/topology.h"
 #include "hw/disk.h"
@@ -467,6 +470,37 @@ FsWriteResult FsWrite(uint32_t kb) {
   return r;
 }
 
+// ---- Workload 7: lz — gzip's codec on fig4's 2-MB text ----
+//
+// Compresses fig4's shared 2-MB text and decompresses the result, kRounds
+// times, checking every round trip. Host time only: gzip and gunzip charge a
+// fixed number of simulated cycles per byte, whatever the codec costs.
+struct LzResult {
+  uint64_t rounds = 0;
+  double compress_mb_per_s = 0;
+  double decompress_mb_per_s = 0;
+};
+
+LzResult Lz() {
+  constexpr int kRounds = 10;
+  const std::vector<uint8_t> text = apps::FileContent(apps::Fig4Inputs().big);
+  double compress_s = 0;
+  double decompress_s = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const double t0 = WallNow();
+    const std::vector<uint8_t> packed = apps::LzCompress(text);
+    const double t1 = WallNow();
+    bool ok = false;
+    const std::vector<uint8_t> back = apps::LzDecompress(packed, &ok);
+    const double t2 = WallNow();
+    EXO_CHECK(ok && back == text);
+    compress_s += t1 - t0;
+    decompress_s += t2 - t1;
+  }
+  const double mb = kRounds * static_cast<double>(text.size()) / 1e6;
+  return {kRounds, mb / compress_s, mb / decompress_s};
+}
+
 // Prints one workload's row and adds its metrics to the report.
 void Record(const WorkloadResult& r, bench::Report* report) {
   const double per_sec = static_cast<double>(r.ops) / r.wall_s;
@@ -509,6 +543,13 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(fw.owns_memo_hits));
   report.Add("fs_write.udf_runs", fw.udf_runs);
   report.Add("fs_write.owns_memo_hits", fw.owns_memo_hits);
+  const LzResult lz = Lz();
+  std::printf("%-18s %12llu round trips %9.1f MB/s compress %9.1f MB/s decompress\n", "lz",
+              static_cast<unsigned long long>(lz.rounds), lz.compress_mb_per_s,
+              lz.decompress_mb_per_s);
+  report.Add("lz.rounds", lz.rounds);
+  report.Add("lz.compress_mb_per_s", lz.compress_mb_per_s);
+  report.Add("lz.decompress_mb_per_s", lz.decompress_mb_per_s);
   const ClusterScaleResult cs = ClusterScale();
   Record(cs.serial, &report);
   std::printf("%-18s %12s threads=%u speedup=%.2fx speedup_at_2=%.2fx rounds=%llu "

@@ -264,6 +264,7 @@ NoisyResult RunNoisyNeighbor(const NoisyConfig& cfg) {
   }
 
   kernel.Run();
+  r.kernel_end_time = engine.now();
   engine.RunUntilIdle();  // drain in-flight flooder disk DMA
 
   r.end_time = engine.now();

@@ -93,7 +93,10 @@ struct NoisyResult {
   std::string invariants;       // XokKernel::CheckInvariants() after the run
   std::string deadlock_report;  // "" unless the scheduler declared deadlock
   std::string trace_dump;       // trace::TextDump, when cfg.trace
-  sim::Cycles end_time = 0;
+  // When kernel.Run() returned, once every env had finished: the time the
+  // CPU was shared, and so what each env's `run` cycles are a share of.
+  sim::Cycles kernel_end_time = 0;
+  sim::Cycles end_time = 0;  // after the flooder's queued disk writes drained
 };
 
 // Runs cfg.epochs * kNoisyEpoch cycles, drains in-flight disk DMA, and reaps
