@@ -97,15 +97,7 @@ void GuardedAllocCycles(bool guarded, int reps) {
     hw::Machine machine(&engine, hw::MachineConfig{
                                      .mem_frames = 4096,
                                      .disks = {hw::DiskGeometry{.num_blocks = 8192}}});
-    fs::Blocker blocker = [&engine](const std::function<bool()>& ready) {
-      while (!ready()) {
-        if (engine.HasPendingEvents()) {
-          engine.RunNextEvent();
-        } else {
-          engine.Advance(20'000);
-        }
-      }
-    };
+    const fs::Blocker blocker = fs::SpinEngine(engine);
     std::unique_ptr<xn::Xn> xn;
     std::unique_ptr<fs::FsBackend> backend;
     if (guarded) {
@@ -127,7 +119,7 @@ void GuardedAllocCycles(bool guarded, int reps) {
 
     // File creates + one-block writes: each is a guarded Alloc on a dir block.
     for (int i = 0; i < kCreates; ++i) {
-      auto h = cffs.Create("/f" + std::to_string(i), 7, false);
+      auto h = cffs.Create("/f" + std::to_string(i), 7);
       EXO_CHECK(h.ok());
       std::vector<uint8_t> data(512, 1);
       EXO_CHECK(cffs.Write(*h, 0, data, 7).ok());

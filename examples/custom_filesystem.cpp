@@ -27,15 +27,7 @@ int main() {
   xn.Format();
   EXO_CHECK(xn.Attach() == Status::kOk);
 
-  auto pump = [&](const std::function<bool()>& ready) {
-    while (!ready()) {
-      if (engine.HasPendingEvents()) {
-        engine.RunNextEvent();
-      } else {
-        engine.Advance(20'000);
-      }
-    }
-  };
+  const fs::Blocker pump = fs::SpinEngine(engine);
 
   // A C-FFS lives on the same disk — two radically different file systems
   // multiplexing one device at block granularity.
@@ -44,10 +36,11 @@ int main() {
     return f.ok() ? *f : hw::kInvalidFrame;
   });
   fs::Cffs cffs(&cffs_backend, fs::CffsOptions{.fsid = 1});
-  cffs.Mkfs();
-  auto h = cffs.Create("/neighbour.txt", 7, false);
+  EXO_CHECK(cffs.Mkfs() == Status::kOk);
+  auto h = cffs.Create("/neighbour.txt", 7);
+  EXO_CHECK(h.ok());
   std::vector<uint8_t> note = {'h', 'i'};
-  cffs.Write(*h, 0, note, 7);
+  EXO_CHECK(cffs.Write(*h, 0, note, 7).ok());
   std::printf("C-FFS mounted and populated alongside us\n");
 
   // ---- Define the new format ----
@@ -86,8 +79,10 @@ int main() {
 
   // Append three entries: allocate a data block via a verified metadata update.
   xn::Caps creds = {xok::Capability::Root()};
+  std::vector<hw::BlockId> entries;
   for (uint32_t i = 0; i < 3; ++i) {
     auto b = xn.FindFreeRun(xn.FirstDataBlock(), 1);
+    entries.push_back(*b);
     xn::Mods mods;
     mods.push_back({0, {static_cast<uint8_t>(i + 1), 0, 0, 0}});            // count
     mods.push_back({4 + i * 4,
@@ -96,6 +91,7 @@ int main() {
     std::vector<udf::Extent> ext = {{*b, 1, xn::kDataTemplate}};
     Status s = xn.Alloc(root->block, mods, ext, creds);
     std::printf("append entry %u -> block %u: %s\n", i, *b, StatusName(s));
+    EXO_CHECK(s == Status::kOk);
 
     // Put real bytes in it and flush, child before parent (XN enforces ordering).
     auto df = machine.mem().Alloc();
@@ -120,8 +116,9 @@ int main() {
   evil.push_back({0, {4, 0, 0, 0}});
   evil.push_back({16, {static_cast<uint8_t>(*by), static_cast<uint8_t>(*by >> 8), 0, 0}});
   std::vector<udf::Extent> claim = {{*bx, 1, xn::kDataTemplate}};
-  std::printf("lying allocation rejected: %s\n",
-              StatusName(xn.Alloc(root->block, evil, claim, creds)));
+  const Status lie = xn.Alloc(root->block, evil, claim, creds);
+  std::printf("lying allocation rejected: %s\n", StatusName(lie));
+  EXO_CHECK(lie == Status::kBadMetadata);
 
   // Crash and recover: the reachability GC keeps exactly our blocks (and C-FFS's).
   xn.Crash();
@@ -130,8 +127,11 @@ int main() {
   std::printf("after crash: recovered=%s, loglist root still registered=%s\n",
               reborn.recovered_after_crash() ? "yes" : "no",
               reborn.LookupRoot("loglist").ok() ? "yes" : "no");
-  std::printf("data block content survives: \"%s\"\n",
-              reinterpret_cast<const char*>(
-                  machine.disk().RawBlock(xn.FirstDataBlock() + 0).data()));
+  EXO_CHECK(reborn.recovered_after_crash() && reborn.LookupRoot("loglist").ok());
+  for (hw::BlockId b : entries) {
+    EXO_CHECK(reborn.IsAllocated(b));
+  }
+  std::printf("all %zu entry blocks still allocated; entry 0 reads \"%s\"\n", entries.size(),
+              reinterpret_cast<const char*>(machine.disk().RawBlock(entries[0]).data()));
   return 0;
 }

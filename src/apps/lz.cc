@@ -203,26 +203,32 @@ std::vector<uint8_t> LzDecompress(std::span<const uint8_t> input, bool* ok) {
   }
   const uint8_t* const in = input.data();
   const uint64_t total = GetU32(in);
-  // Walk the block headers the decode will read: blocks follow one another
-  // until the output holds `total` bytes. A stored block makes its payload,
-  // and a compressed one exactly raw_len bytes or the decode fails, so this
-  // sizes the output before any block is decoded.
+  // Walk the block headers first (the rules are in lz.h). A compressed block
+  // must then make exactly raw_len bytes, so the output is sized before any
+  // block is decoded.
   uint64_t size = 0;
   size_t blocks = 0;
-  for (size_t pos = 4; size < total; ++blocks) {
+  size_t pos = 4;
+  for (; size < total; ++blocks) {
     if (pos + kBlockHeader > input.size()) {
       return fail();
     }
+    const uint8_t kind = in[pos];
     const uint32_t packed_len = GetU32(in + pos + 1);
     const uint32_t raw_len = GetU32(in + pos + 5);
-    const bool stored = in[pos] == kBlockStored;
     pos += kBlockHeader;
-    if (pos + packed_len > input.size() ||
-        (!stored && raw_len > kMaxExpansion * packed_len)) {
+    const bool stored_ok = kind == kBlockStored && raw_len == packed_len;
+    const bool compressed_ok =
+        kind == kBlockCompressed && raw_len <= kMaxExpansion * packed_len;
+    if (!(stored_ok || compressed_ok) || pos + packed_len > input.size() ||
+        raw_len > total - size) {
       return fail();
     }
-    size += stored ? packed_len : raw_len;
+    size += raw_len;
     pos += packed_len;
+  }
+  if (pos != input.size()) {
+    return fail();
   }
 
   std::vector<uint8_t> out(size + kSlack);

@@ -14,13 +14,19 @@
 
 namespace exo::apps {
 
+// The stream is a u32 size header, then blocks of {u8 kind, u32 packed_len,
+// u32 raw_len, packed_len payload bytes}. Kind 0 stores the block raw; kind 1
+// holds a token stream.
 std::vector<uint8_t> LzCompress(std::span<const uint8_t> input);
-// Returns empty on malformed input (and sets *ok=false if provided). It walks
-// the block headers before it decodes and allocates the output once, sized
-// from them: a stored block's payload, or a compressed block's raw length,
-// which may be at most 64 bytes per byte of its token stream (a 4-byte match
-// token makes at most 255 bytes). So it allocates at most 64 bytes per input
-// byte, plus 32 bytes of copy slack, whatever the size header claims.
+// Accepts only what LzCompress writes: every kind is 0 or 1, a stored block's
+// raw_len equals its packed_len, the blocks' raw lengths add up exactly to the
+// size header, and nothing follows the last block. Returns empty on any other
+// input (and sets *ok=false if provided). It walks the block headers before it
+// decodes and allocates the output once, sized from their raw lengths; a
+// compressed block's may be at most 64 bytes per byte of its token stream (a
+// 4-byte match token makes at most 255 bytes). So it allocates at most 64
+// bytes per input byte, plus 32 bytes of copy slack, whatever the size header
+// claims.
 std::vector<uint8_t> LzDecompress(std::span<const uint8_t> input, bool* ok = nullptr);
 
 // CPU cost of (de)compression, cycles per input byte (compression searches matches).

@@ -22,22 +22,20 @@ Result<XcpStats> Xcp(os::System& sys, os::UnixEnv& env,
 
   // Pass 1: enumerate every source block with its owning metadata block.
   struct SrcFile {
-    fs::Cffs::Handle handle;
     uint64_t size = 0;
     std::vector<std::pair<hw::BlockId, hw::BlockId>> blocks;  // (block, parent)
   };
   std::vector<SrcFile> files;
   for (const auto& path : srcs) {
-    auto h = cffs.Lookup(path);
+    auto h = cffs.Open(path, /*create=*/false, env.Uid());
     if (!h.ok()) {
       return h.status();
     }
-    auto st = cffs.Stat(*h);
+    auto st = cffs.StatHandle(*h);
     if (!st.ok()) {
       return st.status();
     }
     SrcFile f;
-    f.handle = *h;
     f.size = st->size;
     for (uint32_t i = 0; i < st->nblocks; ++i) {
       auto loc = cffs.BlockAt(*h, i);
@@ -97,7 +95,7 @@ Result<XcpStats> Xcp(os::System& sys, os::UnixEnv& env,
   // Pass 3 (overlapped with the reads): create destination files at full size,
   // placed in one contiguous region so the writes are sequential.
   struct DstFile {
-    fs::Cffs::Handle handle;
+    uint64_t handle = 0;
     const SrcFile* src = nullptr;
   };
   std::vector<DstFile> dsts;

@@ -10,8 +10,9 @@
 //      frames* — the data is DMAed into and out of the buffer cache by the disk
 //      controller and the CPU never touches it.
 //
-// Only the exokernel configuration can run XCP: it needs FileBlocks/CreateSized and
-// direct XN registry access, which the kernel-resident file systems do not expose.
+// Only the exokernel configuration can run XCP: it needs C-FFS's layout calls
+// (BlockAt, CreateSized) and direct XN registry access, which the kernel-resident
+// file systems do not expose.
 #ifndef EXO_APPS_XCP_H_
 #define EXO_APPS_XCP_H_
 

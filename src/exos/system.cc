@@ -23,8 +23,6 @@ constexpr sim::Cycles kBsdForkPerPage = 400;
 // OpenBSD's small non-unified buffer cache, in blocks: ~6.4 MB of the 64 MB
 // machine (FreeBSD and the exokernel use a unified cache).
 constexpr uint32_t kBsdCacheBlocks = 1600;
-// Dirty blocks C-FFS and FFS hold before writing behind.
-constexpr uint32_t kWritebackThreshold = 1024;
 
 // The wakeup predicate installed on every protected-pipe read (Table 2): wake when
 // the byte count (u32 at offset 0) is nonzero or the write side closed (byte 4).
@@ -93,26 +91,13 @@ const ProgramImage& System::Image(const std::string& name) const {
 }
 
 fs::Blocker System::MakeBlocker() {
-  return [this](const std::function<bool()>& ready) {
-    if (kernel_->current() != nullptr) {
-      if (ready()) {
-        return;
-      }
+  return [this, spin = fs::SpinEngine(machine_->engine())](const std::function<bool()>& ready) {
+    if (kernel_->current() == nullptr) {
+      spin(ready);  // boot/host context
+    } else if (!ready()) {
       xok::WakeupPredicate p;
       p.host = ready;
       kernel_->SysSleep(std::move(p));
-    } else {
-      // Boot/host context: spin the event engine.
-      int spins = 0;
-      while (!ready()) {
-        auto& e = machine_->engine();
-        if (e.HasPendingEvents()) {
-          e.RunNextEvent();
-        } else {
-          e.Advance(20'000);
-        }
-        EXO_CHECK_LT(++spins, 2'000'000);
-      }
     }
   };
 }
@@ -170,36 +155,25 @@ Status System::Boot() {
         std::make_unique<fs::KernelBackend>(machine_, &machine_->disk(), MakeBlocker(), ko);
   }
 
-  const bool use_cffs = exo || flavor_ == Flavor::kOpenBsdCffs;
-  if (use_cffs) {
-    fs::CffsOptions co;
-    co.fsid = 1;
-    co.writeback_threshold = kWritebackThreshold;
-    cffs_ = std::make_unique<fs::Cffs>(backend_.get(), co);
-    Status s = cffs_->Mkfs();
-    if (s != Status::kOk) {
-      return s;
-    }
-    // Only the exokernel configuration exposes the file layout to applications.
-    fs_ = std::make_unique<fs::CffsFileSys>(cffs_.get(), /*expose_layout=*/exo);
+  Status s = Status::kOk;
+  if (exo || flavor_ == Flavor::kOpenBsdCffs) {
+    auto cffs = std::make_unique<fs::Cffs>(backend_.get());
+    cffs_ = cffs.get();
+    s = cffs->Mkfs();
+    fs_ = std::move(cffs);
   } else {
-    fs::FfsOptions fo;
-    fo.writeback_threshold = kWritebackThreshold;
-    ffs_ = std::make_unique<fs::Ffs>(backend_.get(), fo);
-    Status s = ffs_->Mkfs();
-    if (s != Status::kOk) {
-      return s;
-    }
-    // Ffs implements FileSys directly; wrap in a non-owning unique_ptr stand-in.
-    fs_ = nullptr;
+    auto ffs = std::make_unique<fs::Ffs>(backend_.get());
+    s = ffs->Mkfs();
+    fs_ = std::move(ffs);
   }
-
-  fsp_ = fs_ != nullptr ? fs_.get() : static_cast<fs::FileSys*>(ffs_.get());
-  fs::FileSys& f = *fsp_;
+  if (s != Status::kOk) {
+    return s;
+  }
+  fs::FileSys& f = *fs_;
 
   // Install /bin with realistically sized binaries (exec demand-loads them through
   // the buffer cache, so first exec of a program pays disk time).
-  Status s = f.Mkdir("/bin", 0);
+  s = f.Mkdir("/bin", 0);
   if (s != Status::kOk) {
     return s;
   }

@@ -17,8 +17,8 @@
 //     accounting of not-yet-protected abstractions);
 //   - pipes come in the two Table 2 variants: shared-memory (trusting) and
 //     software-region-based with a downloaded wakeup predicate on every read;
-//   - fork is a libOS routine that rebuilds the child's address space through
-//     batched page-table syscalls (Xok environments cannot share page tables, which
+//   - fork charges what rebuilding the child's address space through batched
+//     page-table syscalls costs (Xok environments cannot share page tables, which
 //     is why ExOS fork costs ~6 ms, Sec. 6.2).
 #ifndef EXO_EXOS_SYSTEM_H_
 #define EXO_EXOS_SYSTEM_H_
@@ -90,13 +90,13 @@ class System {
   };
   const std::vector<ProcRecord>& proc_records() const { return proc_records_; }
 
-  fs::FileSys& fs() { return *fsp_; }
+  fs::FileSys& fs() { return *fs_; }
   xok::XokKernel& kernel() { return *kernel_; }
   hw::Machine& machine() { return *machine_; }
   Flavor flavor() const { return flavor_; }
   const SystemOptions& options() const { return options_; }
   xn::Xn* xn() { return xn_.get(); }
-  fs::Cffs* cffs() { return cffs_.get(); }
+  fs::Cffs* cffs() { return cffs_; }
 
   // Registered program images (exec cost model).
   const ProgramImage& Image(const std::string& name) const;
@@ -139,10 +139,8 @@ class System {
   std::unique_ptr<xok::XokKernel> kernel_;
   std::unique_ptr<xn::Xn> xn_;
   std::unique_ptr<fs::FsBackend> backend_;
-  std::unique_ptr<fs::Cffs> cffs_;
-  std::unique_ptr<fs::Ffs> ffs_;
   std::unique_ptr<fs::FileSys> fs_;
-  fs::FileSys* fsp_ = nullptr;
+  fs::Cffs* cffs_ = nullptr;  // fs_ when it is C-FFS (XCP reaches the layout)
 
   // Shared ExOS state (fd table, process map, pipes). On a real ExOS these live in
   // shared memory / software regions; writes are charged via TouchSharedState.

@@ -21,8 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "hw/disk.h"
-#include "sim/cost_model.h"
+#include "hw/machine.h"
 #include "sim/status.h"
 #include "udf/insn.h"
 #include "xn/types.h"
@@ -33,6 +32,22 @@ namespace exo::fs {
 // of the simulated system run. ExOS blocks via kernel wakeup predicates; the BSD
 // kernel blocks via its own sleep queue; unit tests spin the event engine.
 using Blocker = std::function<void(const std::function<bool()>& ready)>;
+
+// The blocker for code outside any simulated process (boot, tests, examples): runs
+// the engine's events, or advances its idle clock, until `ready` holds.
+inline Blocker SpinEngine(sim::Engine& engine) {
+  return [&engine](const std::function<bool()>& ready) {
+    int spins = 0;
+    while (!ready()) {
+      if (engine.HasPendingEvents()) {
+        engine.RunNextEvent();
+      } else {
+        engine.Advance(20'000);
+      }
+      EXO_CHECK_LT(++spins, 2'000'000);
+    }
+  };
+}
 
 class FsBackend {
  public:
@@ -62,10 +77,6 @@ class FsBackend {
   // Installs a fresh zeroed cache page for a just-allocated block without reading
   // the stale disk contents.
   virtual Status InstallFresh(hw::BlockId block, hw::BlockId parent) = 0;
-
-  // Drops a clean cached block (cache management belongs to the file system in the
-  // exokernel regime; the kernel regime may ignore this hint).
-  virtual void Release(hw::BlockId block) = 0;
 
   // ---- Durability ----
 
@@ -97,17 +108,13 @@ class FsBackend {
   // backend only records is_metadata (it trusts the FS and never runs UDFs).
   virtual Result<uint32_t> RegisterTemplate(const xn::Template& t) = 0;
 
-  // CPU accounting for file-system code paths (directory scans, copies into user
-  // buffers, checksum work) — charged to the simulated clock.
-  virtual void ChargeCpu(sim::Cycles cycles) = 0;
-  virtual const sim::CostModel& cost() const = 0;
-  // The machine's tracer, so file systems built on this backend can emit
-  // `fs`-category records without extra wiring (nullptr: untraced backend).
-  virtual trace::Tracer* tracer() { return nullptr; }
-  // Current simulated time (reading the cycle counter is free).
-  virtual sim::Cycles Now() const = 0;
   // True when the block is present in the cache/registry (exposed state).
   virtual bool IsCached(hw::BlockId block) const = 0;
+
+  // The machine the storage lives on: file-system code charges its CPU work
+  // (directory scans, copies into user buffers) to its clock and cost model, and
+  // emits `fs` records to its tracer.
+  virtual hw::Machine& machine() = 0;
 };
 
 }  // namespace exo::fs

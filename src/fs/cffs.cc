@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "fs/fs_internal.h"
 #include "udf/assembler.h"
 
 namespace exo::fs {
@@ -25,14 +26,6 @@ constexpr uint8_t kKindFree = 0;
 constexpr uint8_t kKindFile = 1;
 constexpr uint8_t kKindDir = 2;
 constexpr uint8_t kKindHeader = 3;
-
-uint16_t GetU16(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint16_t>(b[off] | (b[off + 1] << 8));
-}
-uint32_t GetU32(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint32_t>(b[off]) | (static_cast<uint32_t>(b[off + 1]) << 8) |
-         (static_cast<uint32_t>(b[off + 2]) << 16) | (static_cast<uint32_t>(b[off + 3]) << 24);
-}
 
 xn::ByteMod ModU8(uint32_t off, uint8_t v) { return {off, {v}}; }
 xn::ByteMod ModU16(uint32_t off, uint16_t v) {
@@ -196,40 +189,27 @@ udf::Program BlockSizeUf() {
   return r.program;
 }
 
-// Splits "/a/b/c" into components; rejects empty components and overlong names.
-Result<std::vector<std::string>> SplitPath(const std::string& path) {
-  if (path.empty() || path[0] != '/') {
-    return Status::kInvalidArgument;
-  }
-  std::vector<std::string> parts;
-  std::string cur;
-  for (size_t i = 1; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty()) {
-        if (cur.size() > Cffs::kNameMax) {
-          return Status::kInvalidArgument;
-        }
-        parts.push_back(cur);
-        cur.clear();
-      }
-    } else {
-      cur.push_back(path[i]);
-    }
-  }
-  return parts;
-}
-
 }  // namespace
 
 Cffs::Cffs(FsBackend* backend, const CffsOptions& options)
-    : backend_(backend), options_(options), tracer_(backend->tracer()) {
-  if (tracer_ != nullptr) {
-    trace_track_ = tracer_->NewTrack(options_.root_name);
-  }
+    : backend_(backend),
+      machine_(backend->machine()),
+      options_(options),
+      trace_track_(machine_.tracer().NewTrack(options_.root_name)) {}
+
+uint64_t Cffs::Pack(const Handle& h) {
+  return (static_cast<uint64_t>(h.dir_block) << 8) | h.slot;
 }
 
-uint32_t Cffs::Mtime() const {
-  return static_cast<uint32_t>(backend_->cost().ToSeconds(backend_->Now()));
+Cffs::Handle Cffs::Unpack(uint64_t h) {
+  return Handle{static_cast<hw::BlockId>(h >> 8), static_cast<uint8_t>(h & 0xff)};
+}
+
+void Cffs::TraceFs(const char* name, uint64_t arg) {
+  trace::Tracer& t = machine_.tracer();
+  if (t.enabled(trace::Category::kFs)) {
+    t.Instant(trace::Category::kFs, trace_track_, name, machine_.engine().now(), arg);
+  }
 }
 
 Status Cffs::InstallTemplates() {
@@ -319,8 +299,7 @@ void Cffs::MarkDirty(hw::BlockId b, bool metadata) {
   } else {
     dirty_data_.insert(b);
   }
-  if (options_.writeback_threshold != 0 &&
-      dirty_data_.size() >= options_.writeback_threshold) {
+  if (dirty_data_.size() >= kWritebackThreshold) {
     WriteBehind();
   }
 }
@@ -329,11 +308,7 @@ Result<std::span<const uint8_t>> Cffs::GetMeta(hw::BlockId block) {
   if (backend_->IsCached(block)) {
     return backend_->GetBlock(block, block);  // parent irrelevant on a hit
   }
-  if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFs)) {
-    // Only misses are recorded; hits are the hot path and say nothing new.
-    tracer_->Instant(trace::Category::kFs, trace_track_, "meta_miss", backend_->Now(),
-                     block);
-  }
+  TraceFs("meta_miss", block);  // only misses: hits are the hot path and say nothing new
   if (block == root_block_) {
     auto r = backend_->OpenRoot(options_.root_name);  // reloads the root mapping
     if (!r.ok()) {
@@ -373,7 +348,7 @@ Result<Cffs::Entry> Cffs::ReadSlot(hw::BlockId block, uint8_t slot) {
   for (uint32_t i = 0; i < kNumIndirect; ++i) {
     e.indirect[i] = GetU32(s, kOffIndirect + i * 4);
   }
-  backend_->ChargeCpu(30);  // decode cost
+  machine_.Charge(30);  // decode cost
   return e;
 }
 
@@ -429,10 +404,7 @@ Result<Cffs::Handle> Cffs::FindInDir(const DirRef& d, const std::string& name) {
   if (!blocks.ok()) {
     return blocks.status();
   }
-  if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFs)) {
-    tracer_->Instant(trace::Category::kFs, trace_track_, "dir_search", backend_->Now(),
-                     blocks->size());
-  }
+  TraceFs("dir_search", blocks->size());
   for (hw::BlockId b : *blocks) {
     auto bytes = GetMeta(b);
     if (!bytes.ok()) {
@@ -444,7 +416,7 @@ Result<Cffs::Handle> Cffs::FindInDir(const DirRef& d, const std::string& name) {
         continue;
       }
       uint8_t nl = s[kOffNameLen];
-      backend_->ChargeCpu(backend_->cost().CompareCost(nl + 2));
+      machine_.Charge(machine_.cost().CompareCost(nl + 2));
       if (nl == name.size() &&
           std::memcmp(s.data() + kOffName, name.data(), nl) == 0) {
         return Handle{b, slot};
@@ -455,7 +427,7 @@ Result<Cffs::Handle> Cffs::FindInDir(const DirRef& d, const std::string& name) {
 }
 
 Result<Cffs::DirRef> Cffs::WalkToDir(const std::string& path, std::string* leaf) {
-  auto parts = SplitPath(path);
+  auto parts = SplitPath(path, kNameMax);
   if (!parts.ok()) {
     return parts.status();
   }
@@ -488,16 +460,24 @@ Result<Cffs::DirRef> Cffs::WalkToDir(const std::string& path, std::string* leaf)
 }
 
 Result<Cffs::Handle> Cffs::Lookup(const std::string& path) {
-  if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFs)) {
-    tracer_->Instant(trace::Category::kFs, trace_track_, "lookup", backend_->Now(),
-                     path.size());
-  }
+  TraceFs("lookup", path.size());
   std::string leaf;
   auto dir = WalkToDir(path, &leaf);
   if (!dir.ok()) {
     return dir.status();
   }
   return FindInDir(*dir, leaf);
+}
+
+Result<uint64_t> Cffs::Open(const std::string& path, bool create, uint16_t uid) {
+  auto h = Lookup(path);
+  if (!h.ok() && create) {
+    h = CreateEntry(path, uid, /*is_dir=*/false);
+  }
+  if (!h.ok()) {
+    return h.status();
+  }
+  return Pack(*h);
 }
 
 Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& existing) {
@@ -640,7 +620,20 @@ Result<Cffs::Handle> Cffs::AddEntry(const DirRef& d, const Entry& e) {
   return Status::kOutOfResources;
 }
 
-Result<Cffs::Handle> Cffs::Create(const std::string& path, uint16_t uid, bool is_dir) {
+Result<uint64_t> Cffs::Create(const std::string& path, uint16_t uid) {
+  auto h = CreateEntry(path, uid, /*is_dir=*/false);
+  if (!h.ok()) {
+    return h.status();
+  }
+  return Pack(*h);
+}
+
+Status Cffs::Mkdir(const std::string& path, uint16_t uid) {
+  auto h = CreateEntry(path, uid, /*is_dir=*/true);
+  return h.ok() ? Status::kOk : h.status();
+}
+
+Result<Cffs::Handle> Cffs::CreateEntry(const std::string& path, uint16_t uid, bool is_dir) {
   std::string leaf;
   auto dir = WalkToDir(path, &leaf);
   if (!dir.ok()) {
@@ -654,7 +647,7 @@ Result<Cffs::Handle> Cffs::Create(const std::string& path, uint16_t uid, bool is
   Entry e;
   e.kind = is_dir ? kKindDir : kKindFile;
   e.uid = uid;
-  e.mtime = Mtime();
+  e.mtime = Mtime(machine_);
   e.name = leaf;
   auto h = AddEntry(*dir, e);
   if (!h.ok()) {
@@ -702,10 +695,7 @@ Result<std::pair<hw::BlockId, hw::BlockId>> Cffs::DataBlockAt(const Handle& h, c
     return Status::kBadMetadata;
   }
   RememberParent(e.indirect[k], h.dir_block);
-  if (tracer_ != nullptr && tracer_->enabled(trace::Category::kFs)) {
-    tracer_->Instant(trace::Category::kFs, trace_track_, "indirect", backend_->Now(),
-                     e.indirect[k]);
-  }
+  TraceFs("indirect", e.indirect[k]);
   auto ind = GetMeta(e.indirect[k]);
   if (!ind.ok()) {
     return ind.status();
@@ -715,7 +705,8 @@ Result<std::pair<hw::BlockId, hw::BlockId>> Cffs::DataBlockAt(const Handle& h, c
   return std::make_pair(db, e.indirect[k]);
 }
 
-Result<std::pair<hw::BlockId, hw::BlockId>> Cffs::BlockAt(const Handle& h, uint32_t index) {
+Result<std::pair<hw::BlockId, hw::BlockId>> Cffs::BlockAt(uint64_t handle, uint32_t index) {
+  const Handle h = Unpack(handle);
   auto e = ReadEntry(h);
   if (!e.ok()) {
     return e.status();
@@ -828,8 +819,9 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
   return Status::kOk;
 }
 
-Result<uint32_t> Cffs::Write(const Handle& h, uint64_t off, std::span<const uint8_t> data,
+Result<uint32_t> Cffs::Write(uint64_t handle, uint64_t off, std::span<const uint8_t> data,
                              uint16_t uid) {
+  const Handle h = Unpack(handle);
   auto e = ReadEntry(h);
   if (!e.ok()) {
     return e.status();
@@ -878,14 +870,14 @@ Result<uint32_t> Cffs::Write(const Handle& h, uint64_t off, std::span<const uint
       return buf.status();
     }
     std::memcpy(buf->data() + boff, data.data() + done, chunk);
-    backend_->ChargeCpu(backend_->cost().CopyCost(chunk));
+    machine_.Charge(machine_.cost().CopyCost(chunk));
     MarkDirty(loc->first, /*metadata=*/false);
     done += chunk;
   }
 
   // Implicit updates (Sec. 4.5): size and mtime change with the data.
   const uint32_t base = h.slot * kSlotSize;
-  xn::Mods mods = {ModU32(base + kOffMtime, Mtime())};
+  xn::Mods mods = {ModU32(base + kOffMtime, Mtime(machine_))};
   if (end > e->size) {
     mods.push_back(ModU32(base + kOffSize, static_cast<uint32_t>(end)));
   }
@@ -897,7 +889,8 @@ Result<uint32_t> Cffs::Write(const Handle& h, uint64_t off, std::span<const uint
   return static_cast<uint32_t>(data.size());
 }
 
-Result<uint32_t> Cffs::Read(const Handle& h, uint64_t off, std::span<uint8_t> out) {
+Result<uint32_t> Cffs::Read(uint64_t handle, uint64_t off, std::span<uint8_t> out) {
+  const Handle h = Unpack(handle);
   auto e = ReadEntry(h);
   if (!e.ok()) {
     return e.status();
@@ -926,14 +919,14 @@ Result<uint32_t> Cffs::Read(const Handle& h, uint64_t off, std::span<uint8_t> ou
       return bytes.status();
     }
     std::memcpy(out.data() + done, bytes->data() + boff, chunk);
-    backend_->ChargeCpu(backend_->cost().CopyCost(chunk));
+    machine_.Charge(machine_.cost().CopyCost(chunk));
     done += chunk;
   }
   return static_cast<uint32_t>(done);
 }
 
-Result<FileStat> Cffs::Stat(const Handle& h) {
-  auto e = ReadEntry(h);
+Result<FileStat> Cffs::StatHandle(uint64_t h) {
+  auto e = ReadEntry(Unpack(h));
   if (!e.ok()) {
     return e.status();
   }
@@ -956,7 +949,7 @@ Result<FileStat> Cffs::StatPath(const std::string& path) {
   if (!h.ok()) {
     return h.status();
   }
-  return Stat(*h);
+  return StatHandle(Pack(*h));
 }
 
 Result<std::vector<DirEnt>> Cffs::ReadDir(const std::string& path) {
@@ -997,7 +990,7 @@ Result<std::vector<DirEnt>> Cffs::ReadDir(const std::string& path) {
       de.is_dir = s[kOffKind] == kKindDir;
       de.size = GetU32(s, kOffSize);
       out.push_back(std::move(de));
-      backend_->ChargeCpu(40);
+      machine_.Charge(40);
     }
   }
   return out;
@@ -1170,7 +1163,8 @@ Status Cffs::Rename(const std::string& from, const std::string& to, uint16_t uid
   return s;
 }
 
-Result<std::vector<hw::BlockId>> Cffs::FileBlocks(const Handle& h) {
+Result<std::vector<hw::BlockId>> Cffs::FileBlocks(uint64_t handle) {
+  const Handle h = Unpack(handle);
   auto e = ReadEntry(h);
   if (!e.ok()) {
     return e.status();
@@ -1186,11 +1180,11 @@ Result<std::vector<hw::BlockId>> Cffs::FileBlocks(const Handle& h) {
   return out;
 }
 
-Result<Cffs::Handle> Cffs::CreateSized(const std::string& path, uint16_t uid, uint64_t size,
-                                       hw::BlockId hint) {
-  auto h = Create(path, uid, /*is_dir=*/false);
+Result<uint64_t> Cffs::CreateSized(const std::string& path, uint16_t uid, uint64_t size,
+                                   hw::BlockId hint) {
+  auto h = CreateEntry(path, uid, /*is_dir=*/false);
   if (!h.ok()) {
-    return h;
+    return h.status();
   }
   const uint32_t need = static_cast<uint32_t>((size + hw::kBlockSize - 1) / hw::kBlockSize);
   if (need > 0) {
@@ -1210,7 +1204,7 @@ Result<Cffs::Handle> Cffs::CreateSized(const std::string& path, uint16_t uid, ui
     return s;
   }
   MarkDirty(h->dir_block);
-  return h;
+  return Pack(*h);
 }
 
 Status Cffs::Sync() {

@@ -35,33 +35,17 @@
 #include <string>
 #include <vector>
 
-#include "fs/backend.h"
+#include "fs/fs_api.h"
 
 namespace exo::fs {
-
-struct FileStat {
-  uint64_t size = 0;
-  bool is_dir = false;
-  uint32_t mtime = 0;
-  uint16_t uid = 0;
-  uint32_t nblocks = 0;
-};
-
-struct DirEnt {
-  std::string name;
-  bool is_dir = false;
-  uint32_t size = 0;
-};
 
 struct CffsOptions {
   uint16_t fsid = 1;
   std::string root_name = "cffs";
-  // Write-behind threshold: a background flush is kicked when this many blocks are
-  // dirty. 0 disables write-behind (flush only on Sync).
-  uint32_t writeback_threshold = 512;
 };
 
-class Cffs {
+// A C-FFS handle names a file's embedded inode: (directory block << 8) | slot.
+class Cffs : public FileSys {
  public:
   Cffs(FsBackend* backend, const CffsOptions& options = {});
 
@@ -70,43 +54,37 @@ class Cffs {
   // Attaches to an existing one.
   Status Mount();
 
-  // Location of a directory entry: the embedded inode.
-  struct Handle {
-    hw::BlockId dir_block = hw::kInvalidBlock;
-    uint8_t slot = 0;
-    bool operator==(const Handle&) const = default;
-  };
-
-  Result<Handle> Lookup(const std::string& path);
-  Result<Handle> Create(const std::string& path, uint16_t uid, bool is_dir);
-  Status Unlink(const std::string& path, uint16_t uid);
-  Result<FileStat> Stat(const Handle& h);
-  Result<FileStat> StatPath(const std::string& path);
-  Result<std::vector<DirEnt>> ReadDir(const std::string& path);
-  Status Rename(const std::string& from, const std::string& to, uint16_t uid);
-
-  Result<uint32_t> Read(const Handle& h, uint64_t off, std::span<uint8_t> out);
-  Result<uint32_t> Write(const Handle& h, uint64_t off, std::span<const uint8_t> data,
-                         uint16_t uid);
-
+  Result<uint64_t> Open(const std::string& path, bool create, uint16_t uid) override;
+  Result<uint32_t> Read(uint64_t h, uint64_t off, std::span<uint8_t> out) override;
+  Result<uint32_t> Write(uint64_t h, uint64_t off, std::span<const uint8_t> data,
+                         uint16_t uid) override;
+  Result<FileStat> StatHandle(uint64_t h) override;
+  Result<FileStat> StatPath(const std::string& path) override;
+  Status Mkdir(const std::string& path, uint16_t uid) override;
+  Status Unlink(const std::string& path, uint16_t uid) override;
+  Status Rename(const std::string& from, const std::string& to, uint16_t uid) override;
+  Result<std::vector<DirEnt>> ReadDir(const std::string& path) override;
   // Flushes all dirty blocks in dependency order and waits.
-  Status Sync();
-  // Opportunistic non-blocking flush (write-behind).
-  void WriteBehind();
+  Status Sync() override;
+
+  FsBackend& backend() override { return *backend_; }
+
+  // Exclusive file create: kAlreadyExists if the name is taken (Sec. 4.5's
+  // uniqueness).
+  Result<uint64_t> Create(const std::string& path, uint16_t uid);
 
   // ---- Low-level interfaces for specialized applications (XCP, Cheetah) ----
 
   // The file's data block addresses in order (reads indirect blocks as needed).
-  Result<std::vector<hw::BlockId>> FileBlocks(const Handle& h);
+  Result<std::vector<hw::BlockId>> FileBlocks(uint64_t h);
   // Creates a file with `size` bytes of preallocated blocks placed at/after `hint`
   // (XCP overlaps allocation with reads, Sec. 7.2).
-  Result<Handle> CreateSized(const std::string& path, uint16_t uid, uint64_t size,
-                             hw::BlockId hint);
-  // The owning metadata block for a given file block index (needed by zero-copy
-  // paths that call the backend directly).
-  Result<std::pair<hw::BlockId, hw::BlockId>> BlockAt(const Handle& h, uint32_t index);
+  Result<uint64_t> CreateSized(const std::string& path, uint16_t uid, uint64_t size,
+                               hw::BlockId hint);
+  // A file block and the metadata block that owns it (the directory block for the
+  // first eight), for zero-copy paths that call the backend directly.
+  Result<std::pair<hw::BlockId, hw::BlockId>> BlockAt(uint64_t h, uint32_t index);
 
-  FsBackend& backend() { return *backend_; }
   hw::BlockId root_block() const { return root_block_; }
   uint32_t dirty_count() const {
     return static_cast<uint32_t>(dirty_.size() + dirty_data_.size());
@@ -120,7 +98,12 @@ class Cffs {
   static constexpr uint32_t kPtrsPerIndirect = (hw::kBlockSize - 4) / 4;  // 1023
 
  private:
-  friend class CffsTestPeer;
+  // Location of a directory entry: the embedded inode.
+  struct Handle {
+    hw::BlockId dir_block = hw::kInvalidBlock;
+    uint8_t slot = 0;
+    bool operator==(const Handle&) const = default;
+  };
 
   struct Entry {  // decoded slot
     uint8_t kind = 0;
@@ -139,10 +122,14 @@ class Cffs {
     Handle entry;
   };
 
+  static uint64_t Pack(const Handle& h);
+  static Handle Unpack(uint64_t h);
+  // An `fs` instant on this file system's track, when the tracer records them.
+  void TraceFs(const char* name, uint64_t arg);
+
   Status InstallTemplates();
   Result<Entry> ReadEntry(const Handle& h);
   Result<Entry> ReadSlot(hw::BlockId block, uint8_t slot);
-  uint32_t Mtime() const;
 
   // Fetches a metadata block, re-reading it through its parent chain if it was
   // recycled from the cache. XN requires parents to be resident before children can
@@ -153,6 +140,8 @@ class Cffs {
     parent_hint_[block] = parent;
   }
 
+  Result<Handle> Lookup(const std::string& path);
+  Result<Handle> CreateEntry(const std::string& path, uint16_t uid, bool is_dir);
   Result<DirRef> WalkToDir(const std::string& path, std::string* leaf);
   Result<std::vector<hw::BlockId>> DirBlocks(const DirRef& d);
   Result<Handle> FindInDir(const DirRef& d, const std::string& name);
@@ -166,10 +155,12 @@ class Cffs {
                                                           uint32_t index);
 
   void MarkDirty(hw::BlockId b, bool metadata = true);
+  // Opportunistic non-blocking flush of the dirty data blocks (write-behind).
+  void WriteBehind();
 
   FsBackend* backend_;
+  hw::Machine& machine_;
   CffsOptions options_;
-  trace::Tracer* tracer_ = nullptr;  // from the backend; nullptr when untraced
   uint32_t trace_track_ = 0;
   hw::BlockId root_block_ = hw::kInvalidBlock;
   uint32_t dir_tmpl_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "fs/fs_internal.h"
+
 namespace exo::fs {
 
 namespace {
@@ -16,48 +18,13 @@ constexpr uint32_t kOffDirect = 16;
 constexpr uint32_t kOffIndirect = 48;
 constexpr uint32_t kInodeSize = 128;
 
-uint16_t GetU16(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint16_t>(b[off] | (b[off + 1] << 8));
-}
-uint32_t GetU32(std::span<const uint8_t> b, uint32_t off) {
-  return static_cast<uint32_t>(b[off]) | (static_cast<uint32_t>(b[off + 1]) << 8) |
-         (static_cast<uint32_t>(b[off + 2]) << 16) | (static_cast<uint32_t>(b[off + 3]) << 24);
-}
-
-Result<std::vector<std::string>> SplitPath(const std::string& path) {
-  if (path.empty() || path[0] != '/') {
-    return Status::kInvalidArgument;
-  }
-  std::vector<std::string> parts;
-  std::string cur;
-  for (size_t i = 1; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty()) {
-        if (cur.size() > Ffs::kNameMax) {
-          return Status::kInvalidArgument;
-        }
-        parts.push_back(cur);
-        cur.clear();
-      }
-    } else {
-      cur.push_back(path[i]);
-    }
-  }
-  return parts;
-}
-
 }  // namespace
 
-Ffs::Ffs(FsBackend* backend, const FfsOptions& options)
-    : backend_(backend), options_(options) {}
-
-uint32_t Ffs::Mtime() const {
-  return static_cast<uint32_t>(backend_->cost().ToSeconds(backend_->Now()));
-}
+Ffs::Ffs(FsBackend* backend) : backend_(backend), machine_(backend->machine()) {}
 
 void Ffs::MarkDirty(hw::BlockId b) {
   dirty_.insert(b);
-  if (options_.writeback_threshold != 0 && dirty_.size() >= options_.writeback_threshold) {
+  if (dirty_.size() >= kWritebackThreshold) {
     WriteBehind();
   }
 }
@@ -95,7 +62,7 @@ Status Ffs::Mkfs() {
   // Root directory: inode 1 (inode 0 stays invalid).
   Inode rooti;
   rooti.kind = 2;
-  rooti.mtime = Mtime();
+  rooti.mtime = Mtime(machine_);
   s = WriteInode(kRootIno, rooti, /*metadata_update=*/true);
   return s;
 }
@@ -122,7 +89,7 @@ Result<Ffs::Inode> Ffs::ReadInode(uint32_t ino) {
   for (uint32_t i = 0; i < kNumIndirect; ++i) {
     in.indirect[i] = GetU32(s, kOffIndirect + i * 4);
   }
-  backend_->ChargeCpu(30);
+  machine_.Charge(30);
   return in;
 }
 
@@ -170,7 +137,7 @@ Result<uint32_t> Ffs::AllocInode(uint8_t kind, uint16_t uid) {
       Inode fresh;
       fresh.kind = kind;
       fresh.uid = uid;
-      fresh.mtime = Mtime();
+      fresh.mtime = Mtime(machine_);
       Status s = WriteInode(ino, fresh, /*metadata_update=*/true);
       if (s != Status::kOk) {
         return s;
@@ -319,7 +286,7 @@ Result<uint32_t> Ffs::LookupIn(uint32_t dir_ino, const std::string& name) {
         continue;
       }
       uint8_t nl = s[5];
-      backend_->ChargeCpu(backend_->cost().CompareCost(nl + 2));
+      machine_.Charge(machine_.cost().CompareCost(nl + 2));
       if (nl == name.size() && std::memcmp(s.data() + 6, name.data(), nl) == 0) {
         return ino;
       }
@@ -329,7 +296,7 @@ Result<uint32_t> Ffs::LookupIn(uint32_t dir_ino, const std::string& name) {
 }
 
 Result<uint32_t> Ffs::WalkToDir(const std::string& path, std::string* leaf) {
-  auto parts = SplitPath(path);
+  auto parts = SplitPath(path, kNameMax);
   if (!parts.ok()) {
     return parts.status();
   }
@@ -394,7 +361,7 @@ Status Ffs::AddDirEnt(uint32_t dir_ino, const std::string& name, uint32_t ino, u
       s[4] = kind;
       s[5] = static_cast<uint8_t>(name.size());
       std::memcpy(s + 6, name.data(), name.size());
-      backend_->ChargeCpu(60);
+      machine_.Charge(60);
       return MetadataFlush({*b});  // directory data is metadata for integrity
     }
   }
@@ -501,7 +468,7 @@ Result<uint32_t> Ffs::Read(uint64_t h, uint64_t off, std::span<uint8_t> out) {
       return bytes.status();
     }
     std::memcpy(out.data() + done, bytes->data() + boff, chunk);
-    backend_->ChargeCpu(backend_->cost().CopyCost(chunk));
+    machine_.Charge(machine_.cost().CopyCost(chunk));
     done += chunk;
   }
   return static_cast<uint32_t>(done);
@@ -550,14 +517,14 @@ Result<uint32_t> Ffs::Write(uint64_t h, uint64_t off, std::span<const uint8_t> d
       return wb.status();
     }
     std::memcpy(wb->data() + boff, data.data() + done, chunk);
-    backend_->ChargeCpu(backend_->cost().CopyCost(chunk));
+    machine_.Charge(machine_.cost().CopyCost(chunk));
     MarkDirty(*b);
     done += chunk;
   }
   if (end > in->size) {
     in->size = static_cast<uint32_t>(end);
   }
-  in->mtime = Mtime();
+  in->mtime = Mtime(machine_);
   Status s = WriteInode(ino, *in, /*metadata_update=*/false);
   if (s != Status::kOk) {
     return s;
@@ -713,7 +680,7 @@ Result<std::vector<DirEnt>> Ffs::ReadDir(const std::string& path) {
       auto fin = ReadInode(ino);
       de.size = fin.ok() ? fin->size : 0;
       out.push_back(std::move(de));
-      backend_->ChargeCpu(40);
+      machine_.Charge(40);
     }
   }
   return out;

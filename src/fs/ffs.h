@@ -19,6 +19,7 @@
 #ifndef EXO_FS_FFS_H_
 #define EXO_FS_FFS_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -26,13 +27,9 @@
 
 namespace exo::fs {
 
-struct FfsOptions {
-  uint32_t writeback_threshold = 512;
-};
-
 class Ffs : public FileSys {
  public:
-  Ffs(FsBackend* backend, const FfsOptions& options = {});
+  explicit Ffs(FsBackend* backend);
 
   Status Mkfs();
 
@@ -47,7 +44,6 @@ class Ffs : public FileSys {
   Status Rename(const std::string& from, const std::string& to, uint16_t uid) override;
   Result<std::vector<DirEnt>> ReadDir(const std::string& path) override;
   Status Sync() override;
-  void WriteBehind() override;
 
   FsBackend& backend() override { return *backend_; }
 
@@ -88,12 +84,12 @@ class Ffs : public FileSys {
   Status RemoveDirEnt(uint32_t dir_ino, const std::string& name);
   Result<uint32_t> ResolvePath(const std::string& path);
 
-  uint32_t Mtime() const;
   void MarkDirty(hw::BlockId b);
+  void WriteBehind();
   Status MetadataFlush(std::vector<hw::BlockId> blocks);
 
   FsBackend* backend_;
-  FfsOptions options_;
+  hw::Machine& machine_;
   hw::BlockId super_ = hw::kInvalidBlock;
   hw::BlockId inode_zone_ = hw::kInvalidBlock;
   hw::BlockId rotor_ = 0;  // global allocation cursor

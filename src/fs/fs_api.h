@@ -7,13 +7,28 @@
 #ifndef EXO_FS_FS_API_H_
 #define EXO_FS_FS_API_H_
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "fs/backend.h"
-#include "fs/cffs.h"
 
 namespace exo::fs {
+
+struct FileStat {
+  uint64_t size = 0;
+  bool is_dir = false;
+  uint32_t mtime = 0;
+  uint16_t uid = 0;
+  uint32_t nblocks = 0;
+};
+
+struct DirEnt {
+  std::string name;
+  bool is_dir = false;
+  uint32_t size = 0;
+};
 
 class FileSys {
  public:
@@ -31,94 +46,8 @@ class FileSys {
   [[nodiscard]] virtual Status Rename(const std::string& from, const std::string& to, uint16_t uid) = 0;
   [[nodiscard]] virtual Result<std::vector<DirEnt>> ReadDir(const std::string& path) = 0;
   [[nodiscard]] virtual Status Sync() = 0;
-  virtual void WriteBehind() {}
-
-  // Low-level extensions used by specialized applications (XCP, Cheetah). File
-  // systems that hide their layout return kNotSupported — which is the point: only
-  // the exokernel configuration exposes them.
-  [[nodiscard]] virtual Result<std::vector<hw::BlockId>> FileBlocks(uint64_t h) {
-    return Status::kNotSupported;
-  }
-  [[nodiscard]] virtual Result<uint64_t> CreateSized(const std::string& path, uint16_t uid, uint64_t size,
-                                       hw::BlockId hint) {
-    return Status::kNotSupported;
-  }
 
   virtual FsBackend& backend() = 0;
-};
-
-// Adapter: C-FFS as a FileSys. Handles encode (directory block << 8) | slot.
-class CffsFileSys : public FileSys {
- public:
-  explicit CffsFileSys(Cffs* fs, bool expose_layout = true)
-      : fs_(fs), expose_layout_(expose_layout) {}
-
-  [[nodiscard]] Result<uint64_t> Open(const std::string& path, bool create, uint16_t uid) override {
-    auto h = fs_->Lookup(path);
-    if (!h.ok() && create) {
-      h = fs_->Create(path, uid, /*is_dir=*/false);
-    }
-    if (!h.ok()) {
-      return h.status();
-    }
-    return Pack(*h);
-  }
-  [[nodiscard]] Result<uint32_t> Read(uint64_t h, uint64_t off, std::span<uint8_t> out) override {
-    return fs_->Read(Unpack(h), off, out);
-  }
-  [[nodiscard]] Result<uint32_t> Write(uint64_t h, uint64_t off, std::span<const uint8_t> data,
-                         uint16_t uid) override {
-    return fs_->Write(Unpack(h), off, data, uid);
-  }
-  [[nodiscard]] Result<FileStat> StatHandle(uint64_t h) override { return fs_->Stat(Unpack(h)); }
-  [[nodiscard]] Result<FileStat> StatPath(const std::string& path) override { return fs_->StatPath(path); }
-  [[nodiscard]] Status Mkdir(const std::string& path, uint16_t uid) override {
-    auto h = fs_->Create(path, uid, /*is_dir=*/true);
-    return h.ok() ? Status::kOk : h.status();
-  }
-  [[nodiscard]] Status Unlink(const std::string& path, uint16_t uid) override {
-    return fs_->Unlink(path, uid);
-  }
-  [[nodiscard]] Status Rename(const std::string& from, const std::string& to, uint16_t uid) override {
-    return fs_->Rename(from, to, uid);
-  }
-  [[nodiscard]] Result<std::vector<DirEnt>> ReadDir(const std::string& path) override {
-    return fs_->ReadDir(path);
-  }
-  [[nodiscard]] Status Sync() override { return fs_->Sync(); }
-  void WriteBehind() override { fs_->WriteBehind(); }
-
-  [[nodiscard]] Result<std::vector<hw::BlockId>> FileBlocks(uint64_t h) override {
-    if (!expose_layout_) {
-      return Status::kNotSupported;  // kernel-resident C-FFS hides its layout
-    }
-    return fs_->FileBlocks(Unpack(h));
-  }
-  [[nodiscard]] Result<uint64_t> CreateSized(const std::string& path, uint16_t uid, uint64_t size,
-                               hw::BlockId hint) override {
-    if (!expose_layout_) {
-      return Status::kNotSupported;
-    }
-    auto h = fs_->CreateSized(path, uid, size, hint);
-    if (!h.ok()) {
-      return h.status();
-    }
-    return Pack(*h);
-  }
-
-  FsBackend& backend() override { return fs_->backend(); }
-  Cffs& cffs() { return *fs_; }
-
- private:
-  static uint64_t Pack(const Cffs::Handle& h) {
-    return (static_cast<uint64_t>(h.dir_block) << 8) | h.slot;
-  }
-  static Cffs::Handle Unpack(uint64_t h) {
-    return Cffs::Handle{static_cast<hw::BlockId>(h >> 8), static_cast<uint8_t>(h & 0xff)};
-  }
-
-  Cffs* fs_;
-  bool expose_layout_;
 };
 
 }  // namespace exo::fs

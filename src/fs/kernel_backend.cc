@@ -2,16 +2,9 @@
 
 #include <cstring>
 
-namespace exo::fs {
+#include "fs/fs_internal.h"
 
-namespace {
-// Transient I/O errors (injected or real) are retried a few times with exponential
-// backoff before surfacing; each wait is charged as CPU-visible delay.
-constexpr int kIoRetries = 4;
-sim::Cycles BackoffCycles(const sim::CostModel& cost, int attempt) {
-  return static_cast<sim::Cycles>(100u << attempt) * cost.cpu_mhz;  // 100us, 200us, ...
-}
-}  // namespace
+namespace exo::fs {
 
 KernelBackend::KernelBackend(hw::Machine* machine, hw::Disk* disk, Blocker blocker,
                              const KernelBackendOptions& options)
@@ -72,27 +65,9 @@ Status KernelBackend::MakeRoom() {
     }
     Entry& e = cache_[victim];
     if (e.dirty) {
-      Status ws = Status::kOk;
-      for (int attempt = 0; attempt < kIoRetries; ++attempt) {
-        e.in_transit = true;
-        bool done = false;
-        Status result = Status::kOk;
-        disk_->Submit({.write = true,
-                       .start = victim,
-                       .nblocks = 1,
-                       .frames = {e.frame},
-                       .done = [&done, &result](Status s) {
-                         result = s;
-                         done = true;
-                       }});
-        blocker_([&done] { return done; });
-        e.in_transit = false;
-        ws = result;
-        if (ws == Status::kOk) {
-          break;
-        }
-        machine_->Charge(BackoffCycles(machine_->cost(), attempt));
-      }
+      e.in_transit = true;
+      Status ws = Transfer(/*write=*/true, victim, e.frame);
+      e.in_transit = false;
       if (ws != Status::kOk) {
         return Status::kIoError;  // cannot evict without losing the only good copy
       }
@@ -102,6 +77,27 @@ Status KernelBackend::MakeRoom() {
     cache_.erase(victim);
   }
   return Status::kOk;
+}
+
+Status KernelBackend::Transfer(bool write, hw::BlockId block, hw::FrameId frame) {
+  Status result = Status::kOk;
+  for (int attempt = 0; attempt < kIoRetries; ++attempt) {
+    bool done = false;
+    disk_->Submit({.write = write,
+                   .start = block,
+                   .nblocks = 1,
+                   .frames = {frame},
+                   .done = [&done, &result](Status s) {
+                     result = s;
+                     done = true;
+                   }});
+    blocker_([&done] { return done; });
+    if (result == Status::kOk) {
+      break;
+    }
+    ChargeIoBackoff(*machine_, attempt);
+  }
+  return result;
 }
 
 Status KernelBackend::EnsureCached(hw::BlockId block, bool read_from_disk) {
@@ -136,25 +132,7 @@ Status KernelBackend::EnsureCached(hw::BlockId block, bool read_from_disk) {
   if (read_from_disk) {
     e.in_transit = true;
     cache_[block] = e;
-    Status rs = Status::kOk;
-    for (int attempt = 0; attempt < kIoRetries; ++attempt) {
-      bool done = false;
-      Status result = Status::kOk;
-      disk_->Submit({.write = false,
-                     .start = block,
-                     .nblocks = 1,
-                     .frames = {*f},
-                     .done = [&done, &result](Status s) {
-                       result = s;
-                       done = true;
-                     }});
-      blocker_([&done] { return done; });
-      rs = result;
-      if (rs == Status::kOk) {
-        break;
-      }
-      machine_->Charge(BackoffCycles(machine_->cost(), attempt));
-    }
+    Status rs = Transfer(/*write=*/false, block, *f);
     cache_[block].in_transit = false;
     if (rs != Status::kOk) {
       // The frame holds garbage; unwind the mapping so later calls retry cleanly.
@@ -260,10 +238,6 @@ Result<std::span<uint8_t>> KernelBackend::GetDataWritable(hw::BlockId block, hw:
 
 Status KernelBackend::InstallFresh(hw::BlockId block, hw::BlockId) {
   return EnsureCached(block, /*read_from_disk=*/false);
-}
-
-void KernelBackend::Release(hw::BlockId block) {
-  // The kernel, not the application, decides eviction: this is a no-op hint.
 }
 
 Status KernelBackend::FlushAsync(std::span<const hw::BlockId> blocks,

@@ -44,7 +44,6 @@ class KernelBackend : public FsBackend {
   Result<std::span<const uint8_t>> GetBlock(hw::BlockId block, hw::BlockId parent) override;
   Result<std::span<uint8_t>> GetDataWritable(hw::BlockId block, hw::BlockId parent) override;
   Status InstallFresh(hw::BlockId block, hw::BlockId parent) override;
-  void Release(hw::BlockId block) override;
 
   Status FlushAsync(std::span<const hw::BlockId> blocks,
                     std::vector<hw::BlockId>* deferred) override;
@@ -60,14 +59,11 @@ class KernelBackend : public FsBackend {
   Result<hw::BlockId> OpenRoot(const std::string& name) override;
   Result<uint32_t> RegisterTemplate(const xn::Template& t) override;
 
-  void ChargeCpu(sim::Cycles cycles) override { machine_->Charge(cycles); }
-  const sim::CostModel& cost() const override { return machine_->cost(); }
-  sim::Cycles Now() const override { return machine_->engine().now(); }
-  trace::Tracer* tracer() override { return &machine_->tracer(); }
   bool IsCached(hw::BlockId block) const override {
     auto it = cache_.find(block);
     return it != cache_.end() && !it->second.in_transit;
   }
+  hw::Machine& machine() override { return *machine_; }
 
   uint64_t cache_hits() const { return hits_; }
   uint64_t cache_misses() const { return misses_; }
@@ -83,6 +79,9 @@ class KernelBackend : public FsBackend {
   };
 
   Status EnsureCached(hw::BlockId block, bool read_from_disk);
+  // Reads or writes one block through `frame` and waits, retrying transient errors;
+  // returns the last attempt's status.
+  Status Transfer(bool write, hw::BlockId block, hw::FrameId frame);
   // Evicts entries until there is room for one more block, writing back dirty
   // victims synchronously (the kernel decides; the application just waits).
   Status MakeRoom();

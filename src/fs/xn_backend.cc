@@ -2,13 +2,9 @@
 
 #include <cstring>
 
-namespace exo::fs {
+#include "fs/fs_internal.h"
 
-namespace {
-// Transient I/O errors are retried with exponential backoff before surfacing.
-constexpr int kIoRetries = 4;
-constexpr sim::Cycles BackoffUs(int attempt) { return 100u << attempt; }
-}  // namespace
+namespace exo::fs {
 
 XnBackend::XnBackend(xn::Xn* xn, xn::Caps creds, Blocker blocker,
                      std::function<hw::FrameId()> frame_alloc)
@@ -78,7 +74,7 @@ Status XnBackend::EnsureCached(hw::BlockId block, hw::BlockId parent) {
   // here ("entry gone"): treat them as a wake-up and re-issue the read.
   for (int tries = 0; tries < 64; ++tries) {
     if (tries > 0 && tries <= kIoRetries) {
-      ChargeCpu(BackoffUs(tries - 1) * cost().cpu_mhz);
+      ChargeIoBackoff(machine(), tries - 1);
     }
     // Read-repair: a block quarantined by an earlier integrity failure is retried
     // once through XN's repair path (rewrite from a clean cached copy). If no such
@@ -150,8 +146,8 @@ Status XnBackend::InstallFresh(hw::BlockId block, hw::BlockId parent) {
   if (!f.ok()) {
     return f.status();
   }
-  xn_->machine().mem().ZeroFrame(*f);
-  ChargeCpu(cost().ZeroCost(hw::kPageSize));
+  machine().mem().ZeroFrame(*f);
+  machine().Charge(machine().cost().ZeroCost(hw::kPageSize));
   Status s = xn_->InsertMapping(block, parent, *f, /*dirty=*/true, creds_);
   while (s == Status::kBusy) {
     WaitResident(parent);
@@ -160,8 +156,6 @@ Status XnBackend::InstallFresh(hw::BlockId block, hw::BlockId parent) {
   xn_->ReleaseFrame(*f);
   return s;
 }
-
-void XnBackend::Release(hw::BlockId block) { (void)xn_->RemoveMapping(block); }
 
 Status XnBackend::FlushAsync(std::span<const hw::BlockId> blocks,
                              std::vector<hw::BlockId>* deferred) {
@@ -248,31 +242,14 @@ hw::BlockId XnBackend::FirstDataBlock() const { return xn_->FirstDataBlock(); }
 uint32_t XnBackend::NumBlocks() const { return xn_->NumBlocks(); }
 
 Result<hw::BlockId> XnBackend::CreateRoot(const std::string& name, uint32_t tmpl) {
-  auto r = xn_->RegisterRoot(name, tmpl, temporary_);
+  auto r = xn_->RegisterRoot(name, tmpl, /*temporary=*/false);
   if (!r.ok()) {
     return r.status();
   }
-  for (int attempt = 0; attempt < kIoRetries; ++attempt) {
-    auto f = TakeFrame();
-    if (!f.ok()) {
-      return f.status();
-    }
-    Status done = Status::kWouldBlock;
-    Status s = xn_->LoadRoot(name, *f, creds_, [&done](Status st) { done = st; });
-    xn_->ReleaseFrame(*f);
-    if (s != Status::kOk) {
-      return s;
-    }
-    blocker_([&done] { return done != Status::kWouldBlock; });
-    if (done == Status::kOk) {
-      return r->block;
-    }
-    if (done != Status::kIoError) {
-      return done;
-    }
-    ChargeCpu(BackoffUs(attempt) * cost().cpu_mhz);  // transient: retry the load
+  if (Status s = LoadRoot(name, r->block); s != Status::kOk) {
+    return s;
   }
-  return Status::kIoError;
+  return r->block;
 }
 
 Result<hw::BlockId> XnBackend::OpenRoot(const std::string& name) {
@@ -280,10 +257,16 @@ Result<hw::BlockId> XnBackend::OpenRoot(const std::string& name) {
   if (!r.ok()) {
     return r.status();
   }
-  if (const xn::RegistryEntry* e = xn_->registry().Lookup(r->block);
-      e != nullptr && e->state == xn::BufState::kResident) {
+  if (IsCached(r->block)) {
     return r->block;  // already cached (typically by another process)
   }
+  if (Status s = LoadRoot(name, r->block); s != Status::kOk) {
+    return s;
+  }
+  return r->block;
+}
+
+Status XnBackend::LoadRoot(const std::string& name, hw::BlockId block) {
   for (int attempt = 0; attempt < kIoRetries; ++attempt) {
     auto f = TakeFrame();
     if (!f.ok()) {
@@ -294,14 +277,12 @@ Result<hw::BlockId> XnBackend::OpenRoot(const std::string& name) {
     xn_->ReleaseFrame(*f);
     if (s == Status::kBusy) {
       // Another process's read is in flight; wait on the exposed registry state.
-      hw::BlockId block = r->block;
       blocker_([this, block] {
         const xn::RegistryEntry* e = xn_->registry().Lookup(block);
         return e == nullptr || e->state == xn::BufState::kResident;
       });
-      if (const xn::RegistryEntry* e = xn_->registry().Lookup(block);
-          e != nullptr && e->state == xn::BufState::kResident) {
-        return block;
+      if (IsCached(block)) {
+        return Status::kOk;
       }
       continue;  // the other process's read failed and unwound; try ourselves
     }
@@ -309,13 +290,10 @@ Result<hw::BlockId> XnBackend::OpenRoot(const std::string& name) {
       return s;
     }
     blocker_([&done] { return done != Status::kWouldBlock; });
-    if (done == Status::kOk) {
-      return r->block;
-    }
     if (done != Status::kIoError) {
       return done;
     }
-    ChargeCpu(BackoffUs(attempt) * cost().cpu_mhz);  // transient: retry the load
+    ChargeIoBackoff(machine(), attempt);  // transient: retry the load
   }
   return Status::kIoError;
 }
@@ -331,7 +309,5 @@ Result<uint32_t> XnBackend::RegisterTemplate(const xn::Template& t) {
   }
   return *id;
 }
-
-void XnBackend::ChargeCpu(sim::Cycles cycles) { xn_->machine().Charge(cycles); }
 
 }  // namespace exo::fs

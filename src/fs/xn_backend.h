@@ -33,7 +33,6 @@ class XnBackend : public FsBackend {
   Result<std::span<const uint8_t>> GetBlock(hw::BlockId block, hw::BlockId parent) override;
   Result<std::span<uint8_t>> GetDataWritable(hw::BlockId block, hw::BlockId parent) override;
   Status InstallFresh(hw::BlockId block, hw::BlockId parent) override;
-  void Release(hw::BlockId block) override;
 
   Status FlushAsync(std::span<const hw::BlockId> blocks,
                     std::vector<hw::BlockId>* deferred) override;
@@ -49,31 +48,25 @@ class XnBackend : public FsBackend {
   Result<hw::BlockId> OpenRoot(const std::string& name) override;
   Result<uint32_t> RegisterTemplate(const xn::Template& t) override;
 
-  void ChargeCpu(sim::Cycles cycles) override;
-  const sim::CostModel& cost() const override { return xn_->machine().cost(); }
-  sim::Cycles Now() const override { return xn_->machine().engine().now(); }
-  trace::Tracer* tracer() override { return &xn_->machine().tracer(); }
   bool IsCached(hw::BlockId block) const override {
     const xn::RegistryEntry* e = xn_->registry().Lookup(block);
     return e != nullptr && e->state == xn::BufState::kResident;
   }
-
-  xn::Xn& xn() { return *xn_; }
-  const xn::Caps& creds() const { return creds_; }
-  // Marks new roots as temporary XN file systems (memory file systems, Sec. 4.3.2).
-  void set_temporary(bool t) { temporary_ = t; }
+  hw::Machine& machine() override { return xn_->machine(); }
 
  private:
   Result<hw::FrameId> TakeFrame();
   Status EnsureCached(hw::BlockId block, hw::BlockId parent);
   // Blocks until an in-transit registry entry settles (background flush completion).
   void WaitResident(hw::BlockId block);
+  // Loads root `name` (at `block`) into the registry: waits out another process's
+  // read of it and retries transient I/O errors.
+  Status LoadRoot(const std::string& name, hw::BlockId block);
 
   xn::Xn* xn_;
   xn::Caps creds_;
   Blocker blocker_;
   std::function<hw::FrameId()> frame_alloc_;
-  bool temporary_ = false;
 };
 
 }  // namespace exo::fs

@@ -49,7 +49,8 @@ XokKernel::~XokKernel() = default;
 
 XokKernel::SyscallScope::SyscallScope(XokKernel* kernel, const char* name)
     : kernel_(kernel), name_(name) {
-  kernel_->ChargeSyscall(name_);
+  // The span opens before the entry charge, so it and its latency sample cover
+  // the trap and the check as well as the body.
   if (kernel_->tracer_->enabled(trace::Category::kSyscall)) {
     track_ = kernel_->current_ != nullptr ? kernel_->current_->trace_track
                                           : kernel_->trace_track_;
@@ -58,6 +59,7 @@ XokKernel::SyscallScope::SyscallScope(XokKernel* kernel, const char* name)
                             kernel_->current_id());
     open_ = true;
   }
+  kernel_->ChargeSyscall(name_);
 }
 
 Status XokKernel::SyscallScope::Close(Status s) {

@@ -323,13 +323,9 @@ class XokKernel {
   hw::Machine& machine() { return *machine_; }
   sim::Counters& counters() { return machine_->counters(); }
 
-  // Charges syscall entry/exit + credential check and counts it. Public so that
-  // sibling kernel subsystems (XN) charge through the same path.
-  void ChargeSyscall(const char* name);
-
-  // RAII span around one system call: charges entry cost exactly like
-  // ChargeSyscall, then opens a `syscall` span on the calling environment's
-  // track. The destructor closes the span with Status::kOk; error paths close
+  // RAII span around one system call: opens a `syscall` span on the calling
+  // environment's track, then charges the entry cost (ChargeSyscall). The
+  // destructor closes the span with Status::kOk; error paths close
   // early via `return scope.Close(status);`, and syscalls that suspend the
   // fiber close explicitly before blocking so no span stays open across a
   // context switch. Closing also feeds the "syscall.latency_cycles" histogram.
@@ -355,6 +351,8 @@ class XokKernel {
   [[nodiscard]] Status CheckCred(const Env& e, CredIndex cred, const CapName& guard, bool need_write);
 
  private:
+  // Charges syscall entry/exit + credential check and counts it.
+  void ChargeSyscall(const char* name);
   void FinishExit(Env* e, int code);
   Env* PickNext();
   bool EvalPredicate(Env* e);

@@ -182,12 +182,9 @@ std::string RunWorkload(Cffs* fs, DurableState* acked, DurableState* pending,
   }
   auto write_file = [&](const std::string& path, uint64_t off,
                         const std::vector<uint8_t>& data) -> std::string {
-    auto h = fs->Lookup(path);
+    auto h = fs->Open(path, /*create=*/true, 7);
     if (!h.ok()) {
-      h = fs->Create(path, 7, false);
-      if (!h.ok()) {
-        return path + ": create: " + StatusName(h.status());
-      }
+      return path + ": open: " + StatusName(h.status());
     }
     auto n = fs->Write(*h, off, data, 7);
     if (!n.ok() || *n != data.size()) {
@@ -201,8 +198,8 @@ std::string RunWorkload(Cffs* fs, DurableState* acked, DurableState* pending,
     return "";
   };
   auto mkdir = [&](const std::string& path) -> std::string {
-    auto h = fs->Create(path, 7, true);
-    return h.ok() ? "" : path + ": mkdir: " + StatusName(h.status());
+    Status s = fs->Mkdir(path, 7);
+    return s == Status::kOk ? "" : path + ": mkdir: " + StatusName(s);
   };
   auto unlink = [&](const std::string& path) -> std::string {
     if (Status s = fs->Unlink(path, 7); s != Status::kOk) {
@@ -267,11 +264,11 @@ std::string WalkTree(Cffs* fs, const std::string& dir) {
         return e;
       }
     } else {
-      auto h = fs->Lookup(path);
+      auto h = fs->Open(path, /*create=*/false, 7);
       if (!h.ok()) {
         return path + ": listed but unlookupable: " + StatusName(h.status());
       }
-      auto st = fs->Stat(*h);
+      auto st = fs->StatHandle(*h);
       if (!st.ok()) {
         return path + ": stat: " + StatusName(st.status());
       }
@@ -297,11 +294,11 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
                         const std::vector<uint8_t>& want) -> std::string {
     auto it = pending.files.find(path);
     const std::vector<uint8_t>& newer = it != pending.files.end() ? it->second : want;
-    auto h = fs->Lookup(path);
+    auto h = fs->Open(path, /*create=*/false, 7);
     if (!h.ok()) {
       return path + ": durable file lost (" + StatusName(h.status()) + ")";
     }
-    auto st = fs->Stat(*h);
+    auto st = fs->StatHandle(*h);
     if (!st.ok()) {
       return path + ": stat failed";
     }
@@ -342,7 +339,7 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
     if (maybe_gone.count(path)) {
       // Unlink issued but not acknowledged: the file is either fully intact or
       // fully gone, never half-present.
-      auto h = fs->Lookup(path);
+      auto h = fs->Open(path, /*create=*/false, 7);
       if (h.ok()) {
         if (auto e = check_file(path, data); !e.empty()) {
           return e;
@@ -357,7 +354,7 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
     }
   }
   for (const auto& path : acked.gone) {
-    if (fs->Lookup(path).status() != Status::kNotFound) {
+    if (fs->Open(path, /*create=*/false, 7).status() != Status::kNotFound) {
       return path + ": acknowledged unlink resurrected";
     }
   }
@@ -368,7 +365,7 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
   // Free map vs. reachability: claim (nearly) every free block for a new file. If
   // recovery left any reachable block marked free, the fill overwrites it and the
   // re-verification below catches the corruption.
-  auto hfill = fs->Create("/fill", 7, false);
+  auto hfill = fs->Create("/fill", 7);
   if (!hfill.ok()) {
     return std::string("/fill: create: ") + StatusName(hfill.status());
   }
@@ -530,7 +527,7 @@ std::string MatrixVerify(Rig& rig, const std::vector<DurableState>& history,
 
   for (const auto& [path, want] : acked.files) {
     (void)want;
-    auto h = fs->Lookup(path);
+    auto h = fs->Open(path, /*create=*/false, 7);
     if (!h.ok()) {
       if (h.status() == Status::kCorrupted || h.status() == Status::kIoError) {
         *detected = true;  // reported, not silent
@@ -555,7 +552,7 @@ std::string MatrixVerify(Rig& rig, const std::vector<DurableState>& history,
       }
       return path + ": lookup: " + StatusName(h.status());
     }
-    auto st = fs->Stat(*h);
+    auto st = fs->StatHandle(*h);
     if (!st.ok()) {
       if (st.status() == Status::kCorrupted || st.status() == Status::kIoError) {
         *detected = true;

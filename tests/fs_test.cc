@@ -1,6 +1,9 @@
-// Tests for C-FFS over both protection regimes: the XN (libFS) backend with full
-// UDF-verified metadata operations, and the kernel backend (the "C-FFS ported into
-// the monolithic kernel" configuration). The same behaviour must hold on both.
+// Tests for the FileSys interface on the three configurations Figure 2 mounts: C-FFS
+// as a libFS over XN (full UDF-verified metadata operations), the same C-FFS on the
+// kernel backend (the "C-FFS ported into the monolithic kernel" configuration), and
+// FFS on the kernel backend. The same behaviour must hold on all three. The cases
+// that are C-FFS's by design (exclusive create, the layout calls, co-location, the
+// dirty count) run on the two C-FFS configurations only.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -8,6 +11,7 @@
 #include <set>
 
 #include "fs/cffs.h"
+#include "fs/ffs.h"
 #include "fs/kernel_backend.h"
 #include "fs/xn_backend.h"
 #include "hw/machine.h"
@@ -16,7 +20,7 @@
 namespace exo::fs {
 namespace {
 
-enum class Regime { kXn, kKernel };
+enum class Regime { kXn, kKernel, kFfs };
 
 class FsTest : public ::testing::TestWithParam<Regime> {
  protected:
@@ -24,31 +28,29 @@ class FsTest : public ::testing::TestWithParam<Regime> {
       : machine_(&engine_, hw::MachineConfig{
                                .mem_frames = 4096,
                                .disks = {hw::DiskGeometry{.num_blocks = 8192}}}) {
-    Blocker blocker = [this](const std::function<bool()>& ready) {
-      int spins = 0;
-      while (!ready()) {
-        if (engine_.HasPendingEvents()) {
-          engine_.RunNextEvent();
-        } else {
-          engine_.Advance(20'000);
-        }
-        EXO_CHECK_LT(++spins, 1'000'000);
-      }
-    };
     if (GetParam() == Regime::kXn) {
       xn_ = std::make_unique<xn::Xn>(&machine_, &machine_.disk());
       xn_->Format();
       EXO_CHECK_EQ(xn_->Attach(), Status::kOk);
       backend_ = std::make_unique<XnBackend>(
-          xn_.get(), xn::Caps{xok::Capability::For({xok::kCapFs, 1})}, blocker, [this] {
+          xn_.get(), xn::Caps{xok::Capability::For({xok::kCapFs, 1})}, SpinEngine(engine_),
+          [this] {
             auto f = machine_.mem().Alloc();
             return f.ok() ? *f : hw::kInvalidFrame;
           });
     } else {
-      backend_ = std::make_unique<KernelBackend>(&machine_, &machine_.disk(), blocker);
+      backend_ = std::make_unique<KernelBackend>(&machine_, &machine_.disk(), SpinEngine(engine_));
     }
-    fs_ = std::make_unique<Cffs>(backend_.get(), CffsOptions{.fsid = 1});
-    EXO_CHECK_EQ(fs_->Mkfs(), Status::kOk);
+    if (GetParam() == Regime::kFfs) {
+      auto ffs = std::make_unique<Ffs>(backend_.get());
+      EXO_CHECK_EQ(ffs->Mkfs(), Status::kOk);
+      fs_ = std::move(ffs);
+    } else {
+      auto cffs = std::make_unique<Cffs>(backend_.get(), CffsOptions{.fsid = 1});
+      EXO_CHECK_EQ(cffs->Mkfs(), Status::kOk);
+      cffs_ = cffs.get();
+      fs_ = std::move(cffs);
+    }
   }
 
   std::vector<uint8_t> Pattern(size_t n, uint8_t seed = 1) {
@@ -60,17 +62,19 @@ class FsTest : public ::testing::TestWithParam<Regime> {
   }
 
   void WriteFile(const std::string& path, std::span<const uint8_t> data, uint16_t uid = 7) {
-    auto h = fs_->Create(path, uid, false);
+    auto h = fs_->Open(path, /*create=*/true, uid);
     ASSERT_TRUE(h.ok()) << StatusName(h.status()) << " " << path;
     auto n = fs_->Write(*h, 0, data, uid);
     ASSERT_TRUE(n.ok()) << StatusName(n.status());
     ASSERT_EQ(*n, data.size());
   }
 
+  Result<uint64_t> Lookup(const std::string& path) { return fs_->Open(path, false, 0); }
+
   std::vector<uint8_t> ReadFile(const std::string& path) {
-    auto h = fs_->Lookup(path);
+    auto h = Lookup(path);
     EXO_CHECK(h.ok());
-    auto st = fs_->Stat(*h);
+    auto st = fs_->StatHandle(*h);
     EXO_CHECK(st.ok());
     std::vector<uint8_t> out(st->size);
     auto n = fs_->Read(*h, 0, out);
@@ -83,7 +87,8 @@ class FsTest : public ::testing::TestWithParam<Regime> {
   hw::Machine machine_;
   std::unique_ptr<xn::Xn> xn_;
   std::unique_ptr<FsBackend> backend_;
-  std::unique_ptr<Cffs> fs_;
+  std::unique_ptr<FileSys> fs_;
+  Cffs* cffs_ = nullptr;  // fs_ on the two C-FFS regimes
 };
 
 TEST_P(FsTest, SmallFileRoundTrip) {
@@ -105,15 +110,15 @@ TEST_P(FsTest, IndirectFileRoundTrip) {
   auto got = ReadFile("/huge");
   ASSERT_EQ(got.size(), data.size());
   EXPECT_EQ(got, data);
-  auto h = fs_->Lookup("/huge");
-  auto st = fs_->Stat(*h);
+  auto h = Lookup("/huge");
+  auto st = fs_->StatHandle(*h);
   EXPECT_EQ(st->nblocks, 50u);
 }
 
 TEST_P(FsTest, OffsetReadsAndOverwrites) {
   auto data = Pattern(2 * 4096);
   WriteFile("/f", data);
-  auto h = fs_->Lookup("/f");
+  auto h = Lookup("/f");
   ASSERT_TRUE(h.ok());
 
   std::vector<uint8_t> mid(100);
@@ -129,22 +134,22 @@ TEST_P(FsTest, OffsetReadsAndOverwrites) {
   ASSERT_TRUE(fs_->Read(*h, 4000, back).ok());
   EXPECT_EQ(back, patch);
   // Size unchanged by an interior overwrite.
-  EXPECT_EQ(fs_->Stat(*h)->size, data.size());
+  EXPECT_EQ(fs_->StatHandle(*h)->size, data.size());
 }
 
 TEST_P(FsTest, AppendExtendsSize) {
   WriteFile("/log", Pattern(10));
-  auto h = fs_->Lookup("/log");
+  auto h = Lookup("/log");
   auto tail = Pattern(20, 5);
   ASSERT_TRUE(fs_->Write(*h, 10, tail, 7).ok());
-  EXPECT_EQ(fs_->Stat(*h)->size, 30u);
+  EXPECT_EQ(fs_->StatHandle(*h)->size, 30u);
   auto all = ReadFile("/log");
   EXPECT_EQ(std::vector<uint8_t>(all.begin() + 10, all.end()), tail);
 }
 
 TEST_P(FsTest, DirectoriesNestAndList) {
-  ASSERT_TRUE(fs_->Create("/src", 7, true).ok());
-  ASSERT_TRUE(fs_->Create("/src/lib", 7, true).ok());
+  ASSERT_EQ(fs_->Mkdir("/src", 7), Status::kOk);
+  ASSERT_EQ(fs_->Mkdir("/src/lib", 7), Status::kOk);
   WriteFile("/src/main.c", Pattern(64));
   WriteFile("/src/lib/util.c", Pattern(64));
 
@@ -165,40 +170,56 @@ TEST_P(FsTest, DirectoriesNestAndList) {
 
 TEST_P(FsTest, NameUniquenessEnforced) {
   WriteFile("/dup", Pattern(8));
-  EXPECT_EQ(fs_->Create("/dup", 7, false).status(), Status::kAlreadyExists);
-  EXPECT_EQ(fs_->Create("/dup", 7, true).status(), Status::kAlreadyExists);
+  EXPECT_EQ(fs_->Mkdir("/dup", 7), Status::kAlreadyExists);
+  ASSERT_EQ(fs_->Mkdir("/d", 7), Status::kOk);
+  EXPECT_EQ(fs_->Mkdir("/d", 7), Status::kAlreadyExists);
+  // Opening an existing name with create returns the file, not a second entry.
+  auto again = fs_->Open("/dup", true, 7);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *Lookup("/dup"));
+  auto root = fs_->ReadDir("/");
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root->size(), 2u);
+  if (cffs_ != nullptr) {
+    EXPECT_EQ(cffs_->Create("/dup", 7).status(), Status::kAlreadyExists);
+  }
 }
 
 TEST_P(FsTest, LookupErrors) {
-  EXPECT_EQ(fs_->Lookup("/missing").status(), Status::kNotFound);
-  EXPECT_EQ(fs_->Lookup("relative/path").status(), Status::kInvalidArgument);
+  EXPECT_EQ(Lookup("/missing").status(), Status::kNotFound);
+  EXPECT_EQ(Lookup("relative/path").status(), Status::kInvalidArgument);
   WriteFile("/file", Pattern(4));
   // A file used as a directory component fails.
-  EXPECT_EQ(fs_->Create("/file/sub", 7, false).status(), Status::kNotFound);
+  EXPECT_EQ(Lookup("/file/sub").status(), Status::kNotFound);
+  EXPECT_EQ(fs_->StatPath("/file/sub").status(), Status::kNotFound);
+  if (cffs_ != nullptr) {
+    EXPECT_EQ(cffs_->Create("/file/sub", 7).status(), Status::kNotFound);
+  }
 }
 
 TEST_P(FsTest, UnlinkFreesBlocks) {
+  WriteFile("/keep", Pattern(8));  // the root directory holds its first block now
   const uint32_t before = backend_->FreeBlockCount();
   WriteFile("/victim", Pattern(20 * 4096));
   EXPECT_LT(backend_->FreeBlockCount(), before);
   ASSERT_EQ(fs_->Unlink("/victim", 7), Status::kOk);
   ASSERT_EQ(fs_->Sync(), Status::kOk);  // releases will-free deferrals on XN
   EXPECT_EQ(backend_->FreeBlockCount(), before);
-  EXPECT_EQ(fs_->Lookup("/victim").status(), Status::kNotFound);
+  EXPECT_EQ(Lookup("/victim").status(), Status::kNotFound);
 }
 
 TEST_P(FsTest, UnlinkDirectoryRequiresEmpty) {
-  ASSERT_TRUE(fs_->Create("/d", 7, true).ok());
+  ASSERT_EQ(fs_->Mkdir("/d", 7), Status::kOk);
   WriteFile("/d/x", Pattern(4));
   EXPECT_EQ(fs_->Unlink("/d", 7), Status::kBusy);
   ASSERT_EQ(fs_->Unlink("/d/x", 7), Status::kOk);
   EXPECT_EQ(fs_->Unlink("/d", 7), Status::kOk);
-  EXPECT_EQ(fs_->Lookup("/d").status(), Status::kNotFound);
+  EXPECT_EQ(fs_->StatPath("/d").status(), Status::kNotFound);
 }
 
 TEST_P(FsTest, PermissionChecksInLibFs) {
   WriteFile("/mine", Pattern(8), /*uid=*/7);
-  auto h = fs_->Lookup("/mine");
+  auto h = Lookup("/mine");
   std::vector<uint8_t> d = {1};
   EXPECT_EQ(fs_->Write(*h, 0, d, /*uid=*/9).status(), Status::kPermissionDenied);
   EXPECT_EQ(fs_->Unlink("/mine", 9), Status::kPermissionDenied);
@@ -219,8 +240,10 @@ TEST_P(FsTest, StatReportsFields) {
   EXPECT_TRUE(root->is_dir);
 }
 
+// 80 entries fill three C-FFS directory blocks (31 entries each) and two FFS ones
+// (64 each).
 TEST_P(FsTest, DirectoryExtendsPast31Entries) {
-  ASSERT_TRUE(fs_->Create("/many", 7, true).ok());
+  ASSERT_EQ(fs_->Mkdir("/many", 7), Status::kOk);
   for (int i = 0; i < 80; ++i) {
     WriteFile("/many/f" + std::to_string(i), Pattern(10, static_cast<uint8_t>(i)));
   }
@@ -235,52 +258,84 @@ TEST_P(FsTest, DirectoryExtendsPast31Entries) {
 TEST_P(FsTest, RenameWithinDirectory) {
   WriteFile("/old", Pattern(33));
   ASSERT_EQ(fs_->Rename("/old", "/new", 7), Status::kOk);
-  EXPECT_EQ(fs_->Lookup("/old").status(), Status::kNotFound);
+  EXPECT_EQ(Lookup("/old").status(), Status::kNotFound);
   EXPECT_EQ(ReadFile("/new"), Pattern(33));
 }
 
 TEST_P(FsTest, FileBlocksAndCreateSized) {
-  auto h = fs_->CreateSized("/pre", 7, 6 * 4096, hw::kInvalidBlock);
+  if (cffs_ == nullptr) {
+    GTEST_SKIP() << "FFS hides its layout";
+  }
+  auto h = cffs_->CreateSized("/pre", 7, 6 * 4096, hw::kInvalidBlock);
   ASSERT_TRUE(h.ok());
-  auto blocks = fs_->FileBlocks(*h);
+  auto blocks = cffs_->FileBlocks(*h);
   ASSERT_TRUE(blocks.ok());
   EXPECT_EQ(blocks->size(), 6u);
-  EXPECT_EQ(fs_->Stat(*h)->size, 6u * 4096);
+  EXPECT_EQ(fs_->StatHandle(*h)->size, 6u * 4096);
 }
 
 TEST_P(FsTest, CoLocationKeepsFileDataNearDirectory) {
-  ASSERT_TRUE(fs_->Create("/proj", 7, true).ok());
+  if (cffs_ == nullptr) {
+    GTEST_SKIP() << "FFS does not co-locate";
+  }
+  ASSERT_EQ(fs_->Mkdir("/proj", 7), Status::kOk);
   for (int i = 0; i < 10; ++i) {
     WriteFile("/proj/f" + std::to_string(i), Pattern(2 * 4096, static_cast<uint8_t>(i)));
   }
-  auto dirh = fs_->Lookup("/proj");
-  ASSERT_TRUE(dirh.ok());
-  auto de = fs_->Stat(*dirh);
-  ASSERT_TRUE(de.ok());
-  // All file blocks land within a small window after the directory's block.
+  // All file blocks land within a small window after the block holding the
+  // file's entry, which owns its direct blocks.
   for (int i = 0; i < 10; ++i) {
-    auto fh = fs_->Lookup("/proj/f" + std::to_string(i));
-    auto blocks = fs_->FileBlocks(*fh);
+    auto fh = Lookup("/proj/f" + std::to_string(i));
+    ASSERT_TRUE(fh.ok());
+    auto first = cffs_->BlockAt(*fh, 0);
+    ASSERT_TRUE(first.ok());
+    const hw::BlockId dir_block = first->second;
+    auto blocks = cffs_->FileBlocks(*fh);
     ASSERT_TRUE(blocks.ok());
     for (hw::BlockId b : *blocks) {
-      int64_t dist = static_cast<int64_t>(b) - static_cast<int64_t>(fh->dir_block);
+      int64_t dist = static_cast<int64_t>(b) - static_cast<int64_t>(dir_block);
       EXPECT_LT(std::abs(dist), 256) << "block far from directory";
     }
   }
 }
 
 TEST_P(FsTest, SyncMakesEverythingClean) {
+  // FFS's Mkfs leaves its superblock and the inode blocks it installed fresh dirty
+  // in the cache, and Sync writes only what FFS dirtied since. C-FFS's Sync leaves
+  // no block dirty at all.
+  std::set<hw::BlockId> left_by_mkfs;
+  for (hw::BlockId b = 0; cffs_ == nullptr && b < backend_->NumBlocks(); ++b) {
+    if (!backend_->IsClean(b)) {
+      left_by_mkfs.insert(b);
+    }
+  }
   for (int i = 0; i < 5; ++i) {
     WriteFile("/s" + std::to_string(i), Pattern(4096 * 3, static_cast<uint8_t>(i)));
   }
-  EXPECT_GT(fs_->dirty_count(), 0u);
+  if (cffs_ != nullptr) {
+    EXPECT_GT(cffs_->dirty_count(), 0u);
+  }
   ASSERT_EQ(fs_->Sync(), Status::kOk);
-  EXPECT_EQ(fs_->dirty_count(), 0u);
+  for (hw::BlockId b = 0; b < backend_->NumBlocks(); ++b) {
+    EXPECT_TRUE(backend_->IsClean(b) || left_by_mkfs.count(b) != 0) << "block " << b;
+  }
+  if (cffs_ != nullptr) {
+    EXPECT_EQ(cffs_->dirty_count(), 0u);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Regimes, FsTest, ::testing::Values(Regime::kXn, Regime::kKernel),
+INSTANTIATE_TEST_SUITE_P(Regimes, FsTest,
+                         ::testing::Values(Regime::kXn, Regime::kKernel, Regime::kFfs),
                          [](const ::testing::TestParamInfo<Regime>& info) {
-                           return info.param == Regime::kXn ? "XnLibFs" : "InKernel";
+                           switch (info.param) {
+                             case Regime::kXn:
+                               return "XnLibFs";
+                             case Regime::kKernel:
+                               return "InKernel";
+                             case Regime::kFfs:
+                               return "FfsInKernel";
+                           }
+                           return "?";
                          });
 
 // XN-only integration: durability and crash recovery of a real C-FFS tree.
@@ -291,23 +346,9 @@ class CffsCrashTest : public ::testing::Test {
                                .mem_frames = 4096,
                                .disks = {hw::DiskGeometry{.num_blocks = 8192}}}) {}
 
-  Blocker MakeBlocker() {
-    return [this](const std::function<bool()>& ready) {
-      int spins = 0;
-      while (!ready()) {
-        if (engine_.HasPendingEvents()) {
-          engine_.RunNextEvent();
-        } else {
-          engine_.Advance(20'000);
-        }
-        EXO_CHECK_LT(++spins, 1'000'000);
-      }
-    };
-  }
-
-  std::unique_ptr<XnBackend> MakeBackend(xn::Xn* xn) {
+  std::unique_ptr<XnBackend> MakeBackend(xn::Xn* xn, uint16_t fsid = 1) {
     return std::make_unique<XnBackend>(
-        xn, xn::Caps{xok::Capability::For({xok::kCapFs, 1})}, MakeBlocker(), [this] {
+        xn, xn::Caps{xok::Capability::For({xok::kCapFs, fsid})}, SpinEngine(engine_), [this] {
           auto f = machine_.mem().Alloc();
           return f.ok() ? *f : hw::kInvalidFrame;
         });
@@ -329,18 +370,16 @@ TEST_F(CffsCrashTest, SyncedDataSurvivesCrash) {
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<uint8_t>(i * 3);
   }
-  ASSERT_TRUE(fs.Create("/dir", 7, true).ok());
-  auto h = fs.Create("/dir/file", 7, false);
+  ASSERT_EQ(fs.Mkdir("/dir", 7), Status::kOk);
+  auto h = fs.Create("/dir/file", 7);
   ASSERT_TRUE(h.ok());
   ASSERT_TRUE(fs.Write(*h, 0, data, 7).ok());
   ASSERT_EQ(fs.Sync(), Status::kOk);
 
   // Write more but crash before syncing: the new file must be garbage-collected.
-  auto h2 = fs.Create("/dir/lost", 7, false);
+  auto h2 = fs.Create("/dir/lost", 7);
   ASSERT_TRUE(h2.ok());
   ASSERT_TRUE(fs.Write(*h2, 0, data, 7).ok());
-  const uint32_t free_before_lost = 0;  // unused marker
-  (void)free_before_lost;
 
   xn->Crash();
   auto xn2 = std::make_unique<xn::Xn>(&machine_, &machine_.disk());
@@ -351,7 +390,7 @@ TEST_F(CffsCrashTest, SyncedDataSurvivesCrash) {
   Cffs fs2(backend2.get(), CffsOptions{.fsid = 1});
   ASSERT_EQ(fs2.Mount(), Status::kOk);
 
-  auto hh = fs2.Lookup("/dir/file");
+  auto hh = fs2.Open("/dir/file", false, 7);
   ASSERT_TRUE(hh.ok());
   std::vector<uint8_t> back(data.size());
   auto n = fs2.Read(*hh, 0, back);
@@ -366,22 +405,18 @@ TEST_F(CffsCrashTest, TwoLibFsesShareOneDisk) {
   xn->Format();
   ASSERT_EQ(xn->Attach(), Status::kOk);
 
-  auto b1 = MakeBackend(xn.get());
+  auto b1 = MakeBackend(xn.get(), 1);
   Cffs fs1(b1.get(), CffsOptions{.fsid = 1, .root_name = "alpha"});
   ASSERT_EQ(fs1.Mkfs(), Status::kOk);
 
-  auto b2 = std::make_unique<XnBackend>(
-      xn.get(), xn::Caps{xok::Capability::For({xok::kCapFs, 2})}, MakeBlocker(), [this] {
-        auto f = machine_.mem().Alloc();
-        return f.ok() ? *f : hw::kInvalidFrame;
-      });
+  auto b2 = MakeBackend(xn.get(), 2);
   Cffs fs2(b2.get(), CffsOptions{.fsid = 2, .root_name = "beta"});
   ASSERT_EQ(fs2.Mkfs(), Status::kOk);
 
   std::vector<uint8_t> d1(5000, 0x11);
   std::vector<uint8_t> d2(5000, 0x22);
-  auto h1 = fs1.Create("/a", 7, false);
-  auto h2 = fs2.Create("/b", 7, false);
+  auto h1 = fs1.Create("/a", 7);
+  auto h2 = fs2.Create("/b", 7);
   ASSERT_TRUE(h1.ok());
   ASSERT_TRUE(h2.ok());
   ASSERT_TRUE(fs1.Write(*h1, 0, d1, 7).ok());

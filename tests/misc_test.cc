@@ -62,18 +62,9 @@ TEST(KernelBackendTest, SmallCacheEvictsLru) {
   hw::Machine machine(&engine,
                       hw::MachineConfig{.mem_frames = 2048,
                                         .disks = {hw::DiskGeometry{.num_blocks = 4096}}});
-  fs::Blocker blocker = [&engine](const std::function<bool()>& ready) {
-    while (!ready()) {
-      if (engine.HasPendingEvents()) {
-        engine.RunNextEvent();
-      } else {
-        engine.Advance(20'000);
-      }
-    }
-  };
   fs::KernelBackendOptions opts;
   opts.max_cache_blocks = 8;  // a tiny OpenBSD-style cache
-  fs::KernelBackend kb(&machine, &machine.disk(), blocker, opts);
+  fs::KernelBackend kb(&machine, &machine.disk(), fs::SpinEngine(engine), opts);
 
   // Touch 20 distinct blocks; the cache must stay bounded.
   for (hw::BlockId b = 100; b < 120; ++b) {
@@ -91,18 +82,9 @@ TEST(KernelBackendTest, DirtyEvictionWritesBack) {
   hw::Machine machine(&engine,
                       hw::MachineConfig{.mem_frames = 2048,
                                         .disks = {hw::DiskGeometry{.num_blocks = 4096}}});
-  fs::Blocker blocker = [&engine](const std::function<bool()>& ready) {
-    while (!ready()) {
-      if (engine.HasPendingEvents()) {
-        engine.RunNextEvent();
-      } else {
-        engine.Advance(20'000);
-      }
-    }
-  };
   fs::KernelBackendOptions opts;
   opts.max_cache_blocks = 4;
-  fs::KernelBackend kb(&machine, &machine.disk(), blocker, opts);
+  fs::KernelBackend kb(&machine, &machine.disk(), fs::SpinEngine(engine), opts);
 
   ASSERT_EQ(kb.InstallFresh(200, 0), Status::kOk);
   auto w = kb.GetDataWritable(200, 0);
@@ -122,17 +104,9 @@ class FfsTest : public ::testing::Test {
       : machine_(&engine_,
                  hw::MachineConfig{.mem_frames = 4096,
                                    .disks = {hw::DiskGeometry{.num_blocks = 8192}}}) {
-    fs::Blocker blocker = [this](const std::function<bool()>& ready) {
-      while (!ready()) {
-        if (engine_.HasPendingEvents()) {
-          engine_.RunNextEvent();
-        } else {
-          engine_.Advance(20'000);
-        }
-      }
-    };
-    backend_ = std::make_unique<fs::KernelBackend>(&machine_, &machine_.disk(), blocker);
-    ffs_ = std::make_unique<fs::Ffs>(backend_.get(), fs::FfsOptions{});
+    backend_ = std::make_unique<fs::KernelBackend>(&machine_, &machine_.disk(),
+                                                   fs::SpinEngine(engine_));
+    ffs_ = std::make_unique<fs::Ffs>(backend_.get());
     EXO_CHECK_EQ(ffs_->Mkfs(), Status::kOk);
   }
 

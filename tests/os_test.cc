@@ -948,7 +948,8 @@ std::vector<uint8_t> Decompress(std::span<const uint8_t> input, bool* ok) {
     uint32_t packed_len = GetU32(input, pos + 1);
     uint32_t raw_len = GetU32(input, pos + 5);
     pos += 9;
-    if (pos + packed_len > input.size()) {
+    if (pos + packed_len > input.size() || kind > 1 || raw_len > total - out.size() ||
+        (kind == kBlockStored && raw_len != packed_len)) {
       return fail();
     }
     if (kind == kBlockStored) {
@@ -989,6 +990,9 @@ std::vector<uint8_t> Decompress(std::span<const uint8_t> input, bool* ok) {
     if (out.size() - produced0 != raw_len) {
       return fail();
     }
+  }
+  if (pos != input.size()) {
+    return fail();
   }
   return out;
 }
@@ -1179,7 +1183,7 @@ TEST(LzTest, DecoderMatchesThePerByteReferenceOnCorruptStreams) {
 }
 
 // Hand-built streams: a u32 size header, then blocks of {u8 kind (0 stored,
-// anything else compressed), u32 packed_len, u32 raw_len, payload}. A
+// 1 compressed), u32 packed_len, u32 raw_len, payload}. A
 // compressed payload is tokens: 1..127 is a run of that many literals, 0x80 a
 // match {len, dist lo, dist hi}.
 struct LzStream {
@@ -1263,6 +1267,17 @@ TEST(LzTest, RejectsEachMalformedStream) {
                    LzStream(0xffffffff).Block(1, Lit("abcd"), 0xffffffff).bytes});
   cases.push_back({"raw_len 65 x packed_len",
                    LzStream(65 * 5).Block(1, Lit("abcd"), 65 * 5).bytes});
+  // The headers must describe what gzip writes: the blocks make exactly the
+  // size header's total and nothing follows them, a stored block's lengths
+  // agree, and each kind is 0 or 1.
+  cases.push_back({"last block overshoots the size header",
+                   LzStream(1).Block(1, Lit("abcde"), 5).bytes});
+  cases.push_back({"bytes after the last block",
+                   Cat({LzStream(3).Block(0, Bytes("abc"), 3).bytes, {0xde, 0xad}})});
+  cases.push_back({"size header 0, then bytes", Cat({LzStream(0).bytes, {0xff, 0xff}})});
+  cases.push_back({"stored block's raw_len differs",
+                   LzStream(3).Block(0, Bytes("abc"), 99).bytes});
+  cases.push_back({"kind 7", LzStream(3).Block(7, Lit("abc"), 3).bytes});
   for (const auto& [name, stream] : cases) {
     bool ok = true;
     EXPECT_TRUE(apps::LzDecompress(stream, &ok).empty()) << name;
@@ -1315,20 +1330,9 @@ TEST(LzTest, DecodesOverlappingAndCrossBlockMatches) {
   cases.push_back({"match into a compressed block",
                    LzStream(10).Block(1, Lit("abcde"), 5).Block(1, Match(5, 5), 5).bytes,
                    Bytes("abcdeabcde")});
-  // What the decoder accepts today besides: blocks are read until the output
-  // holds `total` bytes, so the last may overshoot it and bytes after it are
-  // ignored; a stored block's raw_len is not read; every kind but 0 is a
-  // compressed block; a zero-length match makes nothing.
-  cases.push_back({"last block overshoots the size header",
-                   LzStream(1).Block(1, Lit("abcde"), 5).bytes, Bytes("abcde")});
-  cases.push_back({"bytes after the last block",
-                   Cat({LzStream(3).Block(0, Bytes("abc"), 3).bytes, {0xde, 0xad}}),
-                   Bytes("abc")});
-  cases.push_back({"size header 0", Cat({LzStream(0).bytes, {0xff, 0xff}}), {}});
-  cases.push_back({"stored block's raw_len ignored",
-                   LzStream(3).Block(0, Bytes("abc"), 99).bytes, Bytes("abc")});
-  cases.push_back({"kind 7 is compressed", LzStream(3).Block(7, Lit("abc"), 3).bytes,
-                   Bytes("abc")});
+  // An empty stream and empty blocks are well formed, and a zero-length match
+  // makes nothing.
+  cases.push_back({"size header 0", LzStream(0).bytes, {}});
   cases.push_back({"empty blocks before the data",
                    LzStream(3).Block(1, {}, 0).Block(0, {}, 0).Block(1, Lit("abc"), 3).bytes,
                    Bytes("abc")});

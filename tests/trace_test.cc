@@ -386,6 +386,27 @@ TEST(TraceDeterminism, IdenticalRunsProduceIdenticalDumps) {
   EXPECT_EQ(dumps[0], dumps[1]);
 }
 
+// Each syscall latency sample covers the call's entry charge, the trap and
+// Xok's check, whatever its body does.
+TEST(TraceSyscall, LatencyCoversTheEntryCharge) {
+  sim::Engine engine;
+  hw::Machine machine(&engine, bench::PaperMachine());
+  os::System sys(&machine, os::Flavor::kXokExos);
+  ASSERT_EQ(sys.Boot(), Status::kOk);
+  machine.tracer().Enable();
+  sys.SpawnInit("sh", [](os::UnixEnv& env) {
+    env.Yield();
+    auto child = env.Spawn("sh", [](os::UnixEnv&) {});
+    ASSERT_TRUE(child.ok());
+    ASSERT_TRUE(env.Wait(*child).ok());
+  });
+  sys.Run();
+  const LatencyHistogram& h = *machine.tracer().Histogram("syscall.latency_cycles");
+  const sim::CostModel& c = machine.cost();
+  ASSERT_GT(h.count(), 0u);
+  EXPECT_GE(h.min(), c.trap_round_trip + c.xok_syscall_check);
+}
+
 TEST(TraceDeterminism, DisabledTracerStoresNothing) {
   sim::Engine engine;
   hw::Machine machine(&engine, bench::PaperMachine());
