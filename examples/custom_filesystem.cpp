@@ -81,7 +81,7 @@ int main() {
   xn::Caps creds = {xok::Capability::Root()};
   std::vector<hw::BlockId> entries;
   for (uint32_t i = 0; i < 3; ++i) {
-    auto b = xn.FindFreeRun(xn.FirstDataBlock(), 1);
+    auto b = xn.free_map().FindFreeRun(xn.free_map().first_data_block(), 1);
     entries.push_back(*b);
     xn::Mods mods;
     mods.push_back({0, {static_cast<uint8_t>(i + 1), 0, 0, 0}});            // count
@@ -110,8 +110,8 @@ int main() {
   pump([&] { return root_done; });
 
   // A delta mismatch is caught: claim block X, point at block Y.
-  auto bx = xn.FindFreeRun(xn.FirstDataBlock(), 1);
-  auto by = xn.FindFreeRun(*bx + 1, 1);
+  auto bx = xn.free_map().FindFreeRun(xn.free_map().first_data_block(), 1);
+  auto by = xn.free_map().FindFreeRun(*bx + 1, 1);
   xn::Mods evil;
   evil.push_back({0, {4, 0, 0, 0}});
   evil.push_back({16, {static_cast<uint8_t>(*by), static_cast<uint8_t>(*by >> 8), 0, 0}});
@@ -129,7 +129,7 @@ int main() {
               reborn.LookupRoot("loglist").ok() ? "yes" : "no");
   EXO_CHECK(reborn.recovered_after_crash() && reborn.LookupRoot("loglist").ok());
   for (hw::BlockId b : entries) {
-    EXO_CHECK(reborn.IsAllocated(b));
+    EXO_CHECK(reborn.free_map().IsAllocated(b));
   }
   std::printf("all %zu entry blocks still allocated; entry 0 reads \"%s\"\n", entries.size(),
               reinterpret_cast<const char*>(machine.disk().RawBlock(entries[0]).data()));

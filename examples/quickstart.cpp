@@ -28,7 +28,7 @@ int main() {
     return 1;
   }
   std::printf("booted %s: %u free disk blocks, %u free frames\n",
-              os::FlavorName(sys.flavor()), sys.fs().backend().FreeBlockCount(),
+              os::FlavorName(sys.flavor()), sys.fs().backend().free_map().free_count(),
               machine.mem().free_frames());
 
   // Run an init process that writes a file, spawns a child to read it back, and

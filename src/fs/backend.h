@@ -24,6 +24,7 @@
 #include "hw/machine.h"
 #include "sim/status.h"
 #include "udf/insn.h"
+#include "xn/free_map.h"
 #include "xn/types.h"
 
 namespace exo::fs {
@@ -91,12 +92,11 @@ class FsBackend {
   // True when the block has reached the platter (not dirty, not in transit).
   virtual bool IsClean(hw::BlockId block) const = 0;
 
-  // ---- Allocation placement (exposed free map) ----
+  // ---- Allocation placement ----
 
-  virtual Result<hw::BlockId> FindFreeRun(hw::BlockId hint, uint32_t count) const = 0;
-  virtual uint32_t FreeBlockCount() const = 0;
-  virtual hw::BlockId FirstDataBlock() const = 0;
-  virtual uint32_t NumBlocks() const = 0;
+  // The exposed free map: file systems pick where to allocate by searching it,
+  // then claim blocks through Alloc.
+  virtual const xn::FreeMap& free_map() const = 0;
 
   // ---- Setup ----
 

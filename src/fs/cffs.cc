@@ -195,7 +195,8 @@ Cffs::Cffs(FsBackend* backend, const CffsOptions& options)
     : backend_(backend),
       machine_(backend->machine()),
       options_(options),
-      trace_track_(machine_.tracer().NewTrack(options_.root_name)) {}
+      trace_track_(machine_.tracer().NewTrack(options_.root_name)),
+      dirty_(backend) {}
 
 uint64_t Cffs::Pack(const Handle& h) {
   return (static_cast<uint64_t>(h.dir_block) << 8) | h.slot;
@@ -273,7 +274,7 @@ Status Cffs::Mkfs() {
   if (s != Status::kOk) {
     return s;
   }
-  MarkDirty(root_block_);
+  dirty_.Hold(root_block_);
   return Status::kOk;
 }
 
@@ -288,20 +289,6 @@ Status Cffs::Mount() {
   }
   root_block_ = *root;
   return Status::kOk;
-}
-
-void Cffs::MarkDirty(hw::BlockId b, bool metadata) {
-  // C-FFS delays metadata writes as long as the ordering rules allow; write-behind
-  // only pushes data blocks, so hot directory/indirect blocks are never mid-flush
-  // when the next operation needs to modify them.
-  if (metadata) {
-    dirty_.insert(b);
-  } else {
-    dirty_data_.insert(b);
-  }
-  if (dirty_data_.size() >= kWritebackThreshold) {
-    WriteBehind();
-  }
 }
 
 Result<std::span<const uint8_t>> Cffs::GetMeta(hw::BlockId block) {
@@ -488,7 +475,7 @@ Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& ex
   if (!e.ok()) {
     return e.status();
   }
-  auto nb = backend_->FindFreeRun(existing.back() + 1, 1);
+  auto nb = backend_->free_map().FindFreeRun(existing.back() + 1, 1);
   if (!nb.ok()) {
     return nb.status();
   }
@@ -506,7 +493,7 @@ Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& ex
     uint32_t i = (n - kNumDirect) % kPtrsPerIndirect;
     if (i == 0) {
       // Need a fresh indirect block first.
-      auto ib = backend_->FindFreeRun(existing.back() + 1, 1);
+      auto ib = backend_->free_map().FindFreeRun(existing.back() + 1, 1);
       if (!ib.ok()) {
         return ib.status();
       }
@@ -524,8 +511,8 @@ Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& ex
       if (s != Status::kOk) {
         return s;
       }
-      MarkDirty(*ib);
-      MarkDirty(holder);
+      dirty_.Hold(*ib);
+      dirty_.Hold(holder);
       e = ReadSlot(holder, slot);  // refresh indirect pointer
     }
     hw::BlockId ind = (i == 0) ? 0 : e->indirect[k];
@@ -540,19 +527,19 @@ Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& ex
     if (s != Status::kOk) {
       return s;
     }
-    MarkDirty(ind);
+    dirty_.Hold(ind);
     s = backend_->Modify(holder, mods);  // bump nblocks only
     if (s != Status::kOk) {
       return s;
     }
-    MarkDirty(holder);
+    dirty_.Hold(holder);
     // Initialize the new directory block's header.
     s = backend_->InstallFresh(*nb, ind);
     if (s != Status::kOk) {
       return s;
     }
     s = backend_->Modify(*nb, {ModU8(kOffKind, kKindHeader), ModU16(kOffUid, options_.fsid)});
-    MarkDirty(*nb);
+    dirty_.Hold(*nb);
     return s;
   }
 
@@ -560,13 +547,13 @@ Status Cffs::ExtendDirectory(const DirRef& d, const std::vector<hw::BlockId>& ex
   if (s != Status::kOk) {
     return s;
   }
-  MarkDirty(holder);
+  dirty_.Hold(holder);
   s = backend_->InstallFresh(*nb, holder);
   if (s != Status::kOk) {
     return s;
   }
   s = backend_->Modify(*nb, {ModU8(kOffKind, kKindHeader), ModU16(kOffUid, options_.fsid)});
-  MarkDirty(*nb);
+  dirty_.Hold(*nb);
   return s;
 }
 
@@ -607,7 +594,7 @@ Result<Cffs::Handle> Cffs::AddEntry(const DirRef& d, const Entry& e) {
         if (st != Status::kOk) {
           return st;
         }
-        MarkDirty(b);
+        dirty_.Hold(b);
         return Handle{b, slot};
       }
     }
@@ -655,7 +642,7 @@ Result<Cffs::Handle> Cffs::CreateEntry(const std::string& path, uint16_t uid, bo
   }
   if (is_dir) {
     // Allocate the directory's first block, co-located with its parent entry.
-    auto nb = backend_->FindFreeRun(h->dir_block + 1, 1);
+    auto nb = backend_->free_map().FindFreeRun(h->dir_block + 1, 1);
     if (!nb.ok()) {
       return nb.status();
     }
@@ -674,8 +661,8 @@ Result<Cffs::Handle> Cffs::CreateEntry(const std::string& path, uint16_t uid, bo
     if (s != Status::kOk) {
       return s;
     }
-    MarkDirty(*nb);
-    MarkDirty(h->dir_block);
+    dirty_.Hold(*nb);
+    dirty_.Hold(h->dir_block);
   }
   return h;
 }
@@ -720,7 +707,7 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
     return Status::kOutOfResources;  // beyond maximum file size
   }
   const uint32_t base = h.slot * kSlotSize;
-
+  const xn::FreeMap& free_map = backend_->free_map();
   while (e->nblocks < new_nblocks) {
     const uint32_t idx = e->nblocks;
     if (idx < kNumDirect) {
@@ -728,14 +715,14 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
       const uint32_t want = std::min(new_nblocks, kNumDirect) - idx;
       // FindFreeRun wraps around, so a batch wanting more blocks than are free
       // would name one block twice.
-      if (backend_->FreeBlockCount() < want) {
+      if (free_map.free_count() < want) {
         return Status::kOutOfResources;
       }
       xn::Mods mods;
       std::vector<udf::Extent> extents;
       hw::BlockId cursor = hint;
       for (uint32_t j = 0; j < want; ++j) {
-        auto b = backend_->FindFreeRun(cursor, 1);
+        auto b = free_map.FindFreeRun(cursor, 1);
         if (!b.ok()) {
           return b.status();
         }
@@ -749,7 +736,7 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
       if (s != Status::kOk) {
         return s;
       }
-      MarkDirty(h.dir_block);
+      dirty_.Hold(h.dir_block);
       e->nblocks = idx + want;
       hint = cursor;
       continue;
@@ -759,7 +746,7 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
     const uint32_t i = (idx - kNumDirect) % kPtrsPerIndirect;
     if (e->indirect[k] == 0) {
       EXO_CHECK_EQ(i, 0u);
-      auto ib = backend_->FindFreeRun(hint, 1);
+      auto ib = free_map.FindFreeRun(hint, 1);
       if (!ib.ok()) {
         return ib.status();
       }
@@ -778,22 +765,22 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
         return s;
       }
       e->indirect[k] = *ib;
-      MarkDirty(*ib);
-      MarkDirty(h.dir_block);
+      dirty_.Hold(*ib);
+      dirty_.Hold(h.dir_block);
       hint = *ib + 1;
     }
 
     // Batch allocations within this indirect block.
     const uint32_t want =
         std::min(new_nblocks - idx, kPtrsPerIndirect - i);
-    if (backend_->FreeBlockCount() < want) {
+    if (free_map.free_count() < want) {
       return Status::kOutOfResources;  // as for the direct batch
     }
     xn::Mods pmods;
     std::vector<udf::Extent> pext;
     hw::BlockId cursor = hint;
     for (uint32_t j = 0; j < want; ++j) {
-      auto b = backend_->FindFreeRun(cursor, 1);
+      auto b = free_map.FindFreeRun(cursor, 1);
       if (!b.ok()) {
         return b.status();
       }
@@ -806,13 +793,13 @@ Status Cffs::GrowFile(const Handle& h, Entry* e, uint32_t new_nblocks, hw::Block
     if (s != Status::kOk) {
       return s;
     }
-    MarkDirty(e->indirect[k]);
+    dirty_.Hold(e->indirect[k]);
     // Bump nblocks in the entry (ownership-preserving there).
     s = backend_->Modify(h.dir_block, {ModU32(base + kOffNBlocks, idx + want)});
     if (s != Status::kOk) {
       return s;
     }
-    MarkDirty(h.dir_block);
+    dirty_.Hold(h.dir_block);
     e->nblocks = idx + want;
     hint = cursor;
   }
@@ -844,35 +831,10 @@ Result<uint32_t> Cffs::Write(uint64_t handle, uint64_t off, std::span<const uint
       return s;
     }
   }
-
-  size_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = off + done;
-    const uint32_t idx = static_cast<uint32_t>(pos / hw::kBlockSize);
-    const uint32_t boff = static_cast<uint32_t>(pos % hw::kBlockSize);
-    const uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(data.size() - done, hw::kBlockSize - boff));
-    auto loc = DataBlockAt(h, *e, idx);
-    if (!loc.ok()) {
-      return loc.status();
-    }
-    const bool whole = boff == 0 && chunk == hw::kBlockSize;
-    const bool fresh = pos >= e->size;  // beyond old EOF: no need to read old data
-    if ((whole || fresh) && !backend_->IsCached(loc->first)) {
-      // Avoid the read-modify-write: install a fresh zeroed cache page.
-      Status s = backend_->InstallFresh(loc->first, loc->second);
-      if (s != Status::kOk && s != Status::kAlreadyExists) {
-        return s;
-      }
-    }
-    auto buf = backend_->GetDataWritable(loc->first, loc->second);
-    if (!buf.ok()) {
-      return buf.status();
-    }
-    std::memcpy(buf->data() + boff, data.data() + done, chunk);
-    machine_.Charge(machine_.cost().CopyCost(chunk));
-    MarkDirty(loc->first, /*metadata=*/false);
-    done += chunk;
+  Status s = WriteFileData(*backend_, dirty_, e->size, off, data,
+                           [&](uint32_t idx) { return DataBlockAt(h, *e, idx); });
+  if (s != Status::kOk) {
+    return s;
   }
 
   // Implicit updates (Sec. 4.5): size and mtime change with the data.
@@ -881,11 +843,11 @@ Result<uint32_t> Cffs::Write(uint64_t handle, uint64_t off, std::span<const uint
   if (end > e->size) {
     mods.push_back(ModU32(base + kOffSize, static_cast<uint32_t>(end)));
   }
-  Status s = backend_->Modify(h.dir_block, mods);
+  s = backend_->Modify(h.dir_block, mods);
   if (s != Status::kOk) {
     return s;
   }
-  MarkDirty(h.dir_block);
+  dirty_.Hold(h.dir_block);
   return static_cast<uint32_t>(data.size());
 }
 
@@ -898,31 +860,8 @@ Result<uint32_t> Cffs::Read(uint64_t handle, uint64_t off, std::span<uint8_t> ou
   if (e->kind != kKindFile) {
     return Status::kInvalidArgument;
   }
-  if (off >= e->size) {
-    return 0u;
-  }
-  const uint64_t avail = e->size - off;
-  const size_t want = static_cast<size_t>(std::min<uint64_t>(avail, out.size()));
-  size_t done = 0;
-  while (done < want) {
-    const uint64_t pos = off + done;
-    const uint32_t idx = static_cast<uint32_t>(pos / hw::kBlockSize);
-    const uint32_t boff = static_cast<uint32_t>(pos % hw::kBlockSize);
-    const uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(want - done, hw::kBlockSize - boff));
-    auto loc = DataBlockAt(h, *e, idx);
-    if (!loc.ok()) {
-      return loc.status();
-    }
-    auto bytes = backend_->GetBlock(loc->first, loc->second);
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    std::memcpy(out.data() + done, bytes->data() + boff, chunk);
-    machine_.Charge(machine_.cost().CopyCost(chunk));
-    done += chunk;
-  }
-  return static_cast<uint32_t>(done);
+  return ReadFileData(*backend_, e->size, off, out,
+                      [&](uint32_t idx) { return DataBlockAt(h, *e, idx); });
 }
 
 Result<FileStat> Cffs::StatHandle(uint64_t h) {
@@ -1021,30 +960,19 @@ Status Cffs::FreeFileBlocks(const Handle& h, const Entry& e) {
     remaining -= std::min<uint32_t>(remaining, count);
   }
 
+  // A directory's blocks are typed cffs-dir, not data.
+  const bool dir = e.kind == kKindDir;
   xn::Mods mods = {ModU32(base + kOffNBlocks, 0)};
   std::vector<udf::Extent> ext;
   const uint32_t ndirect = std::min(e.nblocks, kNumDirect);
   for (uint32_t i = 0; i < ndirect; ++i) {
-    ext.push_back({e.direct[i], 1, xn::kDataTemplate});
+    ext.push_back({e.direct[i], 1, dir ? dir_tmpl_ : xn::kDataTemplate});
     mods.push_back(ModU32(base + kOffDirect + i * 4, 0));
   }
   for (uint32_t k = 0; k < kNumIndirect; ++k) {
     if (e.indirect[k] != 0) {
-      ext.push_back({e.indirect[k], 1,
-                     e.kind == kKindDir ? ind_dir_tmpl_ : ind_file_tmpl_});
+      ext.push_back({e.indirect[k], 1, dir ? ind_dir_tmpl_ : ind_file_tmpl_});
       mods.push_back(ModU32(base + kOffIndirect + k * 4, 0));
-    }
-  }
-  if (e.kind == kKindDir) {
-    // Directory blocks are typed cffs-dir, not data.
-    ext.clear();
-    for (uint32_t i = 0; i < ndirect; ++i) {
-      ext.push_back({e.direct[i], 1, dir_tmpl_});
-    }
-    for (uint32_t k = 0; k < kNumIndirect; ++k) {
-      if (e.indirect[k] != 0) {
-        ext.push_back({e.indirect[k], 1, ind_dir_tmpl_});
-      }
     }
   }
   if (ext.empty()) {
@@ -1052,7 +980,7 @@ Status Cffs::FreeFileBlocks(const Handle& h, const Entry& e) {
   }
   Status s = backend_->Dealloc(h.dir_block, mods, ext);
   if (s == Status::kOk) {
-    MarkDirty(h.dir_block);
+    dirty_.Hold(h.dir_block);
   }
   return s;
 }
@@ -1094,7 +1022,7 @@ Status Cffs::Unlink(const std::string& path, uint16_t uid) {
         if (s != Status::kOk) {
           return s;
         }
-        MarkDirty(e->indirect[k]);
+        dirty_.Hold(e->indirect[k]);
       }
     }
     // Build an entry view with only direct dir blocks + indirect blocks to free.
@@ -1114,7 +1042,7 @@ Status Cffs::Unlink(const std::string& path, uint16_t uid) {
   const uint32_t base = h->slot * kSlotSize;
   Status s = backend_->Modify(h->dir_block, {ModU8(base + kOffKind, kKindFree)});
   if (s == Status::kOk) {
-    MarkDirty(h->dir_block);
+    dirty_.Hold(h->dir_block);
   }
   return s;
 }
@@ -1158,7 +1086,7 @@ Status Cffs::Rename(const std::string& from, const std::string& to, uint16_t uid
                    ModBytes(base + kOffName, name_bytes)};
   Status s = backend_->Modify(h->dir_block, mods);
   if (s == Status::kOk) {
-    MarkDirty(h->dir_block);
+    dirty_.Hold(h->dir_block);
   }
   return s;
 }
@@ -1203,37 +1131,10 @@ Result<uint64_t> Cffs::CreateSized(const std::string& path, uint16_t uid, uint64
   if (s != Status::kOk) {
     return s;
   }
-  MarkDirty(h->dir_block);
+  dirty_.Hold(h->dir_block);
   return Pack(*h);
 }
 
-Status Cffs::Sync() {
-  std::vector<hw::BlockId> blocks(dirty_data_.begin(), dirty_data_.end());
-  blocks.insert(blocks.end(), dirty_.begin(), dirty_.end());
-  if (blocks.empty()) {
-    return Status::kOk;
-  }
-  Status s = backend_->FlushSync(blocks);
-  if (s != Status::kOk) {
-    return s;
-  }
-  for (hw::BlockId b : blocks) {
-    if (backend_->IsClean(b)) {
-      dirty_.erase(b);
-      dirty_data_.erase(b);
-    }
-  }
-  return Status::kOk;
-}
-
-void Cffs::WriteBehind() {
-  std::vector<hw::BlockId> blocks(dirty_data_.begin(), dirty_data_.end());
-  std::vector<hw::BlockId> deferred;
-  (void)backend_->FlushAsync(blocks, &deferred);
-  // Submitted blocks will become clean on completion; forget them optimistically and
-  // re-add anything still dirty at the next Sync.
-  dirty_data_.clear();
-  dirty_data_.insert(deferred.begin(), deferred.end());
-}
+Status Cffs::Sync() { return dirty_.Sync(); }
 
 }  // namespace exo::fs

@@ -31,10 +31,10 @@
 #define EXO_FS_CFFS_H_
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "fs/dirty_set.h"
 #include "fs/fs_api.h"
 
 namespace exo::fs {
@@ -86,9 +86,7 @@ class Cffs : public FileSys {
   Result<std::pair<hw::BlockId, hw::BlockId>> BlockAt(uint64_t h, uint32_t index);
 
   hw::BlockId root_block() const { return root_block_; }
-  uint32_t dirty_count() const {
-    return static_cast<uint32_t>(dirty_.size() + dirty_data_.size());
-  }
+  uint32_t dirty_count() const { return dirty_.size(); }
 
   static constexpr uint32_t kSlotSize = 128;
   static constexpr uint32_t kSlotsPerBlock = hw::kBlockSize / kSlotSize;
@@ -154,10 +152,6 @@ class Cffs : public FileSys {
   Result<std::pair<hw::BlockId, hw::BlockId>> DataBlockAt(const Handle& h, const Entry& e,
                                                           uint32_t index);
 
-  void MarkDirty(hw::BlockId b, bool metadata = true);
-  // Opportunistic non-blocking flush of the dirty data blocks (write-behind).
-  void WriteBehind();
-
   FsBackend* backend_;
   hw::Machine& machine_;
   CffsOptions options_;
@@ -166,8 +160,7 @@ class Cffs : public FileSys {
   uint32_t dir_tmpl_ = 0;
   uint32_t ind_file_tmpl_ = 0;
   uint32_t ind_dir_tmpl_ = 0;
-  std::set<hw::BlockId> dirty_;       // metadata blocks (flushed on Sync, in order)
-  std::set<hw::BlockId> dirty_data_;  // data blocks (eligible for write-behind)
+  DirtySet dirty_;  // data marked for write-behind, metadata held for Sync
   std::map<hw::BlockId, hw::BlockId> parent_hint_;
 };
 

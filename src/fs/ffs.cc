@@ -20,19 +20,8 @@ constexpr uint32_t kInodeSize = 128;
 
 }  // namespace
 
-Ffs::Ffs(FsBackend* backend) : backend_(backend), machine_(backend->machine()) {}
-
-void Ffs::MarkDirty(hw::BlockId b) {
-  dirty_.insert(b);
-  if (dirty_.size() >= kWritebackThreshold) {
-    WriteBehind();
-  }
-}
-
-Status Ffs::MetadataFlush(std::vector<hw::BlockId> blocks) {
-  // The defining FFS behaviour: metadata hits the platter before the call returns.
-  return backend_->FlushSync(blocks);
-}
+Ffs::Ffs(FsBackend* backend)
+    : backend_(backend), machine_(backend->machine()), dirty_(backend) {}
 
 Status Ffs::Mkfs() {
   auto root = backend_->CreateRoot("ffs", 1);
@@ -40,8 +29,9 @@ Status Ffs::Mkfs() {
     return root.status();
   }
   super_ = *root;
+  dirty_.Mark(super_);
   // Claim the inode zone right after the superblock area.
-  auto zone = backend_->FindFreeRun(super_ + 1, kInodeBlocks);
+  auto zone = backend_->free_map().FindFreeRun(super_ + 1, kInodeBlocks);
   if (!zone.ok()) {
     return zone.status();
   }
@@ -56,6 +46,7 @@ Status Ffs::Mkfs() {
     if (s != Status::kOk) {
       return s;
     }
+    dirty_.Mark(inode_zone_ + i);
   }
   rotor_ = inode_zone_ + kInodeBlocks;
 
@@ -118,9 +109,11 @@ Status Ffs::WriteInode(uint32_t ino, const Inode& in, bool metadata_update) {
     return s;
   }
   if (metadata_update) {
-    return MetadataFlush({InodeBlockOf(ino)});
+    // The defining FFS behaviour: metadata hits the platter before the call returns.
+    const hw::BlockId block = InodeBlockOf(ino);
+    return backend_->FlushSync({&block, 1});
   }
-  MarkDirty(InodeBlockOf(ino));
+  dirty_.Mark(InodeBlockOf(ino));
   return Status::kOk;
 }
 
@@ -167,20 +160,27 @@ Result<hw::BlockId> Ffs::DataBlockAt(const Inode& in, uint32_t index) {
   return GetU32(*ind, i * 4);
 }
 
+Result<BlockLoc> Ffs::BlockAt(const Inode& in, uint32_t index) {
+  auto b = DataBlockAt(in, index);
+  if (!b.ok()) {
+    return b.status();
+  }
+  return BlockLoc{*b, super_};
+}
+
 Status Ffs::GrowFile(uint32_t ino, Inode* in, uint32_t new_nblocks) {
   if (new_nblocks > kNumDirect + kNumIndirect * kPtrsPerIndirect) {
     return Status::kOutOfResources;
   }
+  const xn::FreeMap& free_map = backend_->free_map();
   while (in->nblocks < new_nblocks) {
-    // Global rotor allocation: no locality with the owning directory.
-    auto b = backend_->FindFreeRun(rotor_, 1);
+    // Global rotor allocation: no locality with the owning directory. The search
+    // wraps, so the rotor may run past the last block.
+    auto b = free_map.FindFreeRun(rotor_, 1);
     if (!b.ok()) {
       return b.status();
     }
     rotor_ = *b + 1;
-    if (rotor_ >= backend_->NumBlocks()) {
-      rotor_ = backend_->FirstDataBlock();
-    }
     const uint32_t idx = in->nblocks;
     std::vector<udf::Extent> ext = {{*b, 1, 0}};
     if (idx < kNumDirect) {
@@ -193,7 +193,7 @@ Status Ffs::GrowFile(uint32_t ino, Inode* in, uint32_t new_nblocks) {
       uint32_t k = (idx - kNumDirect) / kPtrsPerIndirect;
       uint32_t i = (idx - kNumDirect) % kPtrsPerIndirect;
       if (in->indirect[k] == 0) {
-        auto ib = backend_->FindFreeRun(rotor_, 1);
+        auto ib = free_map.FindFreeRun(rotor_, 1);
         if (!ib.ok()) {
           return ib.status();
         }
@@ -220,7 +220,7 @@ Status Ffs::GrowFile(uint32_t ino, Inode* in, uint32_t new_nblocks) {
       if (s != Status::kOk) {
         return s;
       }
-      MarkDirty(in->indirect[k]);
+      dirty_.Mark(in->indirect[k]);
     }
     ++in->nblocks;
   }
@@ -262,10 +262,13 @@ Status Ffs::FreeBlocks(uint32_t ino, Inode* in) {
   return Status::kOk;
 }
 
-Result<uint32_t> Ffs::LookupIn(uint32_t dir_ino, const std::string& name) {
+Result<uint32_t> Ffs::LookupIn(uint32_t dir_ino, const std::string& name, bool* is_dir) {
   auto din = ReadInode(dir_ino);
   if (!din.ok()) {
     return din.status();
+  }
+  if (is_dir != nullptr) {
+    *is_dir = din->kind == 2;
   }
   if (din->kind != 2) {
     return Status::kNotFound;
@@ -321,13 +324,13 @@ Result<uint32_t> Ffs::WalkToDir(const std::string& path, std::string* leaf) {
   return cur;
 }
 
-Result<uint32_t> Ffs::ResolvePath(const std::string& path) {
+Result<uint32_t> Ffs::ResolvePath(const std::string& path, bool* parent_is_dir) {
   std::string leaf;
   auto dir = WalkToDir(path, &leaf);
   if (!dir.ok()) {
     return dir.status();
   }
-  return LookupIn(*dir, leaf);
+  return LookupIn(*dir, leaf, parent_is_dir);
 }
 
 Status Ffs::AddDirEnt(uint32_t dir_ino, const std::string& name, uint32_t ino, uint8_t kind) {
@@ -362,7 +365,7 @@ Status Ffs::AddDirEnt(uint32_t dir_ino, const std::string& name, uint32_t ino, u
       s[5] = static_cast<uint8_t>(name.size());
       std::memcpy(s + 6, name.data(), name.size());
       machine_.Charge(60);
-      return MetadataFlush({*b});  // directory data is metadata for integrity
+      return backend_->FlushSync({&*b, 1});  // directory data is metadata for integrity
     }
   }
   // Extend the directory by one data block and retry.
@@ -412,7 +415,7 @@ Status Ffs::RemoveDirEnt(uint32_t dir_ino, const std::string& name) {
           return wb.status();
         }
         std::memset(wb->data() + e * kDirEntSize, 0, kDirEntSize);
-        return MetadataFlush({*b});
+        return backend_->FlushSync({&*b, 1});
       }
     }
   }
@@ -420,11 +423,12 @@ Status Ffs::RemoveDirEnt(uint32_t dir_ino, const std::string& name) {
 }
 
 Result<uint64_t> Ffs::Open(const std::string& path, bool create, uint16_t uid) {
-  auto ino = ResolvePath(path);
+  bool parent_is_dir = true;
+  auto ino = ResolvePath(path, &parent_is_dir);
   if (ino.ok()) {
     return static_cast<uint64_t>(*ino);
   }
-  if (!create || ino.status() != Status::kNotFound) {
+  if (!create || ino.status() != Status::kNotFound || !parent_is_dir) {
     return ino.status();
   }
   std::string leaf;
@@ -448,30 +452,11 @@ Result<uint32_t> Ffs::Read(uint64_t h, uint64_t off, std::span<uint8_t> out) {
   if (!in.ok()) {
     return in.status();
   }
-  if (off >= in->size) {
-    return 0u;
+  if (in->kind != 1) {
+    return Status::kInvalidArgument;
   }
-  const size_t want = static_cast<size_t>(std::min<uint64_t>(in->size - off, out.size()));
-  size_t done = 0;
-  while (done < want) {
-    const uint64_t pos = off + done;
-    const uint32_t idx = static_cast<uint32_t>(pos / hw::kBlockSize);
-    const uint32_t boff = static_cast<uint32_t>(pos % hw::kBlockSize);
-    const uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(want - done, hw::kBlockSize - boff));
-    auto b = DataBlockAt(*in, idx);
-    if (!b.ok()) {
-      return b.status();
-    }
-    auto bytes = backend_->GetBlock(*b, super_);
-    if (!bytes.ok()) {
-      return bytes.status();
-    }
-    std::memcpy(out.data() + done, bytes->data() + boff, chunk);
-    machine_.Charge(machine_.cost().CopyCost(chunk));
-    done += chunk;
-  }
-  return static_cast<uint32_t>(done);
+  return ReadFileData(*backend_, in->size, off, out,
+                      [&](uint32_t idx) { return BlockAt(*in, idx); });
 }
 
 Result<uint32_t> Ffs::Write(uint64_t h, uint64_t off, std::span<const uint8_t> data,
@@ -495,37 +480,16 @@ Result<uint32_t> Ffs::Write(uint64_t h, uint64_t off, std::span<const uint8_t> d
       return s;
     }
   }
-  size_t done = 0;
-  while (done < data.size()) {
-    const uint64_t pos = off + done;
-    const uint32_t idx = static_cast<uint32_t>(pos / hw::kBlockSize);
-    const uint32_t boff = static_cast<uint32_t>(pos % hw::kBlockSize);
-    const uint32_t chunk =
-        static_cast<uint32_t>(std::min<uint64_t>(data.size() - done, hw::kBlockSize - boff));
-    auto b = DataBlockAt(*in, idx);
-    if (!b.ok()) {
-      return b.status();
-    }
-    if ((boff == 0 && chunk == hw::kBlockSize) || pos >= in->size) {
-      Status s = backend_->InstallFresh(*b, super_);
-      if (s != Status::kOk && s != Status::kAlreadyExists) {
-        return s;
-      }
-    }
-    auto wb = backend_->GetDataWritable(*b, super_);
-    if (!wb.ok()) {
-      return wb.status();
-    }
-    std::memcpy(wb->data() + boff, data.data() + done, chunk);
-    machine_.Charge(machine_.cost().CopyCost(chunk));
-    MarkDirty(*b);
-    done += chunk;
+  Status s = WriteFileData(*backend_, dirty_, in->size, off, data,
+                           [&](uint32_t idx) { return BlockAt(*in, idx); });
+  if (s != Status::kOk) {
+    return s;
   }
   if (end > in->size) {
     in->size = static_cast<uint32_t>(end);
   }
   in->mtime = Mtime(machine_);
-  Status s = WriteInode(ino, *in, /*metadata_update=*/false);
+  s = WriteInode(ino, *in, /*metadata_update=*/false);
   if (s != Status::kOk) {
     return s;
   }
@@ -565,8 +529,12 @@ Status Ffs::Mkdir(const std::string& path, uint16_t uid) {
   if (!dir.ok()) {
     return dir.status();
   }
-  if (LookupIn(*dir, leaf).ok()) {
+  bool is_dir = true;
+  if (LookupIn(*dir, leaf, &is_dir).ok()) {
     return Status::kAlreadyExists;
+  }
+  if (!is_dir) {
+    return Status::kNotFound;
   }
   auto nino = AllocInode(/*kind=*/2, uid);
   if (!nino.ok()) {
@@ -635,8 +603,12 @@ Status Ffs::Rename(const std::string& from, const std::string& to, uint16_t uid)
   if (!to_dir.ok()) {
     return to_dir.status();
   }
-  if (LookupIn(*to_dir, to_leaf).ok()) {
+  bool is_dir = true;
+  if (LookupIn(*to_dir, to_leaf, &is_dir).ok()) {
     return Status::kAlreadyExists;
+  }
+  if (!is_dir) {
+    return Status::kNotFound;
   }
   // Rule 3 of ordered updates: set the new pointer before clearing the old one.
   Status s = AddDirEnt(*to_dir, to_leaf, *ino, in->kind);
@@ -686,25 +658,6 @@ Result<std::vector<DirEnt>> Ffs::ReadDir(const std::string& path) {
   return out;
 }
 
-Status Ffs::Sync() {
-  std::vector<hw::BlockId> blocks(dirty_.begin(), dirty_.end());
-  if (blocks.empty()) {
-    return Status::kOk;
-  }
-  Status s = backend_->FlushSync(blocks);
-  if (s != Status::kOk) {
-    return s;
-  }
-  dirty_.clear();
-  return Status::kOk;
-}
-
-void Ffs::WriteBehind() {
-  std::vector<hw::BlockId> blocks(dirty_.begin(), dirty_.end());
-  std::vector<hw::BlockId> deferred;
-  (void)backend_->FlushAsync(blocks, &deferred);
-  dirty_.clear();
-  dirty_.insert(deferred.begin(), deferred.end());
-}
+Status Ffs::Sync() { return dirty_.Sync(); }
 
 }  // namespace exo::fs

@@ -19,10 +19,11 @@
 #ifndef EXO_FS_FFS_H_
 #define EXO_FS_FFS_H_
 
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fs/dirty_set.h"
 #include "fs/fs_api.h"
 
 namespace exo::fs {
@@ -75,18 +76,19 @@ class Ffs : public FileSys {
   Result<uint32_t> AllocInode(uint8_t kind, uint16_t uid);
 
   Result<hw::BlockId> DataBlockAt(const Inode& in, uint32_t index);
+  // The block and its owner, the superblock: the locator of the data loops.
+  Result<std::pair<hw::BlockId, hw::BlockId>> BlockAt(const Inode& in, uint32_t index);
   Status GrowFile(uint32_t ino, Inode* in, uint32_t new_nblocks);
   Status FreeBlocks(uint32_t ino, Inode* in);
 
-  Result<uint32_t> LookupIn(uint32_t dir_ino, const std::string& name);
+  // kNotFound when `name` is absent or `dir_ino` is not a directory; `is_dir`,
+  // when given, tells the two apart.
+  Result<uint32_t> LookupIn(uint32_t dir_ino, const std::string& name,
+                            bool* is_dir = nullptr);
   Result<uint32_t> WalkToDir(const std::string& path, std::string* leaf);
   Status AddDirEnt(uint32_t dir_ino, const std::string& name, uint32_t ino, uint8_t kind);
   Status RemoveDirEnt(uint32_t dir_ino, const std::string& name);
-  Result<uint32_t> ResolvePath(const std::string& path);
-
-  void MarkDirty(hw::BlockId b);
-  void WriteBehind();
-  Status MetadataFlush(std::vector<hw::BlockId> blocks);
+  Result<uint32_t> ResolvePath(const std::string& path, bool* parent_is_dir = nullptr);
 
   FsBackend* backend_;
   hw::Machine& machine_;
@@ -94,7 +96,7 @@ class Ffs : public FileSys {
   hw::BlockId inode_zone_ = hw::kInvalidBlock;
   hw::BlockId rotor_ = 0;  // global allocation cursor
   uint32_t ino_rotor_ = 2;  // inode allocation cursor
-  std::set<hw::BlockId> dirty_;
+  DirtySet dirty_;  // every block eligible for write-behind
 };
 
 }  // namespace exo::fs

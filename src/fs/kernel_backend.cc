@@ -9,34 +9,13 @@ namespace exo::fs {
 KernelBackend::KernelBackend(hw::Machine* machine, hw::Disk* disk, Blocker blocker,
                              const KernelBackendOptions& options)
     : machine_(machine), disk_(disk), blocker_(std::move(blocker)), options_(options) {
-  Format();
+  // The disk starts empty; block 0 stands in for a superblock.
+  free_map_.Reset(disk_->geometry().num_blocks, /*first_data=*/1);
 }
 
 KernelBackend::~KernelBackend() {
   for (auto& [b, e] : cache_) {
     machine_->mem().Unref(e.frame);
-  }
-}
-
-void KernelBackend::Format() {
-  const uint32_t nblocks = disk_->geometry().num_blocks;
-  first_data_block_ = 1;  // block 0 reserved as a superblock stand-in
-  free_map_.assign(nblocks, 1);
-  free_map_[0] = 0;
-  free_count_ = nblocks - 1;
-  roots_.clear();
-}
-
-void KernelBackend::MarkAllocated(hw::BlockId b, bool allocated) {
-  EXO_CHECK_LT(b, free_map_.size());
-  if (allocated) {
-    EXO_CHECK(free_map_[b]);
-    free_map_[b] = 0;
-    --free_count_;
-  } else {
-    EXO_CHECK(!free_map_[b]);
-    free_map_[b] = 1;
-    ++free_count_;
   }
 }
 
@@ -114,10 +93,8 @@ Status KernelBackend::EnsureCached(hw::BlockId block, bool read_from_disk) {
       }
     }
     it->second.lru = ++lru_clock_;
-    ++hits_;
     return Status::kOk;
   }
-  ++misses_;
   Status room = MakeRoom();
   if (room != Status::kOk) {
     return room;
@@ -154,8 +131,7 @@ Status KernelBackend::Alloc(hw::BlockId meta, const xn::Mods& mods,
   // Validate the free map, then trust the file system (no UDF verification).
   for (const udf::Extent& ext : to_alloc) {
     for (uint32_t i = 0; i < ext.count; ++i) {
-      hw::BlockId b = ext.start + i;
-      if (b >= free_map_.size() || !free_map_[b]) {
+      if (!free_map_.IsFree(ext.start + i)) {
         return Status::kOutOfResources;
       }
     }
@@ -166,7 +142,7 @@ Status KernelBackend::Alloc(hw::BlockId meta, const xn::Mods& mods,
   }
   for (const udf::Extent& ext : to_alloc) {
     for (uint32_t i = 0; i < ext.count; ++i) {
-      MarkAllocated(ext.start + i, true);
+      free_map_.Allocate(ext.start + i);
     }
   }
   return Status::kOk;
@@ -181,7 +157,7 @@ Status KernelBackend::Dealloc(hw::BlockId meta, const xn::Mods& mods,
   for (const udf::Extent& ext : to_free) {
     for (uint32_t i = 0; i < ext.count; ++i) {
       hw::BlockId b = ext.start + i;
-      MarkAllocated(b, false);
+      free_map_.Release(b);
       auto it = cache_.find(b);
       if (it != cache_.end() && !it->second.in_transit) {
         machine_->mem().Unref(it->second.frame);
@@ -309,38 +285,15 @@ bool KernelBackend::IsClean(hw::BlockId block) const {
          (!it->second.dirty && !it->second.in_transit && !it->second.write_transit);
 }
 
-Result<hw::BlockId> KernelBackend::FindFreeRun(hw::BlockId hint, uint32_t count) const {
-  if (count == 0) {
-    return Status::kInvalidArgument;
-  }
-  const uint32_t n = static_cast<uint32_t>(free_map_.size());
-  hw::BlockId start = std::max(hint, first_data_block_);
-  for (int pass = 0; pass < 2; ++pass) {
-    uint32_t run = 0;
-    for (hw::BlockId b = start; b < n; ++b) {
-      run = free_map_[b] ? run + 1 : 0;
-      if (run == count) {
-        return b - count + 1;
-      }
-    }
-    start = first_data_block_;
-  }
-  return Status::kOutOfResources;
-}
-
-uint32_t KernelBackend::FreeBlockCount() const { return free_count_; }
-hw::BlockId KernelBackend::FirstDataBlock() const { return first_data_block_; }
-uint32_t KernelBackend::NumBlocks() const { return disk_->geometry().num_blocks; }
-
 Result<hw::BlockId> KernelBackend::CreateRoot(const std::string& name, uint32_t tmpl) {
   if (roots_.count(name) != 0) {
     return Status::kAlreadyExists;
   }
-  auto b = FindFreeRun(first_data_block_, 1);
+  auto b = free_map_.FindFreeRun(free_map_.first_data_block(), 1);
   if (!b.ok()) {
     return b.status();
   }
-  MarkAllocated(*b, true);
+  free_map_.Allocate(*b);
   roots_[name] = *b;
   Status s = EnsureCached(*b, /*read_from_disk=*/false);
   if (s != Status::kOk) {

@@ -11,7 +11,6 @@
 #ifndef EXO_FS_KERNEL_BACKEND_H_
 #define EXO_FS_KERNEL_BACKEND_H_
 
-#include <list>
 #include <map>
 #include <string>
 #include <vector>
@@ -32,9 +31,6 @@ class KernelBackend : public FsBackend {
                 const KernelBackendOptions& options = {});
   ~KernelBackend() override;
 
-  // Initializes the free map over an empty disk.
-  void Format();
-
   Status Alloc(hw::BlockId meta, const xn::Mods& mods,
                std::span<const udf::Extent> to_alloc) override;
   Status Dealloc(hw::BlockId meta, const xn::Mods& mods,
@@ -50,10 +46,7 @@ class KernelBackend : public FsBackend {
   Status FlushSync(std::span<const hw::BlockId> blocks) override;
   bool IsClean(hw::BlockId block) const override;
 
-  Result<hw::BlockId> FindFreeRun(hw::BlockId hint, uint32_t count) const override;
-  uint32_t FreeBlockCount() const override;
-  hw::BlockId FirstDataBlock() const override;
-  uint32_t NumBlocks() const override;
+  const xn::FreeMap& free_map() const override { return free_map_; }
 
   Result<hw::BlockId> CreateRoot(const std::string& name, uint32_t tmpl) override;
   Result<hw::BlockId> OpenRoot(const std::string& name) override;
@@ -65,8 +58,6 @@ class KernelBackend : public FsBackend {
   }
   hw::Machine& machine() override { return *machine_; }
 
-  uint64_t cache_hits() const { return hits_; }
-  uint64_t cache_misses() const { return misses_; }
   uint32_t cached_blocks() const { return static_cast<uint32_t>(cache_.size()); }
 
  private:
@@ -85,7 +76,6 @@ class KernelBackend : public FsBackend {
   // Evicts entries until there is room for one more block, writing back dirty
   // victims synchronously (the kernel decides; the application just waits).
   Status MakeRoom();
-  void MarkAllocated(hw::BlockId b, bool allocated);
 
   hw::Machine* machine_;
   hw::Disk* disk_;
@@ -94,13 +84,9 @@ class KernelBackend : public FsBackend {
 
   std::map<hw::BlockId, Entry> cache_;
   uint64_t lru_clock_ = 0;
-  std::vector<uint8_t> free_map_;
-  uint32_t free_count_ = 0;
-  hw::BlockId first_data_block_ = 1;
+  xn::FreeMap free_map_;
   std::map<std::string, hw::BlockId> roots_;
   uint32_t next_template_ = 1;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
 };
 
 }  // namespace exo::fs

@@ -233,14 +233,6 @@ bool XnBackend::IsClean(hw::BlockId block) const {
   return e == nullptr || (!e->dirty && e->state == xn::BufState::kResident);
 }
 
-Result<hw::BlockId> XnBackend::FindFreeRun(hw::BlockId hint, uint32_t count) const {
-  return xn_->FindFreeRun(hint, count);
-}
-
-uint32_t XnBackend::FreeBlockCount() const { return xn_->FreeBlockCount(); }
-hw::BlockId XnBackend::FirstDataBlock() const { return xn_->FirstDataBlock(); }
-uint32_t XnBackend::NumBlocks() const { return xn_->NumBlocks(); }
-
 Result<hw::BlockId> XnBackend::CreateRoot(const std::string& name, uint32_t tmpl) {
   auto r = xn_->RegisterRoot(name, tmpl, /*temporary=*/false);
   if (!r.ok()) {

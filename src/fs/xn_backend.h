@@ -39,10 +39,7 @@ class XnBackend : public FsBackend {
   Status FlushSync(std::span<const hw::BlockId> blocks) override;
   bool IsClean(hw::BlockId block) const override;
 
-  Result<hw::BlockId> FindFreeRun(hw::BlockId hint, uint32_t count) const override;
-  uint32_t FreeBlockCount() const override;
-  hw::BlockId FirstDataBlock() const override;
-  uint32_t NumBlocks() const override;
+  const xn::FreeMap& free_map() const override { return xn_->free_map(); }
 
   Result<hw::BlockId> CreateRoot(const std::string& name, uint32_t tmpl) override;
   Result<hw::BlockId> OpenRoot(const std::string& name) override;

@@ -241,18 +241,11 @@ bool Xn::RunAcl(const Template& t, std::span<const uint8_t> image,
 void Xn::Format() {
   const uint32_t nblocks = disk_->geometry().num_blocks;
   const uint32_t fm_blocks = (nblocks / 8 + hw::kBlockSize - 1) / hw::kBlockSize;
-  first_data_block_ = 1 + kTemplBlocks + kRootBlocks + fm_blocks;
-  EXO_CHECK_LT(first_data_block_, nblocks);
+  const hw::BlockId first_data = 1 + kTemplBlocks + kRootBlocks + fm_blocks;
+  EXO_CHECK_LT(first_data, nblocks);
 
   ResetVolatileState(/*release_frames=*/true);
-  free_map_.assign(nblocks, 1);
-  for (hw::BlockId b = 0; b < nblocks; ++b) {
-    if (b < first_data_block_) {
-      free_map_[b] = 0;
-    } else {
-      ++free_count_;
-    }
-  }
+  free_map_.Reset(nblocks, first_data);
 
   PersistCatalogues();
   WriteSuperblock(/*clean=*/true);
@@ -269,8 +262,7 @@ void Xn::ResetVolatileState(bool release_frames) {
   next_template_ = 1;
   owns_memo_.clear();  // a reloaded id may name another program
   roots_.clear();
-  free_map_.clear();
-  free_count_ = 0;
+  free_map_.Reset(0, free_map_.first_data_block());  // the superblock still names it
   uninit_.clear();
   parent_of_.clear();
   on_disk_owns_.clear();
@@ -287,7 +279,7 @@ void Xn::WriteSuperblock(bool clean) {
   c.PutU32(kMagic);
   c.PutU32(clean ? 1 : 0);
   c.PutU32(disk_->geometry().num_blocks);
-  c.PutU32(first_data_block_);
+  c.PutU32(free_map_.first_data_block());
   // Persist the free map alongside the clean flag (only trusted on clean detach).
   auto block = disk_->MutableBlock(0);
   std::memset(block.data(), 0, block.size());
@@ -305,7 +297,7 @@ void Xn::WriteSuperblock(bool clean) {
       if (b >= nblocks) {
         break;
       }
-      if (!free_map_.empty() && free_map_[b]) {
+      if (free_map_.IsFree(b)) {
         fm[j / 8] = static_cast<uint8_t>(fm[j / 8] | (1u << (j % 8)));
       }
     }
@@ -439,7 +431,7 @@ Status Xn::Attach() {
   }
   const bool clean = c.GetU32() == 1;
   const uint32_t nblocks = c.GetU32();
-  first_data_block_ = c.GetU32();
+  const hw::BlockId first_data = c.GetU32();
   if (nblocks != disk_->geometry().num_blocks) {
     return Status::kBadMetadata;
   }
@@ -462,7 +454,7 @@ Status Xn::Attach() {
   const uint32_t fm_start = 1 + kTemplBlocks + kRootBlocks;
   bool fm_ok = true;
   if (integrity_armed() && clean) {
-    for (uint32_t b = fm_start; b < first_data_block_; ++b) {
+    for (uint32_t b = fm_start; b < first_data; ++b) {
       if (disk_->CheckBlock(b) != hw::BlockIntegrity::kOk) {
         fm_ok = false;
         break;
@@ -472,13 +464,12 @@ Status Xn::Attach() {
 
   if (clean && fm_ok) {
     // Trust the persisted free map.
-    free_map_.assign(nblocks, 0);
-    for (uint32_t b = 0; b < nblocks; ++b) {
+    free_map_.Reset(nblocks, first_data, /*data_free=*/false);
+    for (uint32_t b = first_data; b < nblocks; ++b) {
       auto fm = disk_->RawBlock(fm_start + b / (hw::kBlockSize * 8));
       uint32_t j = b % (hw::kBlockSize * 8);
       if ((fm[j / 8] >> (j % 8)) & 1) {
-        free_map_[b] = 1;
-        ++free_count_;
+        free_map_.Release(b);
       }
     }
   } else {
@@ -487,6 +478,7 @@ Status Xn::Attach() {
     if (integrity_armed()) {
       VerifyDiskIntegrity();
     }
+    free_map_.Reset(nblocks, first_data);
     RecoverFreeMap();
     recovered_ = true;
   }
@@ -516,18 +508,9 @@ void Xn::RecoverFreeMap() {
     tracer_->Begin(trace::Category::kXn, trace_track_, "recovery",
                    machine_->engine().now());
   }
-  const uint32_t nblocks = disk_->geometry().num_blocks;
-  free_map_.assign(nblocks, 1);
-  for (hw::BlockId b = 0; b < first_data_block_; ++b) {
-    free_map_[b] = 0;
-  }
   std::set<hw::BlockId> seen;
   for (const auto& [name, r] : roots_) {
     TraverseForRecovery(r.block, r.tmpl, &seen);
-  }
-  free_count_ = 0;
-  for (hw::BlockId b = first_data_block_; b < nblocks; ++b) {
-    free_count_ += free_map_[b];
   }
   machine_->counters().Add("xn.recovery_blocks_scanned", seen.size());
   if (tracing) {
@@ -541,7 +524,7 @@ void Xn::TraverseForRecovery(hw::BlockId block, TemplateId tmpl,
   if (block >= disk_->geometry().num_blocks || !seen->insert(block).second) {
     return;
   }
-  free_map_[block] = 0;
+  free_map_.MarkReachable(block);
   const Template* t = FindTemplate(tmpl);
   if (t == nullptr || !t->is_metadata) {
     return;
@@ -617,11 +600,11 @@ Result<RootInfo> Xn::RegisterRoot(const std::string& name, TemplateId tmpl, bool
   if (t == nullptr) {
     return Status::kNotFound;
   }
-  auto block = FindFreeRun(first_data_block_, 1);
+  auto block = free_map_.FindFreeRun(free_map_.first_data_block(), 1);
   if (!block.ok()) {
     return Status::kOutOfResources;
   }
-  MarkAllocated(*block, true);
+  free_map_.Allocate(*block);
   RootInfo r{name, *block, tmpl, temporary};
   roots_[name] = r;
   if (t->is_metadata && !temporary) {
@@ -1120,7 +1103,7 @@ Status Xn::Alloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Extent
   for (const udf::Extent& ext : to_alloc) {
     for (uint32_t i = 0; i < ext.count; ++i) {
       hw::BlockId b = ext.start + i;
-      if (b < first_data_block_ || b >= disk_->geometry().num_blocks || !free_map_[b]) {
+      if (!free_map_.IsFree(b)) {
         return Status::kOutOfResources;  // not free (possibly on the will-free list)
       }
       if (!InsertOwned(&requested, b, ext.type)) {
@@ -1135,7 +1118,7 @@ Status Xn::Alloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Extent
   }
 
   for (const auto& [b, tmpl] : requested) {
-    MarkAllocated(b, true);
+    free_map_.Allocate(b);
     parent_of_[b] = meta;
     const Template* ct = FindTemplate(tmpl);
     if (ct != nullptr && ct->is_metadata) {
@@ -1181,7 +1164,7 @@ Status Xn::Dealloc(hw::BlockId meta, const Mods& mods, std::span<const udf::Exte
       ++will_free_[b];
       ++stats_.will_free_deferrals;
     } else {
-      MarkAllocated(b, false);
+      ReleaseBlock(b);
     }
   }
   return Status::kOk;
@@ -1369,7 +1352,7 @@ void Xn::OnWriteComplete(hw::BlockId b, Status s) {
       auto wf = will_free_.find(child);
       if (wf != will_free_.end() && --wf->second == 0) {
         will_free_.erase(wf);
-        MarkAllocated(child, false);
+        ReleaseBlock(child);
       }
     }
   }
@@ -1388,47 +1371,11 @@ Result<std::vector<uint8_t>> Xn::ReadCached(hw::BlockId block, const Caps& creds
 
 // ---- Free map ----
 
-void Xn::MarkAllocated(hw::BlockId b, bool allocated) {
-  EXO_CHECK_LT(b, free_map_.size());
-  if (allocated) {
-    EXO_CHECK(free_map_[b]);
-    free_map_[b] = 0;
-    --free_count_;
-  } else {
-    EXO_CHECK(!free_map_[b]);
-    free_map_[b] = 1;
-    ++free_count_;
-    // A freed block's contents are dead: nothing to expect, nothing to protect.
-    expected_crc_.erase(b);
-    quarantined_.erase(b);
-  }
-}
-
-bool Xn::IsAllocated(hw::BlockId b) const {
-  return b < free_map_.size() && free_map_[b] == 0;
-}
-
-uint32_t Xn::FreeBlockCount() const { return free_count_; }
-
-uint32_t Xn::NumBlocks() const { return disk_->geometry().num_blocks; }
-
-Result<hw::BlockId> Xn::FindFreeRun(hw::BlockId hint, uint32_t count) const {
-  if (count == 0) {
-    return Status::kInvalidArgument;
-  }
-  const uint32_t n = static_cast<uint32_t>(free_map_.size());
-  hw::BlockId start = std::max(hint, first_data_block_);
-  for (int pass = 0; pass < 2; ++pass) {
-    uint32_t run = 0;
-    for (hw::BlockId b = start; b < n; ++b) {
-      run = free_map_[b] ? run + 1 : 0;
-      if (run == count) {
-        return b - count + 1;
-      }
-    }
-    start = first_data_block_;  // wrap once
-  }
-  return Status::kOutOfResources;
+void Xn::ReleaseBlock(hw::BlockId b) {
+  free_map_.Release(b);
+  // A freed block's contents are dead: nothing to expect, nothing to protect.
+  expected_crc_.erase(b);
+  quarantined_.erase(b);
 }
 
 // ---- End-to-end integrity ----
@@ -1494,15 +1441,15 @@ Status Xn::TryRepair(hw::BlockId b) {
 }
 
 uint32_t Xn::ScrubStep(uint32_t budget) {
-  if (!integrity_armed() || free_map_.empty()) {
+  const uint32_t n = free_map_.num_blocks();
+  if (!integrity_armed() || n == 0) {
     return 0;
   }
-  const uint32_t n = NumBlocks();
   uint32_t scanned = 0;
   for (uint32_t step = 0; step < n && scanned < budget; ++step) {
     const hw::BlockId b = scrub_cursor_;
     scrub_cursor_ = (scrub_cursor_ + 1) % n;
-    if (free_map_[b]) {
+    if (free_map_.IsFree(b)) {
       continue;  // scrub covers allocated blocks only
     }
     // Skip blocks whose media image is legitimately behind the cache: an

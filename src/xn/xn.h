@@ -38,6 +38,7 @@
 
 #include "hw/machine.h"
 #include "sim/status.h"
+#include "xn/free_map.h"
 #include "xn/registry.h"
 #include "xn/types.h"
 
@@ -155,13 +156,9 @@ class Xn {
 
   // ---- Exposed state (no syscall cost to read) ----
 
-  bool IsAllocated(hw::BlockId b) const;
-  uint32_t FreeBlockCount() const;
-  hw::BlockId FirstDataBlock() const { return first_data_block_; }
-  uint32_t NumBlocks() const;
-  // Scans for a run of `count` free blocks at or after `hint` (libFSes control
-  // layout by choosing where to look, Sec. 4.4 "Allocate").
-  [[nodiscard]] Result<hw::BlockId> FindFreeRun(hw::BlockId hint, uint32_t count) const;
+  // The free map: libFSes control layout by choosing where to look for free
+  // runs (Sec. 4.4 "Allocate"). Empty until Format or Attach.
+  const FreeMap& free_map() const { return free_map_; }
   bool IsTaintedBlock(hw::BlockId b) const { return uninit_.count(b) != 0; }
 
   const XnStats& stats() const { return stats_; }
@@ -252,7 +249,8 @@ class Xn {
   bool ReachesPersistentRoot(hw::BlockId b) const;
   bool IsTaintedForWrite(hw::BlockId b, std::set<hw::BlockId>* visiting);
   void OnWriteComplete(hw::BlockId b, Status s);
-  void MarkAllocated(hw::BlockId b, bool allocated);
+  // Returns `b` to the free map; its integrity expectations die with its contents.
+  void ReleaseBlock(hw::BlockId b);
 
   bool integrity_armed() const { return disk_->integrity_enabled(); }
   // Media-tag verdict for a freshly read (or scanned) block, folding in the
@@ -273,6 +271,8 @@ class Xn {
   // Loads both catalogues, or nothing: kBadMetadata when fewer entries parse
   // than a catalogue's count says, or when a program fails the verifier.
   [[nodiscard]] Status LoadCatalogues();
+  // Marks every block the persistent roots reach allocated in a free map whose
+  // data blocks start free.
   void RecoverFreeMap();
   void TraverseForRecovery(hw::BlockId block, TemplateId tmpl, std::set<hw::BlockId>* seen);
 
@@ -290,9 +290,7 @@ class Xn {
   std::vector<OwnsMemoEntry> owns_memo_;
   std::map<std::string, RootInfo> roots_;
 
-  std::vector<uint8_t> free_map_;  // 1 = free
-  uint32_t free_count_ = 0;
-  hw::BlockId first_data_block_ = 0;
+  FreeMap free_map_;
 
   // Ordering state (volatile; rebuilt on recovery).
   std::set<hw::BlockId> uninit_;                       // allocated metadata, never written

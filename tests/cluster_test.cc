@@ -786,9 +786,9 @@ TEST(ClusterTest, RebootedServerFsckQuarantinesPreKillDiskCorruption) {
     count.bytes = {2, 0, 0, 0};
     xn::Mods mods = {count};
     std::vector<udf::Extent> extents;
-    hw::BlockId hint = xn->FirstDataBlock();
+    hw::BlockId hint = xn->free_map().first_data_block();
     for (uint32_t i = 0; i < 2; ++i) {
-      auto blk = xn->FindFreeRun(hint, 1);
+      auto blk = xn->free_map().FindFreeRun(hint, 1);
       ASSERT_TRUE(blk.ok());
       hint = *blk + 1;
       xn::ByteMod ptr;

@@ -72,8 +72,9 @@ class Rig {
   // Fills every free data block with deterministic garbage so a recovery traversal
   // that reaches a never-written block cannot silently read zeros.
   void ScribbleFreeBlocks() {
-    for (hw::BlockId b = xn_->FirstDataBlock(); b < xn_->NumBlocks(); ++b) {
-      if (xn_->IsAllocated(b)) {
+    const xn::FreeMap& free_map = xn_->free_map();
+    for (hw::BlockId b = free_map.first_data_block(); b < free_map.num_blocks(); ++b) {
+      if (free_map.IsAllocated(b)) {
         continue;
       }
       auto img = machine_.disk().MutableBlock(b);
@@ -325,7 +326,7 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
       return path + ": FileBlocks failed";
     }
     for (hw::BlockId b : *blocks) {
-      if (!rig.xn()->IsAllocated(b)) {
+      if (!rig.xn()->free_map().IsAllocated(b)) {
         return path + ": reachable block " + std::to_string(b) + " marked free";
       }
       if (rig.xn()->IsTaintedBlock(b)) {
@@ -371,7 +372,7 @@ std::string Verify(Rig& rig, const DurableState& acked, const DurableState& pend
   }
   std::vector<uint8_t> chunk(8 * hw::kBlockSize);
   uint64_t off = 0;
-  for (int iter = 0; rig.backend()->FreeBlockCount() > 128 && iter < 4096; ++iter) {
+  for (int iter = 0; rig.backend()->free_map().free_count() > 128 && iter < 4096; ++iter) {
     for (size_t i = 0; i < chunk.size(); ++i) {
       chunk[i] = static_cast<uint8_t>(off + i * 13 + 7);
     }

@@ -22,12 +22,28 @@ namespace {
 
 enum class Regime { kXn, kKernel, kFfs };
 
+std::string RegimeName(const ::testing::TestParamInfo<Regime>& info) {
+  switch (info.param) {
+    case Regime::kXn:
+      return "XnLibFs";
+    case Regime::kKernel:
+      return "InKernel";
+    case Regime::kFfs:
+      return "FfsInKernel";
+  }
+  return "?";
+}
+
 class FsTest : public ::testing::TestWithParam<Regime> {
  protected:
-  FsTest()
+  // `cache_blocks` bounds the cache (0: unbounded). The kernel backend evicts past
+  // it; on XN the fixture hands out that many frames, after which the backend
+  // recycles the registry's least recently used clean buffer.
+  explicit FsTest(uint32_t cache_blocks = 0)
       : machine_(&engine_, hw::MachineConfig{
                                .mem_frames = 4096,
-                               .disks = {hw::DiskGeometry{.num_blocks = 8192}}}) {
+                               .disks = {hw::DiskGeometry{.num_blocks = 8192}}}),
+        frames_left_(cache_blocks == 0 ? UINT32_MAX : cache_blocks) {
     if (GetParam() == Regime::kXn) {
       xn_ = std::make_unique<xn::Xn>(&machine_, &machine_.disk());
       xn_->Format();
@@ -35,11 +51,17 @@ class FsTest : public ::testing::TestWithParam<Regime> {
       backend_ = std::make_unique<XnBackend>(
           xn_.get(), xn::Caps{xok::Capability::For({xok::kCapFs, 1})}, SpinEngine(engine_),
           [this] {
+            if (frames_left_ == 0) {
+              return hw::kInvalidFrame;
+            }
+            --frames_left_;
             auto f = machine_.mem().Alloc();
             return f.ok() ? *f : hw::kInvalidFrame;
           });
     } else {
-      backend_ = std::make_unique<KernelBackend>(&machine_, &machine_.disk(), SpinEngine(engine_));
+      backend_ = std::make_unique<KernelBackend>(
+          &machine_, &machine_.disk(), SpinEngine(engine_),
+          KernelBackendOptions{.max_cache_blocks = cache_blocks});
     }
     if (GetParam() == Regime::kFfs) {
       auto ffs = std::make_unique<Ffs>(backend_.get());
@@ -85,6 +107,7 @@ class FsTest : public ::testing::TestWithParam<Regime> {
 
   sim::Engine engine_;
   hw::Machine machine_;
+  uint32_t frames_left_;  // XN cache frames the fixture may still hand out
   std::unique_ptr<xn::Xn> xn_;
   std::unique_ptr<FsBackend> backend_;
   std::unique_ptr<FileSys> fs_;
@@ -192,19 +215,33 @@ TEST_P(FsTest, LookupErrors) {
   // A file used as a directory component fails.
   EXPECT_EQ(Lookup("/file/sub").status(), Status::kNotFound);
   EXPECT_EQ(fs_->StatPath("/file/sub").status(), Status::kNotFound);
+  // Nor can anything be created or renamed under it.
+  EXPECT_EQ(fs_->Open("/file/sub", /*create=*/true, 7).status(), Status::kNotFound);
+  EXPECT_EQ(fs_->Mkdir("/file/sub", 7), Status::kNotFound);
+  EXPECT_EQ(fs_->Rename("/file", "/file/sub", 7), Status::kNotFound);
   if (cffs_ != nullptr) {
     EXPECT_EQ(cffs_->Create("/file/sub", 7).status(), Status::kNotFound);
   }
+  EXPECT_EQ(ReadFile("/file"), Pattern(4));
+}
+
+TEST_P(FsTest, DirectoryHandleRefusesData) {
+  ASSERT_EQ(fs_->Mkdir("/d", 7), Status::kOk);
+  auto h = Lookup("/d");
+  ASSERT_TRUE(h.ok());
+  std::vector<uint8_t> buf(16);
+  EXPECT_EQ(fs_->Read(*h, 0, buf).status(), Status::kInvalidArgument);
+  EXPECT_EQ(fs_->Write(*h, 0, buf, 7).status(), Status::kInvalidArgument);
 }
 
 TEST_P(FsTest, UnlinkFreesBlocks) {
   WriteFile("/keep", Pattern(8));  // the root directory holds its first block now
-  const uint32_t before = backend_->FreeBlockCount();
+  const uint32_t before = backend_->free_map().free_count();
   WriteFile("/victim", Pattern(20 * 4096));
-  EXPECT_LT(backend_->FreeBlockCount(), before);
+  EXPECT_LT(backend_->free_map().free_count(), before);
   ASSERT_EQ(fs_->Unlink("/victim", 7), Status::kOk);
   ASSERT_EQ(fs_->Sync(), Status::kOk);  // releases will-free deferrals on XN
-  EXPECT_EQ(backend_->FreeBlockCount(), before);
+  EXPECT_EQ(backend_->free_map().free_count(), before);
   EXPECT_EQ(Lookup("/victim").status(), Status::kNotFound);
 }
 
@@ -300,15 +337,6 @@ TEST_P(FsTest, CoLocationKeepsFileDataNearDirectory) {
 }
 
 TEST_P(FsTest, SyncMakesEverythingClean) {
-  // FFS's Mkfs leaves its superblock and the inode blocks it installed fresh dirty
-  // in the cache, and Sync writes only what FFS dirtied since. C-FFS's Sync leaves
-  // no block dirty at all.
-  std::set<hw::BlockId> left_by_mkfs;
-  for (hw::BlockId b = 0; cffs_ == nullptr && b < backend_->NumBlocks(); ++b) {
-    if (!backend_->IsClean(b)) {
-      left_by_mkfs.insert(b);
-    }
-  }
   for (int i = 0; i < 5; ++i) {
     WriteFile("/s" + std::to_string(i), Pattern(4096 * 3, static_cast<uint8_t>(i)));
   }
@@ -316,8 +344,8 @@ TEST_P(FsTest, SyncMakesEverythingClean) {
     EXPECT_GT(cffs_->dirty_count(), 0u);
   }
   ASSERT_EQ(fs_->Sync(), Status::kOk);
-  for (hw::BlockId b = 0; b < backend_->NumBlocks(); ++b) {
-    EXPECT_TRUE(backend_->IsClean(b) || left_by_mkfs.count(b) != 0) << "block " << b;
+  for (hw::BlockId b = 0; b < backend_->free_map().num_blocks(); ++b) {
+    EXPECT_TRUE(backend_->IsClean(b)) << "block " << b;
   }
   if (cffs_ != nullptr) {
     EXPECT_EQ(cffs_->dirty_count(), 0u);
@@ -326,17 +354,44 @@ TEST_P(FsTest, SyncMakesEverythingClean) {
 
 INSTANTIATE_TEST_SUITE_P(Regimes, FsTest,
                          ::testing::Values(Regime::kXn, Regime::kKernel, Regime::kFfs),
-                         [](const ::testing::TestParamInfo<Regime>& info) {
-                           switch (info.param) {
-                             case Regime::kXn:
-                               return "XnLibFs";
-                             case Regime::kKernel:
-                               return "InKernel";
-                             case Regime::kFfs:
-                               return "FfsInKernel";
-                           }
-                           return "?";
-                         });
+                         RegimeName);
+
+// A cache of 16 blocks, so the blocks a test wrote earlier get evicted.
+class FsSmallCacheTest : public FsTest {
+ protected:
+  FsSmallCacheTest() : FsTest(/*cache_blocks=*/16) {}
+};
+
+// An append that starts inside a block evicted since it was written reads the
+// block back instead of installing a zeroed page over the bytes before the EOF.
+TEST_P(FsSmallCacheTest, AppendAfterEvictionKeepsOldBytes) {
+  const auto head = Pattern(10);
+  WriteFile("/log", head);
+  ASSERT_EQ(fs_->Sync(), Status::kOk);
+  for (int i = 0; i < 40; ++i) {
+    WriteFile("/pad" + std::to_string(i), Pattern(4096, static_cast<uint8_t>(i)));
+    ASSERT_EQ(fs_->Sync(), Status::kOk);  // XN recycles only clean buffers
+  }
+  auto h = Lookup("/log");
+  ASSERT_TRUE(h.ok());
+  if (cffs_ != nullptr) {
+    auto block = cffs_->BlockAt(*h, 0);
+    ASSERT_TRUE(block.ok());
+    ASSERT_FALSE(backend_->IsCached(block->first));
+  }
+  const auto tail = Pattern(10, 99);
+  ASSERT_TRUE(fs_->Write(*h, 10, tail, 7).ok());
+  std::vector<uint8_t> back(20);
+  auto n = fs_->Read(*h, 0, back);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, 20u);
+  EXPECT_EQ(std::vector<uint8_t>(back.begin(), back.begin() + 10), head);
+  EXPECT_EQ(std::vector<uint8_t>(back.begin() + 10, back.end()), tail);
+}
+
+INSTANTIATE_TEST_SUITE_P(Regimes, FsSmallCacheTest,
+                         ::testing::Values(Regime::kXn, Regime::kKernel, Regime::kFfs),
+                         RegimeName);
 
 // XN-only integration: durability and crash recovery of a real C-FFS tree.
 class CffsCrashTest : public ::testing::Test {

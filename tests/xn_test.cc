@@ -167,9 +167,9 @@ class XnTest : public ::testing::Test {
     std::vector<BlockId> out;
     Mods mods = SetCount(existing + n);
     std::vector<udf::Extent> extents;
-    BlockId hint = xn_.FirstDataBlock();
+    BlockId hint = xn_.free_map().first_data_block();
     for (uint32_t i = 0; i < n; ++i) {
-      auto b = xn_.FindFreeRun(hint, 1);
+      auto b = xn_.free_map().FindFreeRun(hint, 1);
       EXO_CHECK(b.ok());
       hint = *b + 1;
       mods.push_back(SetPtr(existing + i, *b));
@@ -184,9 +184,9 @@ class XnTest : public ::testing::Test {
   // them in descending block order; returns them in that order.
   std::vector<BlockId> AllocDescending(BlockId meta, uint32_t n, TemplateId type) {
     std::vector<BlockId> out;
-    BlockId hint = xn_.FirstDataBlock();
+    BlockId hint = xn_.free_map().first_data_block();
     for (uint32_t i = 0; i < n; ++i) {
-      auto b = xn_.FindFreeRun(hint, 1);
+      auto b = xn_.free_map().FindFreeRun(hint, 1);
       EXO_CHECK(b.ok());
       hint = *b + 1;
       out.insert(out.begin(), *b);
@@ -310,7 +310,7 @@ TEST_F(XnTest, NondeterministicOwnsUdfRejected) {
 TEST_F(XnTest, RootRegistrationAllocatesAndPersists) {
   auto r = xn_.RegisterRoot("myfs", leaf_tmpl_, /*temporary=*/false);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(xn_.IsAllocated(r->block));
+  EXPECT_TRUE(xn_.free_map().IsAllocated(r->block));
   EXPECT_EQ(xn_.RegisterRoot("myfs", leaf_tmpl_, false).status(), Status::kAlreadyExists);
 
   auto tmp = xn_.RegisterRoot("scratch", leaf_tmpl_, /*temporary=*/true);
@@ -326,11 +326,11 @@ TEST_F(XnTest, RootRegistrationAllocatesAndPersists) {
 
 TEST_F(XnTest, AllocatesExactlyClaimedBlocks) {
   BlockId root = MakeRoot("fs", leaf_tmpl_);
-  uint32_t free_before = xn_.FreeBlockCount();
+  uint32_t free_before = xn_.free_map().free_count();
   auto kids = AllocChildren(root, 0, 3);
-  EXPECT_EQ(xn_.FreeBlockCount(), free_before - 3);
+  EXPECT_EQ(xn_.free_map().free_count(), free_before - 3);
   for (BlockId b : kids) {
-    EXPECT_TRUE(xn_.IsAllocated(b));
+    EXPECT_TRUE(xn_.free_map().IsAllocated(b));
   }
   // The registry entry for the root is now dirty with count=3.
   auto bytes = xn_.ReadCached(root, good_creds_);
@@ -340,8 +340,8 @@ TEST_F(XnTest, AllocatesExactlyClaimedBlocks) {
 
 TEST_F(XnTest, AllocRejectsDeltaMismatch) {
   BlockId root = MakeRoot("fs", leaf_tmpl_);
-  auto b1 = xn_.FindFreeRun(xn_.FirstDataBlock(), 1);
-  auto b2 = xn_.FindFreeRun(*b1 + 1, 1);
+  auto b1 = xn_.free_map().FindFreeRun(xn_.free_map().first_data_block(), 1);
+  auto b2 = xn_.free_map().FindFreeRun(*b1 + 1, 1);
   ASSERT_TRUE(b1.ok());
   ASSERT_TRUE(b2.ok());
   // Claim we are allocating b2 but actually write a pointer to b1.
@@ -350,8 +350,8 @@ TEST_F(XnTest, AllocRejectsDeltaMismatch) {
   std::vector<udf::Extent> claim = {{*b2, 1, kDataTemplate}};
   EXPECT_EQ(xn_.Alloc(root, mods, claim, good_creds_), Status::kBadMetadata);
   // Nothing was mutated by the failed attempt.
-  EXPECT_FALSE(xn_.IsAllocated(*b1));
-  EXPECT_FALSE(xn_.IsAllocated(*b2));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(*b1));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(*b2));
   auto bytes = xn_.ReadCached(root, good_creds_);
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ((*bytes)[0], 0);
@@ -370,7 +370,7 @@ TEST_F(XnTest, AllocRejectsAlreadyAllocatedBlock) {
 
 TEST_F(XnTest, AclUfDeniesWrongCredentials) {
   BlockId root = MakeRoot("fs", leaf_tmpl_);
-  auto b = xn_.FindFreeRun(xn_.FirstDataBlock(), 1);
+  auto b = xn_.free_map().FindFreeRun(xn_.free_map().first_data_block(), 1);
   Mods mods = SetCount(1);
   mods.push_back(SetPtr(0, *b));
   std::vector<udf::Extent> claim = {{*b, 1, kDataTemplate}};
@@ -495,12 +495,12 @@ TEST_F(XnTest, DeallocDefersReuseUntilParentWritten) {
   ASSERT_EQ(xn_.Dealloc(root, mods, extents, good_creds_), Status::kOk);
 
   // The block must NOT be reusable yet: its pointer is still on disk (rule 1).
-  EXPECT_TRUE(xn_.IsAllocated(kids[0]));
+  EXPECT_TRUE(xn_.free_map().IsAllocated(kids[0]));
   EXPECT_GE(xn_.stats().will_free_deferrals, 1u);
 
   // After the parent's new image (without the pointer) reaches disk, it frees.
   ASSERT_EQ(FlushAll({root}), Status::kOk);
-  EXPECT_FALSE(xn_.IsAllocated(kids[0]));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(kids[0]));
 }
 
 TEST_F(XnTest, DeallocOfNeverWrittenPointerFreesImmediately) {
@@ -509,7 +509,7 @@ TEST_F(XnTest, DeallocOfNeverWrittenPointerFreesImmediately) {
   Mods mods = SetCount(0);
   std::vector<udf::Extent> extents = {{kids[0], 1, kDataTemplate}};
   ASSERT_EQ(xn_.Dealloc(root, mods, extents, good_creds_), Status::kOk);
-  EXPECT_FALSE(xn_.IsAllocated(kids[0]));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(kids[0]));
 }
 
 TEST_F(XnTest, LockedEntriesCannotBeWritten) {
@@ -581,7 +581,7 @@ TEST_F(XnTest, CrashRecoveryRebuildsFreeMap) {
 
   // Allocate one more data block but crash before ANY of it reaches disk.
   auto lost = AllocChildren(leaves[1], 0, 1);
-  EXPECT_TRUE(xn_.IsAllocated(lost[0]));
+  EXPECT_TRUE(xn_.free_map().IsAllocated(lost[0]));
 
   xn_.Crash();
   Xn reborn(&machine_, &machine_.disk());
@@ -589,11 +589,11 @@ TEST_F(XnTest, CrashRecoveryRebuildsFreeMap) {
   EXPECT_TRUE(reborn.recovered_after_crash());
 
   // Reachable blocks stay allocated; the lost allocation was garbage-collected.
-  EXPECT_TRUE(reborn.IsAllocated(root));
-  EXPECT_TRUE(reborn.IsAllocated(leaves[0]));
-  EXPECT_TRUE(reborn.IsAllocated(leaves[1]));
-  EXPECT_TRUE(reborn.IsAllocated(data[0]));
-  EXPECT_FALSE(reborn.IsAllocated(lost[0]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(root));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(leaves[0]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(leaves[1]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(data[0]));
+  EXPECT_FALSE(reborn.free_map().IsAllocated(lost[0]));
   // And the data content survived.
   EXPECT_EQ(machine_.disk().RawBlock(data[0])[100], 0xd7);
 }
@@ -624,7 +624,7 @@ TEST_F(XnTest, CrashWithDirtyMetadataMatchesScratchTraversal) {
   // exist only in the in-core copy of the leaf.
   auto lost = AllocChildren(leaves[1], 0, 3);
   for (BlockId b : lost) {
-    EXPECT_TRUE(xn_.IsAllocated(b));
+    EXPECT_TRUE(xn_.free_map().IsAllocated(b));
   }
   // Dealloc data[1] but never flush leaves[0]: its on-disk pointer survives, so the
   // block sits on the will-free list when the crash hits. Recovery must resurrect it
@@ -632,7 +632,7 @@ TEST_F(XnTest, CrashWithDirtyMetadataMatchesScratchTraversal) {
   Mods drop = SetCount(1);
   std::vector<udf::Extent> freed = {{data[1], 1, kDataTemplate}};
   ASSERT_EQ(xn_.Dealloc(leaves[0], drop, freed, good_creds_), Status::kOk);
-  EXPECT_TRUE(xn_.IsAllocated(data[1]));  // deferred: pointer still on disk
+  EXPECT_TRUE(xn_.free_map().IsAllocated(data[1]));  // deferred: pointer still on disk
 
   xn_.Crash();
   Xn reborn(&machine_, &machine_.disk());
@@ -663,15 +663,15 @@ TEST_F(XnTest, CrashWithDirtyMetadataMatchesScratchTraversal) {
 
   // The rebuilt free map must agree block-for-block with the scratch traversal
   // across the whole data region.
-  for (BlockId b = reborn.FirstDataBlock(); b < reborn.NumBlocks(); ++b) {
-    EXPECT_EQ(reborn.IsAllocated(b), reachable.count(b) != 0) << "block " << b;
+  for (BlockId b = reborn.free_map().first_data_block(); b < reborn.free_map().num_blocks(); ++b) {
+    EXPECT_EQ(reborn.free_map().IsAllocated(b), reachable.count(b) != 0) << "block " << b;
   }
   // Spot checks: the unflushed allocations were collected, the deferred dealloc was
   // resurrected because its parent's on-disk image still points at it.
   for (BlockId b : lost) {
-    EXPECT_FALSE(reborn.IsAllocated(b));
+    EXPECT_FALSE(reborn.free_map().IsAllocated(b));
   }
-  EXPECT_TRUE(reborn.IsAllocated(data[1]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(data[1]));
 }
 
 // ---- Ownership-set rules ----
@@ -746,16 +746,17 @@ TEST_F(XnTest, RecoveryMarksEveryChildOfDescendingTnodes) {
   Xn reborn(&machine_, &machine_.disk());
   ASSERT_EQ(reborn.Attach(), Status::kOk);
   EXPECT_TRUE(reborn.recovered_after_crash());
-  EXPECT_TRUE(reborn.IsAllocated(root));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(root));
   for (BlockId b : leaves) {
-    EXPECT_TRUE(reborn.IsAllocated(b)) << "leaf " << b;
+    EXPECT_TRUE(reborn.free_map().IsAllocated(b)) << "leaf " << b;
   }
   for (BlockId b : data) {
-    EXPECT_TRUE(reborn.IsAllocated(b)) << "data " << b;
+    EXPECT_TRUE(reborn.free_map().IsAllocated(b)) << "data " << b;
   }
   // Those are all the reachable blocks: everything else in the data region is free.
-  EXPECT_EQ(reborn.FreeBlockCount(),
-            reborn.NumBlocks() - reborn.FirstDataBlock() - 1 - leaves.size() - data.size());
+  const FreeMap& free_map = reborn.free_map();
+  EXPECT_EQ(free_map.free_count(), free_map.num_blocks() - free_map.first_data_block() - 1 -
+                                       leaves.size() - data.size());
 }
 
 // On disk, a tnode that names a block twice is malformed: recovery does not
@@ -770,9 +771,9 @@ TEST_F(XnTest, RecoveryIgnoresATnodeNamingABlockTwice) {
   xn_.Crash();
   Xn reborn(&machine_, &machine_.disk());
   ASSERT_EQ(reborn.Attach(), Status::kOk);
-  EXPECT_TRUE(reborn.IsAllocated(root));
-  EXPECT_FALSE(reborn.IsAllocated(kids[0]));
-  EXPECT_FALSE(reborn.IsAllocated(kids[1]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(root));
+  EXPECT_FALSE(reborn.free_map().IsAllocated(kids[0]));
+  EXPECT_FALSE(reborn.free_map().IsAllocated(kids[1]));
 }
 
 TEST_F(XnTest, AfterImageNamingABlockTwiceIsRejected) {
@@ -785,7 +786,7 @@ TEST_F(XnTest, AfterImageNamingABlockTwiceIsRejected) {
   modify_twice.push_back(SetPtr(1, kids[0]));
   EXPECT_EQ(xn_.Modify(root, modify_twice, good_creds_), Status::kBadMetadata);
 
-  auto fresh = xn_.FindFreeRun(kids[0] + 1, 1);
+  auto fresh = xn_.free_map().FindFreeRun(kids[0] + 1, 1);
   ASSERT_TRUE(fresh.ok());
   Mods alloc_twice = SetCount(3);
   alloc_twice.push_back(SetPtr(1, *fresh));
@@ -793,7 +794,7 @@ TEST_F(XnTest, AfterImageNamingABlockTwiceIsRejected) {
   std::vector<udf::Extent> claim = {{*fresh, 1, kDataTemplate}};
   EXPECT_EQ(xn_.Alloc(root, alloc_twice, claim, good_creds_), Status::kBadMetadata);
 
-  EXPECT_FALSE(xn_.IsAllocated(*fresh));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(*fresh));
   auto after = xn_.ReadCached(root, good_creds_);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *image);
@@ -808,7 +809,7 @@ TEST_F(XnTest, RetypingAnOwnedBlockInPlaceIsRejected) {
   auto tt = xn_.InstallTemplate(typed);
   ASSERT_TRUE(tt.ok());
   BlockId root = MakeRoot("fs", *tt);
-  auto child = xn_.FindFreeRun(xn_.FirstDataBlock(), 1);
+  auto child = xn_.free_map().FindFreeRun(xn_.free_map().first_data_block(), 1);
   ASSERT_TRUE(child.ok());
   Mods mods = SetCount(1);
   mods.push_back(U32Mod(4, *child));
@@ -830,7 +831,7 @@ TEST_F(XnTest, RetypingAnOwnedBlockInPlaceIsRejected) {
 TEST_F(XnTest, RequestNamingABlockTwiceIsRejectedInRequestOrder) {
   BlockId root = MakeRoot("fs", leaf_tmpl_);
   const BlockId b = AllocChildren(root, 0, 1)[0];  // not free
-  auto a = xn_.FindFreeRun(b + 1, 1);
+  auto a = xn_.free_map().FindFreeRun(b + 1, 1);
   ASSERT_TRUE(a.ok());
   Mods mods = SetCount(2);
   mods.push_back(SetPtr(1, *a));
@@ -841,10 +842,10 @@ TEST_F(XnTest, RequestNamingABlockTwiceIsRejectedInRequestOrder) {
   EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea, ea}, good_creds_), Status::kInvalidArgument);
   EXPECT_EQ(xn_.Alloc(root, mods, Extents{eb, ea, ea}, good_creds_), Status::kOutOfResources);
   EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea, ea, eb}, good_creds_), Status::kInvalidArgument);
-  EXPECT_FALSE(xn_.IsAllocated(*a));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(*a));
   EXPECT_EQ(xn_.Dealloc(root, SetCount(0), Extents{eb, eb}, good_creds_),
             Status::kInvalidArgument);
-  EXPECT_TRUE(xn_.IsAllocated(b));
+  EXPECT_TRUE(xn_.free_map().IsAllocated(b));
 
   EXPECT_EQ(xn_.Alloc(root, mods, Extents{ea}, good_creds_), Status::kOk);
 }
@@ -878,7 +879,8 @@ TEST_F(XnTest, ExtentsClaimingMoreBlocksThanTheDiskAreRefused) {
   EXPECT_EQ(*after, *image);
 
   BlockId root = MakeRoot("fs", leaf_tmpl_);
-  std::vector<udf::Extent> everything = {{xn_.FirstDataBlock(), 0xFFFFFFFFu, kDataTemplate}};
+  std::vector<udf::Extent> everything = {
+      {xn_.free_map().first_data_block(), 0xFFFFFFFFu, kDataTemplate}};
   EXPECT_EQ(xn_.Dealloc(root, SetCount(0), everything, good_creds_), Status::kInvalidArgument);
 }
 
@@ -1053,7 +1055,7 @@ TEST_F(XnTest, DiskCompletionInsideAnOwnsChargeKeepsBothResults) {
   ASSERT_EQ(xn_.Dealloc(x, SetCount(1), std::vector<udf::Extent>{{x_kids[1], 1, kDataTemplate}},
                         good_creds_),
             Status::kOk);
-  EXPECT_TRUE(xn_.IsAllocated(x_kids[1]));
+  EXPECT_TRUE(xn_.free_map().IsAllocated(x_kids[1]));
 }
 
 // Catalogue blocks are disk bytes: Attach verifies every program in them, as
@@ -1129,7 +1131,7 @@ TEST_F(XnTest, AttachAndFormatStartFromAnEmptyRegistry) {
     other.Detach();
   }
   ASSERT_EQ(xn_.Attach(), Status::kOk);
-  EXPECT_FALSE(xn_.IsAllocated(root));
+  EXPECT_FALSE(xn_.free_map().IsAllocated(root));
   EXPECT_EQ(xn_.registry().size(), 0u);
   EXPECT_EQ(machine_.mem().refcount(frame), 1u);
 
@@ -1167,7 +1169,7 @@ TEST_F(XnTest, ScrubRepairsRotFromCleanResidentCopy) {
   machine_.disk().MutableBlock(kids[0])[7] ^= 0x40;
   ASSERT_EQ(machine_.disk().CheckBlock(kids[0]), hw::BlockIntegrity::kBadChecksum);
 
-  EXPECT_GT(xn_.ScrubStep(xn_.NumBlocks()), 0u);
+  EXPECT_GT(xn_.ScrubStep(xn_.free_map().num_blocks()), 0u);
   EXPECT_EQ(xn_.stats().repairs, 1u);
   EXPECT_FALSE(xn_.IsQuarantined(kids[0]));
   EXPECT_EQ(machine_.disk().CheckBlock(kids[0]), hw::BlockIntegrity::kOk);
@@ -1178,7 +1180,7 @@ TEST_F(XnTest, ScrubRepairsRotFromCleanResidentCopy) {
 
   // Same fault again, this time found by the scheduled idle scrubber.
   machine_.disk().MutableBlock(kids[1])[9] ^= 0x01;
-  xn_.StartScrubber(/*interval=*/1000, /*budget=*/xn_.NumBlocks(), /*steps=*/4);
+  xn_.StartScrubber(/*interval=*/1000, /*budget=*/xn_.free_map().num_blocks(), /*steps=*/4);
   engine_.RunUntilIdle();
   EXPECT_EQ(xn_.stats().repairs, 2u);
   EXPECT_EQ(machine_.disk().CheckBlock(kids[1]), hw::BlockIntegrity::kOk);
@@ -1197,7 +1199,7 @@ TEST_F(XnTest, ScrubQuarantinesWithoutCleanCopyUntilRewritten) {
   ASSERT_EQ(xn_.RemoveMapping(kids[0]), Status::kOk);  // no trustworthy copy remains
 
   machine_.disk().MutableBlock(kids[0])[100] ^= 0xff;
-  (void)xn_.ScrubStep(xn_.NumBlocks());
+  (void)xn_.ScrubStep(xn_.free_map().num_blocks());
   EXPECT_TRUE(xn_.IsQuarantined(kids[0]));
   EXPECT_EQ(machine_.counters().Get("scrub.quarantined"), 1u);
   EXPECT_EQ(xn_.TryRepair(kids[0]), Status::kCorrupted);
@@ -1290,16 +1292,16 @@ TEST_F(XnTest, RecoveryFsckQuarantinesCorruptMetadataAndCollectsItsSubtree) {
   EXPECT_TRUE(reborn.recovered_after_crash());
   // The pre-traversal fsck covered the whole disk and flagged the rotted block.
   EXPECT_GE(machine_.counters().Get("xn.integrity_blocks_scanned") - fsck_before,
-            static_cast<uint64_t>(reborn.NumBlocks()));
+            static_cast<uint64_t>(reborn.free_map().num_blocks()));
   EXPECT_TRUE(reborn.IsQuarantined(leaves[1]));
 
   // The quarantined block stays allocated (its parent references it) but was
   // never parsed: its subtree is collected, the clean sibling's is intact.
-  EXPECT_TRUE(reborn.IsAllocated(root));
-  EXPECT_TRUE(reborn.IsAllocated(leaves[0]));
-  EXPECT_TRUE(reborn.IsAllocated(leaves[1]));
-  EXPECT_TRUE(reborn.IsAllocated(d0[0]));
-  EXPECT_FALSE(reborn.IsAllocated(d1[0]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(root));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(leaves[0]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(leaves[1]));
+  EXPECT_TRUE(reborn.free_map().IsAllocated(d0[0]));
+  EXPECT_FALSE(reborn.free_map().IsAllocated(d1[0]));
 }
 
 TEST_F(XnTest, CleanDetachSkipsRecovery) {
@@ -1311,24 +1313,56 @@ TEST_F(XnTest, CleanDetachSkipsRecovery) {
   Xn other(&machine_, &machine_.disk());
   ASSERT_EQ(other.Attach(), Status::kOk);
   EXPECT_FALSE(other.recovered_after_crash());
-  EXPECT_TRUE(other.IsAllocated(kids[0]));  // free map loaded, not rebuilt
+  EXPECT_TRUE(other.free_map().IsAllocated(kids[0]));  // free map loaded, not rebuilt
 }
 
 TEST_F(XnTest, FreeMapExposedWithoutSyscalls) {
   uint64_t before = machine_.counters().Get("xok.syscalls");
-  (void)xn_.FreeBlockCount();
-  (void)xn_.IsAllocated(100);
-  (void)xn_.FindFreeRun(xn_.FirstDataBlock(), 4);
+  (void)xn_.free_map().free_count();
+  (void)xn_.free_map().IsAllocated(100);
+  (void)xn_.free_map().FindFreeRun(xn_.free_map().first_data_block(), 4);
   EXPECT_EQ(machine_.counters().Get("xok.syscalls"), before);
 }
 
-TEST_F(XnTest, FindFreeRunHonorsHintForPlacement) {
-  auto near = xn_.FindFreeRun(xn_.FirstDataBlock() + 100, 4);
-  ASSERT_TRUE(near.ok());
-  EXPECT_GE(*near, xn_.FirstDataBlock() + 100);
-  auto wrap = xn_.FindFreeRun(xn_.NumBlocks() - 1, 8);  // must wrap to find 8
-  ASSERT_TRUE(wrap.ok());
-  EXPECT_LT(*wrap, xn_.NumBlocks() - 1);
+// The free map XN and the kernel backend both own: first fit from the hint,
+// one wrap to the first data block, checked transitions and exact counts.
+TEST(FreeMapTest, PlacementWrapExhaustionAndCounts) {
+  FreeMap map;
+  map.Reset(/*num_blocks=*/64, /*first_data=*/4);
+  EXPECT_EQ(map.free_count(), 60u);
+  EXPECT_TRUE(map.IsAllocated(3));  // system blocks are never free
+  EXPECT_EQ(*map.FindFreeRun(0, 1), 4u);
+  EXPECT_EQ(*map.FindFreeRun(20, 4), 20u);  // placement honours the hint
+  for (BlockId b = 20; b < 24; ++b) {
+    map.Allocate(b);
+  }
+  EXPECT_EQ(map.free_count(), 56u);
+  EXPECT_EQ(*map.FindFreeRun(18, 4), 24u);  // first fit at or after the hint
+  EXPECT_EQ(*map.FindFreeRun(62, 4), 4u);   // too close to the end: wraps once
+  EXPECT_EQ(map.FindFreeRun(4, 0).status(), Status::kInvalidArgument);
+  EXPECT_DEATH(map.Allocate(20), "");  // already allocated
+  EXPECT_DEATH(map.Release(2), "");    // a system block
+
+  for (BlockId b = 4; b < 64; ++b) {
+    if (map.IsFree(b)) {
+      map.Allocate(b);
+    }
+  }
+  EXPECT_EQ(map.free_count(), 0u);
+  EXPECT_EQ(map.FindFreeRun(4, 1).status(), Status::kOutOfResources);
+  map.Release(40);
+  map.Release(41);
+  EXPECT_EQ(map.free_count(), 2u);
+  EXPECT_EQ(*map.FindFreeRun(50, 2), 40u);  // found after the wrap
+  EXPECT_EQ(map.FindFreeRun(4, 3).status(), Status::kOutOfResources);
+  EXPECT_DEATH(map.Release(40), "");  // already free
+
+  // Recovery's marking is unchecked and counts only blocks it finds free.
+  map.MarkReachable(2);
+  map.MarkReachable(40);
+  map.MarkReachable(40);
+  EXPECT_EQ(map.free_count(), 1u);
+  EXPECT_TRUE(map.IsAllocated(40));
 }
 
 // Property sweep: allocate-and-free of N blocks always restores the free count.
@@ -1356,23 +1390,23 @@ TEST_P(AllocFreeProperty, FreeCountRestored) {
   ASSERT_EQ(ls, Status::kOk);
 
   const uint32_t n = static_cast<uint32_t>(GetParam());
-  const uint32_t before = xn.FreeBlockCount();
+  const uint32_t before = xn.free_map().free_count();
 
   Mods mods = SetCount(n);
   std::vector<udf::Extent> extents;
-  BlockId hint = xn.FirstDataBlock();
+  BlockId hint = xn.free_map().first_data_block();
   for (uint32_t i = 0; i < n; ++i) {
-    auto b = xn.FindFreeRun(hint, 1);
+    auto b = xn.free_map().FindFreeRun(hint, 1);
     ASSERT_TRUE(b.ok());
     hint = *b + 1;
     mods.push_back(SetPtr(i, *b));
     extents.push_back({*b, 1, kDataTemplate});
   }
   ASSERT_EQ(xn.Alloc(root->block, mods, extents, {}), Status::kOk);
-  EXPECT_EQ(xn.FreeBlockCount(), before - n);
+  EXPECT_EQ(xn.free_map().free_count(), before - n);
 
   ASSERT_EQ(xn.Dealloc(root->block, SetCount(0), extents, {}), Status::kOk);
-  EXPECT_EQ(xn.FreeBlockCount(), before);  // never flushed: immediate reuse
+  EXPECT_EQ(xn.free_map().free_count(), before);  // never flushed: immediate reuse
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, AllocFreeProperty, ::testing::Values(1, 2, 7, 64, 500));
